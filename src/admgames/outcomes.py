@@ -270,12 +270,28 @@ def _tokenize(text: str):
     return out
 
 
+# Specs nested deeper than this are rejected: the parser and the passes over
+# the syntax tree recurse once per level.
+MAX_SPEC_DEPTH = 100
+
+
+def _spec_depth(node) -> int:
+    depth, todo = 0, [(node, 1)]
+    while todo:
+        node, d = todo.pop()
+        depth = max(depth, d)
+        todo.extend((child, d + 1) for child in node[1:] if isinstance(child, tuple))
+    return depth
+
+
 def parse_spec(text: str, automaton_loader=None) -> PayoffSpec:
     """Parse the spec grammar: atoms, automaton refs, &&, ||, !, parentheses.
 
     `automaton_loader` maps a quoted file name to an EdgeAutomaton; by
-    default files are read relative to the working directory.
+    default files are read relative to the working directory.  Specs nested
+    deeper than MAX_SPEC_DEPTH are rejected.
     """
+    too_deep = f"spec: nested deeper than {MAX_SPEC_DEPTH} levels"
     text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     toks = _tokenize(text)
     pos = [0]
@@ -296,28 +312,30 @@ def parse_spec(text: str, automaton_loader=None) -> PayoffSpec:
         with open(name, encoding="utf-8") as fh:
             return parse_automaton(fh.read())
 
-    def parse_or():
-        node = parse_and()
+    def parse_or(nest):
+        node = parse_and(nest)
         while peek() == "||":
             take()
-            node = ("or", node, parse_and())
+            node = ("or", node, parse_and(nest))
         return node
 
-    def parse_and():
-        node = parse_unary()
+    def parse_and(nest):
+        node = parse_unary(nest)
         while peek() == "&&":
             take()
-            node = ("and", node, parse_unary())
+            node = ("and", node, parse_unary(nest))
         return node
 
-    def parse_unary():
+    def parse_unary(nest):
         t = peek()
+        if t in ("!", "(") and nest >= MAX_SPEC_DEPTH:
+            raise GameFormatError(too_deep)
         if t == "!":
             take()
-            return ("not", parse_unary())
+            return ("not", parse_unary(nest + 1))
         if t == "(":
             take()
-            node = parse_or()
+            node = parse_or(nest + 1)
             take(")")
             return node
         if t == "true":
@@ -329,7 +347,11 @@ def parse_spec(text: str, automaton_loader=None) -> PayoffSpec:
         if t == "payoff":
             take()
             take("(")
-            player = int(take())
+            tok = take()
+            try:
+                player = int(tok)
+            except ValueError:
+                raise GameFormatError(f"spec: bad player {tok!r}") from None
             take(")")
             op = take()
             if op not in ("<", "<=", ">", ">=", "="):
@@ -347,9 +369,11 @@ def parse_spec(text: str, automaton_loader=None) -> PayoffSpec:
             return ("aut", load(name[1:-1]))
         raise GameFormatError(f"spec: unexpected token {t!r}")
 
-    node = parse_or()
+    node = parse_or(0)
     if peek() is not None:
         raise GameFormatError(f"spec: trailing input at {peek()!r}")
+    if _spec_depth(node) > MAX_SPEC_DEPTH:
+        raise GameFormatError(too_deep)
     return PayoffSpec(node=node)
 
 

@@ -4,10 +4,15 @@ One coalition game pits a distinguished maximizing player against all other
 players merged into a single minimizer.  For INF/SUP/LIMINF/LIMSUP the
 per-vertex game value always belongs to the finite set of edge weights, so
 values are computed by sweeping threshold games (safety, reachability,
-Buchi, coBuchi) over that set.  Mean-payoff values are computed by bounded
-horizon value iteration on integer-scaled weights followed by rounding to
-the unique rational with denominator bounded by the vertex count; positional
-mean-payoff strategies come from an energy-style progress measure.
+Buchi, coBuchi) over that set.  Mean-payoff values are rationals with
+denominator at most the vertex count on integer-scaled weights; they are
+found by a divide-and-conquer search over these candidates that solves
+energy games (Brim et al.'s progress measure) for "mean payoff >= lam" and
+its dual "<= lam".  Every mean-payoff table is certified before it is
+returned: positional strategies for both sides, read off the energy games
+at each vertex's value, are evaluated exactly and must meet the table at
+every vertex.  Positional mean-payoff strategies come from the same energy
+solver.
 
 One-player optima (all players cooperating, or the coalition minimizing
 against a fixed strategy) reduce to cycle analysis: strongly connected
@@ -26,7 +31,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 
 from .games import Game, Lasso, PayoffKind, payoff_of_lasso
 
@@ -392,51 +397,13 @@ def solve_threshold(cg: CoalitionGame, measure: PayoffKind, theta: Fraction) -> 
 # zero-sum values
 
 
-def _scaled_int_weights(g: Game, player: int):
-    denom = lcm(*(w[player - 1].denominator for w in g.weights.values()))
-    intw = {e: int(w[player - 1] * denom) for e, w in g.weights.items()}
-    return intw, denom
-
-
-def _mp_value_iteration(cg: CoalitionGame) -> dict:
-    """Exact mean-payoff game values via bounded-horizon iteration.
-
-    After K > 4n^2(n-1)W steps the K-step average is within 1/(2n(n-1)) of
-    the game value, which pins down the unique rational with denominator
-    at most n.
-    """
-    g = cg.game
-    verts = sorted(g.owner)
-    n = len(verts)
-    intw, denom = _scaled_int_weights(g, cg.player)
-    wmax = max(1, max(abs(w) for w in intw.values()))
-    steps = 4 * n * n * max(1, n - 1) * wmax + 1
-
-    idx = {v: i for i, v in enumerate(verts)}
-    edges = [[(idx[u2], intw[(v, u2)]) for u2 in g.succ[v]] for v in verts]
-    maxer = [cg.is_max(v) for v in verts]
-    nu = [0] * n
-    for _ in range(steps):
-        nxt = [0] * n
-        for i in range(n):
-            vals = [w + nu[j] for (j, w) in edges[i]]
-            nxt[i] = max(vals) if maxer[i] else min(vals)
-        nu = nxt
-
-    out = {}
-    for v, i in idx.items():
-        approx = Fraction(nu[i], steps)
-        val = approx.limit_denominator(n)
-        if n > 1:
-            assert abs(val - approx) < Fraction(1, 2 * n * (n - 1))
-        out[v] = val / denom
-    return out
-
-
 def zero_sum_value(cg: CoalitionGame, measure: PayoffKind) -> dict:
     """Per-vertex value of the max player against the merged coalition."""
     if measure.is_mean_payoff:
-        return _mp_value_iteration(cg)
+        ar = _MpArena(cg)
+        val = _mp_search(ar)
+        _mp_certify(ar, val)
+        return {v: x / ar.denom for v, x in zip(ar.verts, val)}
     weights = sorted({w[cg.player - 1] for w in cg.game.weights.values()})
     vals = {}
     for theta in weights:
@@ -597,39 +564,202 @@ def fixed_strategy_extremes(prod, player: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# positional worst-case-optimal strategies
+# mean-payoff values: energy progress measures, threshold search, certificate
+
+
+class _MpArena:
+    """Integer view of a coalition game for the mean-payoff solvers.
+
+    Vertex i is the i-th vertex in sorted order.  Edge weights are the
+    player's weights times `denom`, the least common denominator, so every
+    game value is p / (q * denom) with integers p and 1 <= q <= n.
+    """
+
+    def __init__(self, cg: CoalitionGame):
+        g = cg.game
+        self.verts = sorted(g.owner)
+        idx = {v: i for i, v in enumerate(self.verts)}
+        ws = g.player_weights(cg.player)
+        self.denom = lcm(*(w.denominator for w in ws.values()))
+        self.maxer = [cg.is_max(v) for v in self.verts]
+        self.succ = [
+            [(idx[u], int(ws[(v, u)] * self.denom)) for u in g.succ[v]] for v in self.verts
+        ]
+        self.pred = [[] for _ in self.verts]
+        for i, edges in enumerate(self.succ):
+            for j, _ in edges:
+                self.pred[j].append(i)
+
+
+def _energy(ar: _MpArena, p: int, q: int, region, won, dual: bool = False):
+    """Least energy progress measure for "mean payoff >= p/q" on `region`.
+
+    Brim, Chaloupka, Doyen, Gentilini and Raskin, "Faster algorithms for
+    mean-payoff games" (FMSD 2011): edge (i, j) carries q*w - p, and f[i] is
+    the least initial credit with which the player keeps the energy
+    non-negative, or `inf` when no finite credit does.  With `dual` the
+    coalition solves "mean payoff <= p/q": weights p - q*w, owners swapped.
+    A successor j outside `region` is a sink, won with f = 0 when `won(j)`
+    and lost (f = inf) otherwise.  A credit above Brim et al.'s bound `cap`,
+    the sum of the largest drops, is lost too, and `inf` is absorbing.
+
+    Returns (f, moves); `moves[i]` is the least successor attaining f[i] at
+    each winning region vertex the solving side owns.  The least measure is
+    unique, so the worklist order affects neither f nor the moves.
+    """
+    sign = -1 if dual else 1
+    inside = set(region)
+    mine = {i: ar.maxer[i] != dual for i in inside}
+    adj = {i: [(j, sign * (q * w - p)) for j, w in ar.succ[i]] for i in inside}
+    cap = sum(max(0, -min(d for _, d in adj[i])) for i in inside)
+    f = dict.fromkeys(inside, 0)
+    for i in inside:
+        for j, _ in adj[i]:
+            if j not in inside:
+                f[j] = 0 if won(j) else inf
+
+    queue = deque(sorted(inside))
+    queued = set(inside)
+    while queue:
+        i = queue.popleft()
+        queued.discard(i)
+        # needs below 0 count as 0 and above cap as inf; both clippings
+        # commute with min and max, and f[i] >= 0 already
+        needs = [f[j] - d for j, d in adj[i]]
+        t = min(needs) if mine[i] else max(needs)
+        if t > cap:
+            t = inf
+        if t > f[i]:
+            f[i] = t
+            for k in ar.pred[i]:
+                if k in inside and k not in queued and f[k] < inf:
+                    queued.add(k)
+                    queue.append(k)
+    moves = {
+        i: min(j for j, d in adj[i] if max(0, f[j] - d) == f[i])
+        for i in inside if mine[i] and f[i] < inf
+    }
+    return f, moves
+
+
+def _farey(n: int) -> list:
+    """Reduced fractions a/b in [0, 1] with b <= n, in increasing order."""
+    a, b, c, d = 0, 1, 1, n
+    out = [(a, b)]
+    while c <= n:
+        k = (n + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+        out.append((a, b))
+    return out
+
+
+def _simplest(x: Fraction, y: Fraction) -> Fraction:
+    """The rational with the least denominator in [x, y]."""
+    fl = x.numerator // x.denominator
+    if fl == x or fl + 1 <= y:
+        return Fraction(fl if fl == x else fl + 1)
+    return fl + 1 / _simplest(1 / (y - fl), 1 / (x - fl))
+
+
+def _mp_search(ar: _MpArena) -> list:
+    """Value of every vertex on the scaled weights, by divide and conquer.
+
+    The candidates are the rationals with denominator at most n between the
+    least and the largest weight, in increasing order.  A vertex range of
+    candidates is split at lam, the candidate with the least denominator in
+    the middle half of the range: the energy game "mean payoff >= lam" and
+    its dual "<= lam", both solved on the range's vertices only, sort them
+    into values below, equal to and above lam.  A small denominator keeps
+    the scaled weights, and so the lifting, small.  Every other vertex's
+    range lies wholly above or below, and it is a won or a lost sink.
+    """
+    n = len(ar.verts)
+    ws = [w for edges in ar.succ for _, w in edges]
+    lo = min(ws)
+    farey = _farey(n)
+    width = len(farey) - 1
+    pos = {ab: r for r, ab in enumerate(farey)}
+
+    def cand(k):
+        base, r = divmod(k, width)
+        a, b = farey[r]
+        return Fraction((lo + base) * b + a, b)
+
+    low = [0] * n  # least candidate index still possible at each vertex
+    val = [None] * n
+    tasks = [(range(n), 0, (max(ws) - lo) * width)]
+    while tasks:
+        region, a, b = tasks.pop()
+        lam = _simplest(cand(a + (b - a) // 4), cand(b - (b - a) // 4))
+        p, q = lam.numerator, lam.denominator
+        k = (p // q - lo) * width + pos[(p % q, q)]
+        above, _ = _energy(ar, p, q, region, lambda j: low[j] > b)
+        below, _ = _energy(ar, p, q, region, lambda j: low[j] < a, dual=True)
+        up = [i for i in region if below[i] == inf]
+        down = [i for i in region if above[i] == inf]
+        for i in region:
+            if above[i] < inf and below[i] < inf:
+                val[i] = lam
+                low[i] = k
+        for i in up:
+            low[i] = k + 1
+        if down:
+            tasks.append((down, a, k - 1))
+        if up:
+            tasks.append((up, k + 1, b))
+    return val
+
+
+def _mp_certify(ar: _MpArena, val: list) -> None:
+    """Accept a value table only if positional strategies prove it exactly.
+
+    Per value class lam, sigma takes the player's moves of the energy game
+    "mean payoff >= lam" and tau the coalition's moves of the dual game
+    "<= lam"; higher and lower classes are the sinks.  sigma evaluated
+    against a minimizing coalition bounds every value from below, tau
+    against a maximizing player from above, both exactly by Karp's cycle
+    means.  A vertex that loses its own class game gets no move and is left
+    to the opponent, which only weakens that bound.  Raises RuntimeError
+    unless both bounds equal `val` everywhere.
+    """
+    classes: dict = {}
+    for i, lam in enumerate(val):
+        classes.setdefault(lam, []).append(i)
+    sigma, tau = {}, {}
+    for lam, region in classes.items():
+        p, q = lam.numerator, lam.denominator
+        sigma.update(_energy(ar, p, q, region, lambda j: val[j] > lam)[1])
+        tau.update(_energy(ar, p, q, region, lambda j: val[j] < lam, dual=True)[1])
+
+    weight = {(i, j): w for i, edges in enumerate(ar.succ) for j, w in edges}
+    for strat, maximize in ((sigma, False), (tau, True)):
+        got = one_player_values(
+            range(len(val)),
+            lambda i: (strat[i],) if i in strat else [j for j, _ in ar.succ[i]],
+            lambda i, j: weight[(i, j)],
+            PayoffKind.MP_INF,
+            maximize,
+        )
+        for i, x in enumerate(val):
+            if got[i] != x:
+                side = "tau" if maximize else "sigma"
+                raise RuntimeError(
+                    f"mean-payoff certificate failed at vertex {ar.verts[i]!r}: "
+                    f"{side} gives {got[i]}, the search gave {x} (scaled weights)"
+                )
 
 
 def _mp_threshold_strategy(cg: CoalitionGame, lam: Fraction):
-    """Energy progress measure for "mean payoff >= lam"; returns (set, moves)."""
-    g = cg.game
-    intw, denom = _scaled_int_weights(g, cg.player)
-    # weights relative to the threshold, as exact integers
-    w2 = {e: intw[e] * lam.denominator - lam.numerator * denom for e in intw}
-    verts = sorted(g.owner)
-    cap = len(verts) * max(1, max(abs(x) for x in w2.values()))
-    top = cap + 1
-    f = {v: 0 for v in verts}
+    """Winning region of "mean payoff >= lam" and the player's moves on it."""
+    ar = _MpArena(cg)
+    n = len(ar.verts)
+    f, moves = _energy(ar, lam.numerator * ar.denom, lam.denominator, range(n), None)
+    win = {ar.verts[i] for i in range(n) if f[i] < inf}
+    return win, {ar.verts[i]: ar.verts[j] for i, j in moves.items()}
 
-    def need(v, u):
-        return min(top, max(0, f[u] - w2[(v, u)]))
 
-    changed = True
-    while changed:
-        changed = False
-        for v in verts:
-            cands = [need(v, u) for u in g.succ[v]]
-            t = min(cands) if cg.is_max(v) else max(cands)
-            if t > f[v]:
-                f[v] = t
-                changed = True
-
-    win = {v for v in verts if f[v] <= cap}
-    strat = {}
-    for v in sorted(win):
-        if cg.is_max(v):
-            strat[v] = min(u for u in g.succ[v] if need(v, u) == f[v])
-    return win, strat
+# ---------------------------------------------------------------------------
+# positional worst-case-optimal strategies
 
 
 def worst_case_strategy(g: Game, player: int, aval: dict) -> dict:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product as iproduct
+from math import lcm
 from pathlib import Path
 
 from admgames import Game, Lasso, MooreStrategy, payoff_of_lasso
-from admgames.solvers import cooperative_witness_lasso, worst_case_strategy
+from admgames.solvers import CoalitionGame, cooperative_witness_lasso, worst_case_strategy
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -25,6 +27,43 @@ def load_strategy(name: str):
     from admgames import parse_strategy
 
     return parse_strategy(fixture_text(name))
+
+
+def mp_value_iteration(cg: CoalitionGame) -> dict:
+    """Reference mean-payoff game values by bounded-horizon value iteration.
+
+    Zwick & Paterson (1996): on integer weights bounded by W, after
+    K > 4n^2(n-1)W steps the K-step average is within 1/(2n(n-1)) of the
+    game value, which pins down the unique rational with denominator at
+    most n.  About n^3 W m steps in all, so keep n small.
+    """
+    g = cg.game
+    verts = sorted(g.owner)
+    n = len(verts)
+    denom = lcm(*(w[cg.player - 1].denominator for w in g.weights.values()))
+    intw = {e: int(w[cg.player - 1] * denom) for e, w in g.weights.items()}
+    wmax = max(1, max(abs(w) for w in intw.values()))
+    steps = 4 * n * n * max(1, n - 1) * wmax + 1
+
+    idx = {v: i for i, v in enumerate(verts)}
+    edges = [[(idx[u2], intw[(v, u2)]) for u2 in g.succ[v]] for v in verts]
+    maxer = [cg.is_max(v) for v in verts]
+    nu = [0] * n
+    for _ in range(steps):
+        nxt = [0] * n
+        for i in range(n):
+            vals = [w + nu[j] for (j, w) in edges[i]]
+            nxt[i] = max(vals) if maxer[i] else min(vals)
+        nu = nxt
+
+    out = {}
+    for v, i in idx.items():
+        approx = Fraction(nu[i], steps)
+        val = approx.limit_denominator(n)
+        if n > 1:
+            assert abs(val - approx) < Fraction(1, 2 * n * (n - 1))
+        out[v] = val / denom
+    return out
 
 
 def memoryless(player: int, moves: dict) -> MooreStrategy:

@@ -156,6 +156,18 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert run(["synth", fx("fig1.game"), "--player", "1", "--spec", fx("geq2.spec")]) == 2
 
 
+@pytest.mark.parametrize("spec", [
+    "payoff(true) >= 1",  # not a player number
+    "!" * 5000 + "true",  # deeper than the parser may recurse
+    " && ".join(["payoff(1) >= 1"] * 300),  # a syntax tree 300 levels deep
+], ids=["bad-player", "deep-not", "long-chain"])
+def test_malformed_spec_exit_2(tmp_path, capsys, spec):
+    (tmp_path / "bad.spec").write_text(spec + "\n")
+    assert run(["mc", fx("fig1_liminf.game"), "--spec", str(tmp_path / "bad.spec")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: spec: ") and err.count("\n") == 1
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as e:
         run(["values"])  # missing game argument

@@ -2,11 +2,14 @@
 parity solving, fixed-strategy extremes."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from admgames import PayoffKind, parse_game, payoff_of_lasso, product_with_strategy
+from admgames import solvers
 from admgames.oracle import random_game
 from admgames.solvers import (
     CoalitionGame,
@@ -21,7 +24,7 @@ from admgames.solvers import (
     zero_sum_value,
 )
 
-from helpers import load_game, load_strategy, memoryless
+from helpers import load_game, load_strategy, memoryless, mp_value_iteration
 
 F = Fraction
 
@@ -115,6 +118,70 @@ def test_zero_sum_mean_payoff_rational_weights():
     vals = zero_sum_value(CoalitionGame(g, 1), g.measure)
     assert vals == brute_zero_sum(g, 1)
     assert vals["c"] == F(2, 3)
+
+
+def _mean_payoff_games():
+    """Seeded mp-inf/mp-sup games, n <= 10, 2-3 players, some with rational weights."""
+    for seed in range(24):
+        measure = (PayoffKind.MP_INF, PayoffKind.MP_SUP)[seed % 2]
+        players = 2 + seed % 3 // 2
+        if seed < 16:
+            yield random_game(seed, size=4 + seed % 7, weight_range=(-5, 5),
+                              players=players, measure=measure)
+            continue
+        # rational weights: every weight divided by a seeded 1..4
+        g = random_game(seed, size=4 + seed % 3, players=players, measure=measure)
+        rng = random.Random(seed)
+        weights = {e: tuple(x / rng.randint(1, 4) for x in w) for e, w in g.weights.items()}
+        yield replace(g, weights=weights)
+
+
+@cache
+def _mean_payoff_tables():
+    """(coalition game, reference values) for every player of those games."""
+    return [
+        (cg, mp_value_iteration(cg))
+        for g in _mean_payoff_games()
+        for cg in (CoalitionGame(g, p) for p in range(1, g.players + 1))
+    ]
+
+
+def test_zero_sum_mean_payoff_matches_value_iteration():
+    for cg, aval in _mean_payoff_tables():
+        assert zero_sum_value(cg, cg.game.measure) == aval
+
+
+def test_mp_threshold_win_set_is_the_value_upper_set():
+    for cg, aval in _mean_payoff_tables():
+        levels = sorted(set(aval.values()))
+        # every value, every midpoint between values, and both outsides
+        lams = levels + [(x + y) / 2 for x, y in zip(levels, levels[1:])]
+        lams += [levels[0] - F(1, 3), levels[-1] + F(1, 7)]
+        for lam in lams:
+            win, strat = solvers._mp_threshold_strategy(cg, lam)
+            assert win == {v for v in aval if aval[v] >= lam}, (cg.player, lam)
+            assert set(strat) == {v for v in win if cg.is_max(v)}
+
+
+@pytest.mark.parametrize("step", [1, -1])
+def test_mean_payoff_certificate_rejects_a_shifted_value(monkeypatch, step):
+    g = random_game(5, size=8, weight_range=(-5, 5), measure=PayoffKind.MP_INF)
+    n = len(g.owner)
+    search = solvers._mp_search
+
+    def shifted(ar):
+        val = search(ar)
+        x = val[3]
+        # the next candidate (denominator <= n) above or below x
+        if step > 0:
+            val[3] = min(F(x.numerator * b // x.denominator + 1, b) for b in range(1, n + 1))
+        else:
+            val[3] = max(F(-(-x.numerator * b // x.denominator) - 1, b) for b in range(1, n + 1))
+        return val
+
+    monkeypatch.setattr(solvers, "_mp_search", shifted)
+    with pytest.raises(RuntimeError, match="certificate failed at vertex 'n3'"):
+        zero_sum_value(CoalitionGame(g, 1), g.measure)
 
 
 def test_local_consistency_and_bounds():
