@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .games import Game, GameFormatError
 from .solvers import (
-    cooperative_witness_lasso,
+    _WitnessLassos,
     fixed_strategy_extremes,
     one_player_values,
     worst_case_strategy,
@@ -131,6 +131,11 @@ def check_strategy_admissible(
 # strategy construction
 
 
+def _advance(nodes, cycle_start, pos):
+    """Position after `pos` on a lasso laid out as prefix + cycle."""
+    return pos + 1 if pos + 1 < len(nodes) else cycle_start
+
+
 class _ModeMachine:
     """Shared scaffolding: finite modes over the rebuilt arena.
 
@@ -219,15 +224,13 @@ class _ScoMachine(_ModeMachine):
         self.wco = worst_case_strategy(
             arena, player, {v: self.aval(v) for v in arena.owner}
         )
+        witnesses = _WitnessLassos(arena, player)
         self.lassos = {}
         for v in arena.owner:
             if self.cval(v) > self.aval(v):
-                lasso = cooperative_witness_lasso(arena, player, v, self.cval(v))
+                lasso = witnesses.lasso(v, self.cval(v))
                 nodes = lasso.prefix + lasso.cycle
                 self.lassos[v] = (nodes, len(lasso.prefix))
-
-    def _advance(self, nodes, cycle_start, pos):
-        return pos + 1 if pos + 1 < len(nodes) else cycle_start
 
     def mode_vertex(self, mode):
         kind, a, pos = mode
@@ -245,7 +248,7 @@ class _ScoMachine(_ModeMachine):
         if kind == "wco":
             return ("wco", tv2, 0)
         nodes, cstart = self.lassos[a]
-        nxt = self._advance(nodes, cstart, pos)
+        nxt = _advance(nodes, cstart, pos)
         if tv2 == nodes[nxt]:
             if self.cval(tv2) == self.aval(tv2):
                 return ("wco", tv2, 0)
@@ -257,7 +260,7 @@ class _ScoMachine(_ModeMachine):
         if kind == "wco":
             return self.wco[a]
         nodes, cstart = self.lassos[a]
-        return nodes[self._advance(nodes, cstart, pos)]
+        return nodes[_advance(nodes, cstart, pos)]
 
 
 def construct_sco(g: Game, player: int, table: ValueTable | None = None) -> MooreStrategy:
@@ -276,11 +279,10 @@ class _WcoMachine(_ModeMachine):
         arena = self.arena
         aval = {v: self.aval(v) for v in arena.owner}
         w = arena.player_weights(player)
-        self.lassos = {}
-        for v in arena.owner:
-            target = self.acval(v)
-            exact = {u for u in arena.owner if aval[u] == aval[v]}
-            wide = {u for u in arena.owner if aval[u] >= aval[v]}
+        per_level = {}
+        for level in table.avalues[player]:
+            exact = frozenset(u for u in arena.owner if aval[u] == level)
+            wide = frozenset(u for u in arena.owner if aval[u] >= level)
             flat = one_player_values(
                 exact,
                 lambda x: tuple(t for t in arena.succ[x] if t in exact),
@@ -288,12 +290,15 @@ class _WcoMachine(_ModeMachine):
                 arena.measure,
                 True,
             )
+            per_level[level] = (exact, wide, flat)
+        witnesses = _WitnessLassos(arena, player)
+        self.lassos = {}
+        for v in arena.owner:
+            target = self.acval(v)
+            exact, wide, flat = per_level[aval[v]]
             allowed = exact if flat.get(v) == target else wide
-            lasso = cooperative_witness_lasso(arena, player, v, target, allowed)
+            lasso = witnesses.lasso(v, target, allowed)
             self.lassos[v] = (lasso.prefix + lasso.cycle, len(lasso.prefix))
-
-    def _advance(self, nodes, cycle_start, pos):
-        return pos + 1 if pos + 1 < len(nodes) else cycle_start
 
     def mode_vertex(self, mode):
         a, pos = mode
@@ -305,7 +310,7 @@ class _WcoMachine(_ModeMachine):
     def next_mode(self, mode, tv2):
         a, pos = mode
         nodes, cstart = self.lassos[a]
-        nxt = self._advance(nodes, cstart, pos)
+        nxt = _advance(nodes, cstart, pos)
         if tv2 == nodes[nxt] and self.aval(tv2) == self.aval(a):
             return (a, nxt)
         return (tv2, 0)
@@ -313,7 +318,7 @@ class _WcoMachine(_ModeMachine):
     def mode_move(self, mode):
         a, pos = mode
         nodes, cstart = self.lassos[a]
-        return nodes[self._advance(nodes, cstart, pos)]
+        return nodes[_advance(nodes, cstart, pos)]
 
 
 def construct_wco_candidate(
@@ -357,13 +362,10 @@ class _FollowMachine(_ModeMachine):
         assert tv == self.nodes[0]
         return ("follow", 0)
 
-    def _advance(self, pos):
-        return pos + 1 if pos + 1 < len(self.nodes) else self.cstart
-
     def next_mode(self, mode, tv2):
         kind, payload = mode
         if kind == "follow":
-            nxt = self._advance(payload)
+            nxt = _advance(self.nodes, self.cstart, payload)
             if tv2 == self.nodes[nxt]:
                 return ("follow", nxt)
             return ("sco", self.sco.initial_mode(tv2))
@@ -372,7 +374,7 @@ class _FollowMachine(_ModeMachine):
     def mode_move(self, mode):
         kind, payload = mode
         if kind == "follow":
-            return self.nodes[self._advance(payload)]
+            return self.nodes[_advance(self.nodes, self.cstart, payload)]
         return self.sco.mode_move(payload)
 
 

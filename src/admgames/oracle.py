@@ -14,8 +14,6 @@ import random
 from fractions import Fraction
 from itertools import product
 
-import networkx as nx
-
 from .games import Game, Lasso, PayoffKind, payoff_of_lasso, validate
 
 __all__ = [
@@ -83,6 +81,8 @@ def brute_zero_sum(g: Game, player: int, bound: int | None = None) -> dict:
 
 def _all_lassos_from(g: Game, start, nodes):
     """Simple-prefix + simple-cycle lassos from start inside `nodes`."""
+    import networkx as nx  # only the brute-force enumeration needs it
+
     sub = nx.DiGraph()
     sub.add_nodes_from(nodes)
     sub.add_edges_from((u, v) for (u, v) in g.weights if u in nodes and v in nodes)

@@ -4,7 +4,8 @@ One coalition game pits a distinguished maximizing player against all other
 players merged into a single minimizer.  For INF/SUP/LIMINF/LIMSUP the
 per-vertex game value always belongs to the finite set of edge weights, so
 values are computed by sweeping threshold games (safety, reachability,
-Buchi, coBuchi) over that set.  Mean-payoff values are rationals with
+Buchi, coBuchi) over that set, each solved inside the winning region of
+the one below it, except for SUP.  Mean-payoff values are rationals with
 denominator at most the vertex count on integer-scaled weights; they are
 found by a divide-and-conquer search over these candidates that solves
 energy games (Brim et al.'s progress measure) for "mean payoff >= lam" and
@@ -360,9 +361,18 @@ def solve_threshold(cg: CoalitionGame, measure: PayoffKind, theta: Fraction) -> 
     """
     if measure.is_mean_payoff:
         raise ValueError("mean-payoff thresholds are solved by zero_sum_value")
+    return _threshold_region(cg, measure, theta, set(cg.game.owner))
+
+
+def _threshold_region(cg: CoalitionGame, measure: PayoffKind, theta, within) -> Region:
+    """`solve_threshold` on the subgame induced by `within`.
+
+    Exact only if no coalition edge leaves `within` and every winning play
+    of the whole arena stays inside it.
+    """
     g = cg.game
-    within = set(g.owner)
-    heavy = {e for e, w in g.weights.items() if w[cg.player - 1] >= theta}
+    p = cg.player - 1
+    heavy = {(v, w) for v in within for w in g.succ[v] if g.weights[(v, w)][p] >= theta}
 
     if measure is PayoffKind.SUP:
         att, strat = _attr(cg.is_max, g.succ, set(), within, heavy)
@@ -405,11 +415,17 @@ def zero_sum_value(cg: CoalitionGame, measure: PayoffKind) -> dict:
         _mp_certify(ar, val)
         return {v: x / ar.denom for v, x in zip(ar.verts, val)}
     weights = sorted({w[cg.player - 1] for w in cg.game.weights.values()})
+    within = set(cg.game.owner)
     vals = {}
     for theta in weights:
-        region = solve_threshold(cg, measure, theta)
+        region = _threshold_region(cg, measure, theta, within)
         for v in region.vertices:
             vals[v] = theta
+        # The region is a coalition trap holding every play that wins a
+        # higher threshold, so the next game is solved inside it.  Not for
+        # SUP: a play that wins takes a heavy edge, which may leave it.
+        if measure is not PayoffKind.SUP:
+            within = region.vertices
     assert set(vals) == set(cg.game.owner), "every play reaches the minimum weight"
     return vals
 
@@ -451,7 +467,7 @@ def _karp_min_mean(comp, edges):
     for (u, v, w) in edges:
         inc[idx[v]].append((idx[u], w))
     d = [[None] * n for _ in range(n + 1)]
-    d[0][0] = Fraction(0)  # root = comp[0]
+    d[0][0] = 0  # root = comp[0]; integer weights stay in int
     for k in range(1, n + 1):
         for v in range(n):
             best = None
@@ -840,6 +856,112 @@ def solve_parity(pg: ParityGame) -> tuple[Region, Region]:
 # cooperative witness lassos
 
 
+class _WitnessLassos:
+    """Cooperative witness lassos of one player, sharing work across starts.
+
+    The successor lists inside an allowed set are built once per set, and
+    the part of the search that does not depend on the start once per
+    (value, allowed set).  LIMINF keeps the cyclic set of the "weight >=
+    value" subgraph and the cycle through each entry vertex.  LIMSUP keeps
+    the sorted in-component edges of weight `value` and the way back along
+    each; a reach set is closed under successors, so its components are
+    those of the allowed subgraph.  Mean payoff keeps its search per start:
+    which component it settles on follows the order in which Tarjan emits
+    the start's reach set.
+    """
+
+    def __init__(self, g: Game, player: int):
+        self.g = g
+        self.player = player
+        self.w = g.player_weights(player)
+        self.measure = _effective(g.measure)
+        self._succ = {}  # allowed set (None: all) -> its sorted vertices, successors in it
+        self._shared = {}  # (value, allowed set) -> start-independent analysis
+
+    def lasso(self, start, value: Fraction, allowed=None) -> Lasso:
+        """Lasso from `start` with cooperative payoff `value` inside `allowed`."""
+        g = self.g
+        allowed = None if allowed is None else frozenset(allowed)
+        if allowed not in self._succ:
+            inside = g.owner if allowed is None else allowed
+            self._succ[allowed] = sorted(inside), {
+                v: tuple(t for t in g.succ[v] if t in inside) for v in g.owner
+            }
+        nodes, succ = self._succ[allowed]
+        key = (value, allowed)
+        if self.measure is PayoffKind.LIMINF:
+            path, cycle = self._liminf(start, key, nodes, succ)
+        elif self.measure is PayoffKind.LIMSUP:
+            path, cycle = self._limsup(start, key, nodes, succ)
+        else:
+            path, cycle = self._mean_payoff(start, value, succ)
+        assert cycle and cycle[0] == path[-1]
+        lasso = Lasso(prefix=tuple(path[:-1]), cycle=tuple(cycle))
+        got = payoff_of_lasso(g.measure, g, self.player, lasso)
+        assert got == value, f"witness payoff {got} != {value}"
+        return lasso
+
+    def _liminf(self, start, key, nodes, succ):
+        shared = self._shared.get(key)
+        if shared is None:
+            w, value = self.w, key[0]
+            good = {v: tuple(t for t in succ[v] if w[(v, t)] >= value) for v in nodes}
+            cyclic = set()
+            for comp in tarjan_sccs(nodes, good.__getitem__):
+                if len(comp) > 1 or comp[0] in good[comp[0]]:
+                    cyclic.update(comp)
+            inner = {v: tuple(t for t in good[v] if t in cyclic) for v in cyclic}
+            shared = self._shared[key] = (cyclic, inner, {})
+        cyclic, inner, cycles = shared
+        path = bfs_path(start, cyclic.__contains__, succ.__getitem__)
+        assert path is not None, "cooperative value must be realizable"
+        entry = path[-1]
+        if entry not in cycles:
+            cycles[entry] = _shortest_cycle_through(entry, inner.__getitem__)
+        return path, cycles[entry]
+
+    def _limsup(self, start, key, nodes, succ):
+        shared = self._shared.get(key)
+        if shared is None:
+            w, value = self.w, key[0]
+            comp_of = {}
+            for ci, comp in enumerate(tarjan_sccs(nodes, succ.__getitem__)):
+                for v in comp:
+                    comp_of[v] = (ci, len(comp))
+            edges = sorted(
+                (u, v) for u in nodes for v in succ[u]
+                if comp_of[u] == comp_of[v] and (comp_of[u][1] > 1 or u == v)
+                and w[(u, v)] == value
+            )
+            shared = self._shared[key] = (edges, {})
+        edges, cycles = shared
+        reach = reachable_from(start, succ.__getitem__)
+        target = next((e for e in edges if e[0] in reach), None)
+        assert target is not None, "cooperative value must be realizable"
+        entry = target[0]
+        path = bfs_path(start, lambda v: v == entry, succ.__getitem__)
+        if target not in cycles:
+            if target[0] == target[1]:
+                cycles[target] = [entry]
+            else:
+                back = bfs_path(target[1], lambda v: v == entry, succ.__getitem__)
+                cycles[target] = [entry] + back[:-1]
+        return path, cycles[target]
+
+    def _mean_payoff(self, start, value, succ):
+        w, sub_succ = self.w, succ.__getitem__
+        for comp in tarjan_sccs(sorted(reachable_from(start, sub_succ)), sub_succ):
+            cs = set(comp)
+            internal = [
+                (u, v, w[(u, v)]) for u in comp for v in succ[u]
+                if v in cs and (len(comp) > 1 or u == v)
+            ]
+            if _scc_metric(comp, internal, PayoffKind.MP_INF, True) == value:
+                cycle = _critical_cycle(comp, internal, value)
+                return bfs_path(start, lambda v: v == cycle[0], sub_succ), cycle
+        raise AssertionError("cooperative value must be realizable")
+
+
 def cooperative_witness_lasso(
     g: Game, player: int, start, value: Fraction, allowed=None
 ) -> Lasso:
@@ -847,67 +969,9 @@ def cooperative_witness_lasso(
 
     The whole lasso stays inside `allowed` (default: all vertices).  Prefers
     the shortest canonical prefix and cycle found by breadth-first search.
+    Callers that need lassos from many starts share one `_WitnessLassos`.
     """
-    allowed = set(g.owner) if allowed is None else set(allowed)
-    w = g.player_weights(player)
-
-    def sub_succ(v):
-        return tuple(t for t in g.succ[v] if t in allowed)
-
-    measure = _effective(g.measure)
-    if measure is PayoffKind.LIMINF:
-        def good_succ(v):
-            return tuple(t for t in sub_succ(v) if w[(v, t)] >= value)
-
-        cyclic = set()
-        for comp in tarjan_sccs(sorted(allowed), good_succ):
-            if len(comp) > 1 or comp[0] in good_succ(comp[0]):
-                cyclic |= set(comp)
-        path = bfs_path(start, lambda v: v in cyclic, sub_succ)
-        assert path is not None, "cooperative value must be realizable"
-        entry = path[-1]
-        cycle = _shortest_cycle_through(
-            entry, lambda v: tuple(t for t in good_succ(v) if t in cyclic)
-        )
-    elif measure is PayoffKind.LIMSUP:
-        reach = reachable_from(start, sub_succ)
-        target = None
-        for comp in tarjan_sccs(sorted(allowed & reach), sub_succ):
-            cs = set(comp)
-            for u in sorted(cs & reach):
-                for v in sorted(sub_succ(u)):
-                    if v in cs and w[(u, v)] == value and (len(comp) > 1 or u == v):
-                        if target is None or (u, v) < target:
-                            target = (u, v)
-        assert target is not None, "cooperative value must be realizable"
-        entry = target[0]
-        path = bfs_path(start, lambda v: v == entry, sub_succ)
-        if target[0] == target[1]:
-            cycle = [entry]
-        else:
-            back = bfs_path(target[1], lambda v: v == entry, sub_succ)
-            cycle = [entry] + back[:-1]
-    else:
-        cycle = None
-        for comp in tarjan_sccs(sorted(reachable_from(start, sub_succ)), sub_succ):
-            cs = set(comp)
-            internal = [
-                (u, v, w[(u, v)]) for u in comp for v in sub_succ(u)
-                if v in cs and (len(comp) > 1 or u == v)
-            ]
-            metric = _scc_metric(comp, internal, PayoffKind.MP_INF, True)
-            if metric == value:
-                cycle = _critical_cycle(comp, internal, value)
-                break
-        assert cycle is not None, "cooperative value must be realizable"
-        entry = cycle[0]
-        path = bfs_path(start, lambda v: v == entry, sub_succ)
-
-    assert cycle is not None and cycle[0] == entry
-    lasso = Lasso(prefix=tuple(path[:-1]), cycle=tuple(cycle))
-    got = payoff_of_lasso(g.measure, g, player, lasso)
-    assert got == value, f"witness payoff {got} != {value}"
-    return lasso
+    return _WitnessLassos(g, player).lasso(start, value, allowed)
 
 
 def _critical_cycle(comp, internal_edges, mu: Fraction):

@@ -7,8 +7,19 @@ from itertools import product as iproduct
 from math import lcm
 from pathlib import Path
 
-from admgames import Game, Lasso, MooreStrategy, payoff_of_lasso
-from admgames.solvers import CoalitionGame, cooperative_witness_lasso, worst_case_strategy
+from admgames import Game, Lasso, MooreStrategy, PayoffKind, payoff_of_lasso
+from admgames.solvers import (
+    CoalitionGame,
+    _critical_cycle,
+    _effective,
+    _scc_metric,
+    _shortest_cycle_through,
+    bfs_path,
+    cooperative_witness_lasso,
+    reachable_from,
+    tarjan_sccs,
+    worst_case_strategy,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -64,6 +75,74 @@ def mp_value_iteration(cg: CoalitionGame) -> dict:
             assert abs(val - approx) < Fraction(1, 2 * n * (n - 1))
         out[v] = val / denom
     return out
+
+
+def witness_lasso_per_call(g: Game, player: int, start, value, allowed=None) -> Lasso:
+    """Reference cooperative witness lasso that analyses the arena afresh.
+
+    The one-shot search that `cooperative_witness_lasso` ran before its
+    analysis was shared across start vertices: a new Tarjan decomposition
+    (and for LIMINF a new cyclic set) on every call.
+    """
+    allowed = set(g.owner) if allowed is None else set(allowed)
+    w = g.player_weights(player)
+
+    def sub_succ(v):
+        return tuple(t for t in g.succ[v] if t in allowed)
+
+    measure = _effective(g.measure)
+    if measure is PayoffKind.LIMINF:
+        def good_succ(v):
+            return tuple(t for t in sub_succ(v) if w[(v, t)] >= value)
+
+        cyclic = set()
+        for comp in tarjan_sccs(sorted(allowed), good_succ):
+            if len(comp) > 1 or comp[0] in good_succ(comp[0]):
+                cyclic |= set(comp)
+        path = bfs_path(start, lambda v: v in cyclic, sub_succ)
+        assert path is not None, "cooperative value must be realizable"
+        entry = path[-1]
+        cycle = _shortest_cycle_through(
+            entry, lambda v: tuple(t for t in good_succ(v) if t in cyclic)
+        )
+    elif measure is PayoffKind.LIMSUP:
+        reach = reachable_from(start, sub_succ)
+        target = None
+        for comp in tarjan_sccs(sorted(allowed & reach), sub_succ):
+            cs = set(comp)
+            for u in sorted(cs & reach):
+                for v in sorted(sub_succ(u)):
+                    if v in cs and w[(u, v)] == value and (len(comp) > 1 or u == v):
+                        if target is None or (u, v) < target:
+                            target = (u, v)
+        assert target is not None, "cooperative value must be realizable"
+        entry = target[0]
+        path = bfs_path(start, lambda v: v == entry, sub_succ)
+        if target[0] == target[1]:
+            cycle = [entry]
+        else:
+            back = bfs_path(target[1], lambda v: v == entry, sub_succ)
+            cycle = [entry] + back[:-1]
+    else:
+        cycle = None
+        for comp in tarjan_sccs(sorted(reachable_from(start, sub_succ)), sub_succ):
+            cs = set(comp)
+            internal = [
+                (u, v, w[(u, v)]) for u in comp for v in sub_succ(u)
+                if v in cs and (len(comp) > 1 or u == v)
+            ]
+            metric = _scc_metric(comp, internal, PayoffKind.MP_INF, True)
+            if metric == value:
+                cycle = _critical_cycle(comp, internal, value)
+                break
+        assert cycle is not None, "cooperative value must be realizable"
+        entry = cycle[0]
+        path = bfs_path(start, lambda v: v == entry, sub_succ)
+
+    assert cycle is not None and cycle[0] == entry
+    lasso = Lasso(prefix=tuple(path[:-1]), cycle=tuple(cycle))
+    assert payoff_of_lasso(g.measure, g, player, lasso) == value
+    return lasso
 
 
 def memoryless(player: int, moves: dict) -> MooreStrategy:

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, reports, JSON schema, file round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -172,3 +176,14 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as e:
         run(["values"])  # missing game argument
     assert e.value.code == 2
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    # networkx serves only the brute-force oracle's lasso enumeration
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, admgames.cli; print('networkx' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -10,7 +10,7 @@ import pytest
 
 from admgames import PayoffKind, parse_game, payoff_of_lasso, product_with_strategy
 from admgames import solvers
-from admgames.oracle import random_game
+from admgames.oracle import brute_cooperative, brute_zero_sum, random_game
 from admgames.solvers import (
     CoalitionGame,
     ParityGame,
@@ -18,13 +18,21 @@ from admgames.solvers import (
     cooperative_witness_lasso,
     fixed_strategy_extremes,
     one_player_max_value,
+    one_player_values,
     solve_parity,
     solve_threshold,
     worst_case_strategy,
     zero_sum_value,
 )
+from admgames.values import compute_value_table
 
-from helpers import load_game, load_strategy, memoryless, mp_value_iteration
+from helpers import (
+    load_game,
+    load_strategy,
+    memoryless,
+    mp_value_iteration,
+    witness_lasso_per_call,
+)
 
 F = Fraction
 
@@ -394,3 +402,87 @@ def test_zero_sum_below_one_player():
                 aval = zero_sum_value(CoalitionGame(g, player), measure)
                 cval = one_player_max_value(g, player)
                 assert all(aval[v] <= cval[v] for v in g.owner)
+
+
+def _whole_arena_sweep(cg: CoalitionGame, measure: PayoffKind) -> dict:
+    """Values by solving every threshold game on the whole arena."""
+    vals = {}
+    for theta in sorted({w[cg.player - 1] for w in cg.game.weights.values()}):
+        for v in solve_threshold(cg, measure, theta).vertices:
+            vals[v] = theta
+    return vals
+
+
+@pytest.mark.parametrize(
+    "measure", [PayoffKind.INF, PayoffKind.SUP, PayoffKind.LIMINF, PayoffKind.LIMSUP]
+)
+def test_nested_threshold_sweep_matches_whole_arena_sweep(measure):
+    # raw arenas, not rebuilt: there a play that wins SUP may take its heavy
+    # edge out of the lower threshold's region
+    for size in (5, 9, 14):
+        for seed in range(40):
+            g = random_game(seed, size=size, players=2 + seed % 2, measure=measure)
+            for player in range(1, g.players + 1):
+                cg = CoalitionGame(g, player)
+                assert zero_sum_value(cg, measure) == _whole_arena_sweep(cg, measure), (
+                    size, seed, player,
+                )
+
+
+@pytest.mark.parametrize("measure", list(PayoffKind))
+def test_shared_witness_lassos_match_per_call_reference(measure):
+    for seed in range(6):
+        g = random_game(
+            seed, size=6 + seed % 3, weight_range=(-3, 3), players=2, measure=measure
+        )
+        table = compute_value_table(g)
+        arena = table.arena
+        for player in (1, 2):
+            shared = solvers._WitnessLassos(arena, player)
+            w = arena.player_weights(player)
+            aval = {v: table.aval[(player, v)] for v in arena.owner}
+            cases = [(v, table.cval[(player, v)], None) for v in sorted(arena.owner)]
+            for level in table.avalues[player]:
+                exact = frozenset(u for u in arena.owner if aval[u] == level)
+                wide = frozenset(u for u in arena.owner if aval[u] >= level)
+                for allowed in (exact, wide):
+                    coop = one_player_values(
+                        allowed,
+                        lambda x, allowed=allowed: [t for t in arena.succ[x] if t in allowed],
+                        lambda a, b: w[(a, b)],
+                        arena.measure,
+                        True,
+                    )
+                    cases += [(v, coop[v], allowed) for v in sorted(allowed) if coop[v] is not None]
+            for v, value, allowed in cases:
+                got = shared.lasso(v, value, allowed)
+                want = witness_lasso_per_call(arena, player, v, value, allowed)
+                assert got == want, (seed, player, v, value, allowed)
+
+
+def test_karp_cycle_mean_on_integer_and_rational_weights():
+    edges = [("a", "b", 1), ("b", "a", 2), ("b", "b", 3)]
+    assert solvers._karp_min_mean(["a", "b"], edges) == F(3, 2)
+    rational = [(u, v, F(w, 3)) for u, v, w in edges]
+    assert solvers._karp_min_mean(["a", "b"], rational) == F(1, 2)
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_cycle_means_match_brute_force(rational):
+    for seed in range(12):
+        g = random_game(seed, size=4 + seed % 3, weight_range=(-4, 4), measure=PayoffKind.MP_INF)
+        if rational:
+            rng = random.Random(seed)
+            g = replace(g, weights={
+                e: tuple(x / rng.randint(1, 4) for x in w) for e, w in g.weights.items()
+            })
+        for player in (1, 2):
+            w = g.player_weights(player)
+            low = one_player_values(
+                g.owner, g.succ.__getitem__, lambda a, b: w[(a, b)], g.measure, False
+            )
+            # with the coalition owning every vertex, the zero-sum value is
+            # the least reachable cycle mean
+            lone = replace(g, owner={v: 3 - player for v in g.owner})
+            assert low == brute_zero_sum(lone, player), (seed, player)
+            assert one_player_max_value(g, player) == brute_cooperative(g, player)
