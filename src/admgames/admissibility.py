@@ -32,7 +32,7 @@ from .solvers import (
     one_player_values,
     worst_case_strategy,
 )
-from .transform import MooreStrategy, product_with_strategy, validate_strategy
+from .transform import MooreStrategy, moore_layout, product_with_strategy, validate_strategy
 from .values import ValueTable, compute_value_table
 
 __all__ = [
@@ -174,43 +174,14 @@ class _ModeMachine:
     def to_strategy(self) -> MooreStrategy:
         """Explore reachable modes and lay them out as a Moore transducer."""
         arena = self.arena
-        g = self.table.source
-        start = self.initial_mode(arena.init)
-        ids = {start: 0}
-        order = [start]
-        queue = deque([start])
-        while queue:
-            mode = queue.popleft()
-            tv = self.mode_vertex(mode)
-            for tv2 in arena.successors(tv):
-                nxt = self.next_mode(mode, tv2)
-                if nxt not in ids:
-                    ids[nxt] = len(order)
-                    order.append(nxt)
-                    queue.append(nxt)
 
-        update = {}
-        moves = {}
-        for mode in order:
-            m = ids[mode]
+        def expand(mode):
             tv = self.mode_vertex(mode)
-            for tv2 in arena.successors(tv):
-                update[(m, self.tg.origin(tv2))] = ids[self.next_mode(mode, tv2)]
-            if arena.owner[tv] == self.player:
-                moves[(m, self.tg.origin(tv))] = self.tg.origin(self.mode_move(mode))
-        # the move table must be total over memory x owned vertices
-        for v in sorted(g.owner):
-            if g.owner[v] != self.player:
-                continue
-            for m in range(len(order)):
-                moves.setdefault((m, v), g.successors(v)[0])
-        update = {k: m2 for k, m2 in update.items() if m2 != k[0]}
-        return MooreStrategy(
-            player=self.player,
-            memory=len(order),
-            init_mem=0,
-            update=update,
-            moves=moves,
+            move = (tv, self.mode_move(mode)) if arena.owner[tv] == self.player else None
+            return move, [(tv2, self.next_mode(mode, tv2)) for tv2 in arena.successors(tv)]
+
+        return moore_layout(
+            self.table.source, self.player, self.tg.origin, self.initial_mode(arena.init), expand
         )
 
 

@@ -40,10 +40,6 @@ class EdgeAutomaton:
     delta: dict  # (state, (src, dst)) -> state
     priority: dict  # state -> int
 
-    @property
-    def states(self):
-        return sorted(self.priority, key=repr)
-
     def step(self, state, edge):
         try:
             return self.delta[(state, edge)]

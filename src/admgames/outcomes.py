@@ -36,7 +36,7 @@ from .automata import (
 )
 from .games import Game, GameFormatError, Lasso, PayoffKind, parse_rational, payoff_of_lasso
 from .solvers import ParityGame, solve_parity
-from .transform import MooreStrategy
+from .transform import MooreStrategy, moore_layout
 from .values import ValueTable, compute_value_table
 
 __all__ = [
@@ -512,7 +512,38 @@ def _require_regular(g: Game, what: str):
         )
 
 
-def _automaton_lasso(aut: EdgeAutomaton, strategy: dict, arena: Game) -> Lasso:
+def _explore(init, expand) -> ParityGame:
+    """Parity game on the states reachable from `init`, breadth first.
+
+    `expand(state)` returns the state's owner, priority and successors.
+    """
+    owner, priority, succ = {}, {}, {}
+    seen = {init}
+    queue = deque([init])
+    while queue:
+        s = queue.popleft()
+        owner[s], priority[s], outs = expand(s)
+        succ[s] = tuple(outs)
+        for t in succ[s]:
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return ParityGame(owner=owner, priority=priority, succ=succ, init=init)
+
+
+def _parity_game(aut: EdgeAutomaton, arena: Game, owner_of) -> ParityGame:
+    """The automaton run along the arena's edges as a parity game; a state
+    (whose first component is its arena vertex v) belongs to owner_of(v)."""
+
+    def expand(s):
+        v = s[0]
+        outs = [aut.step(s, (v, v2)) for v2 in arena.successors(v)]
+        return owner_of(v), aut.priority[s], outs
+
+    return _explore(aut.initial, expand)
+
+
+def _automaton_lasso(aut: EdgeAutomaton, strategy: dict) -> Lasso:
     """Follow a positional choice through the automaton graph into a lasso."""
     state = aut.initial
     seen = {state: 0}
@@ -549,27 +580,11 @@ def model_check_admissible(g: Game, spec: PayoffSpec) -> McVerdict:
     parts.append(negate(_compile_spec(lg, spec)))
     product = intersect(arena, parts)
 
-    succ = {}
-    owner = {}
-    for (s, e), t in product.delta.items():
-        succ.setdefault(s, []).append(t)
-        owner[s] = 0
-        owner.setdefault(t, 0)
-    for s in owner:
-        succ.setdefault(s, [])
-        succ[s] = tuple(sorted(succ[s], key=repr))
-    pg = ParityGame(owner=owner, priority=dict(product.priority), succ=succ,
-                    init=product.initial)
-    r0, _ = solve_parity(pg)
+    r0, _ = solve_parity(_parity_game(product, arena, lambda v: 0))
     if product.initial not in r0.vertices:
         return McVerdict(holds=True)
-    choice = {}
-    for s in r0.vertices:
-        if r0.strategy.get(s) is not None:
-            choice[s] = r0.strategy[s]
-        elif succ[s]:
-            choice[s] = succ[s][0]
-    witness = _automaton_lasso(product, choice, arena)
+    # solve_parity moves at every state of r0, and player 0 owns them all
+    witness = _automaton_lasso(product, r0.strategy)
     return McVerdict(holds=False, counterexample=_project_lasso(lg, witness))
 
 
@@ -608,35 +623,18 @@ def verify_strategy_wins(g: Game, player: int, spec: PayoffSpec, s: MooreStrateg
     tg = table.transformed
     objective = _objective_automaton(lg, player, spec)
 
-    start = (objective.initial, s.init_mem)
-    succ = {}
-    owner = {}
-    queue = deque([start])
-    seen = {start}
-    while queue:
-        q, mem = queue.popleft()
+    def expand(state):
+        q, mem = state
         v = q[0]
+        nexts = arena.successors(v)
         if arena.owner[v] == player:
             target = s.moves[(mem, tg.origin(v))]
-            nexts = [v2 for v2 in arena.successors(v) if tg.origin(v2) == target]
-        else:
-            nexts = list(arena.successors(v))
-        outs = []
-        for v2 in nexts:
-            st = (objective.step(q, (v, v2)), s.next_memory(mem, tg.origin(v2)))
-            outs.append(st)
-            if st not in seen:
-                seen.add(st)
-                queue.append(st)
-        owner[(q, mem)] = 1
-        succ[(q, mem)] = tuple(outs)
-    pg = ParityGame(
-        owner=owner,
-        priority={(q, mem): objective.priority[q] for (q, mem) in seen},
-        succ=succ,
-        init=start,
-    )
-    r0, _ = solve_parity(pg)
+            nexts = [v2 for v2 in nexts if tg.origin(v2) == target]
+        outs = [(objective.step(q, (v, v2)), s.next_memory(mem, tg.origin(v2))) for v2 in nexts]
+        return 1, objective.priority[q], outs
+
+    start = (objective.initial, s.init_mem)
+    r0, _ = solve_parity(_explore(start, expand))
     return start in r0.vertices
 
 
@@ -651,68 +649,20 @@ def synthesize_assume_admissible(g: Game, player: int, spec: PayoffSpec) -> Synt
     tg = table.transformed
     objective = _objective_automaton(lg, player, spec)
 
-    succ = {}
-    owner = {}
-    reach = {objective.initial}
-    queue = deque([objective.initial])
-    while queue:
-        s = queue.popleft()
-        v = s[0]
-        owner[s] = 0 if arena.owner[v] == player else 1
-        outs = []
-        for v2 in arena.successors(v):
-            t = objective.step(s, (v, v2))
-            outs.append(t)
-            if t not in reach:
-                reach.add(t)
-                queue.append(t)
-        succ[s] = tuple(outs)
-    pg = ParityGame(
-        owner=owner,
-        priority={s: objective.priority[s] for s in reach},
-        succ=succ,
-        init=objective.initial,
-    )
+    pg = _parity_game(objective, arena, lambda v: 0 if arena.owner[v] == player else 1)
     r0, _ = solve_parity(pg)
     if objective.initial not in r0.vertices:
         return SynthResult(realizable=False)
 
-    # lay the winning positional product strategy out as a Moore transducer
-    ids = {}
-    order = []
-    queue = deque([objective.initial])
-    ids[objective.initial] = 0
-    order.append(objective.initial)
-    moves = {}
-    update = {}
-    while queue:
-        s = queue.popleft()
-        v = s[0]
-        m = ids[s]
-        if owner[s] == 0:
-            nexts = [r0.strategy[s]] if s in r0.strategy else [succ[s][0]]
-            moves[(m, tg.origin(v))] = tg.origin(nexts[0][0])
-        else:
-            nexts = list(succ[s])
-        for t in nexts:
-            if t not in ids:
-                ids[t] = len(order)
-                order.append(t)
-                queue.append(t)
-            update[(m, tg.origin(t[0]))] = ids[t]
-    for v in sorted(g.owner):
-        if g.owner[v] != player:
-            continue
-        for m in range(len(order)):
-            moves.setdefault((m, v), g.successors(v)[0])
-    update = {k: m2 for k, m2 in update.items() if m2 != k[0]}
-    strat = MooreStrategy(
-        player=player,
-        memory=len(order),
-        init_mem=0,
-        update=update,
-        moves=moves,
-    )
+    def expand(st):
+        # the winning move at the player's states (solve_parity gives one at
+        # every state of r0 the player owns), every move elsewhere
+        if arena.owner[st[0]] == player:
+            t = r0.strategy[st]
+            return (st[0], t[0]), [(t[0], t)]
+        return None, [(t[0], t) for t in pg.succ[st]]
+
+    strat = moore_layout(g, player, tg.origin, objective.initial, expand)
     return SynthResult(realizable=True, strategy=strat)
 
 

@@ -5,7 +5,10 @@ players merged into a single minimizer.  For INF/SUP/LIMINF/LIMSUP the
 per-vertex game value always belongs to the finite set of edge weights, so
 values are computed by sweeping threshold games (safety, reachability,
 Buchi, coBuchi) over that set, each solved inside the winning region of
-the one below it, except for SUP.  Mean-payoff values are rationals with
+the one below it, except for SUP.  All four rest on one attractor:
+reachability and Buchi use it directly, and the safety region and each
+stage of the coBuchi fixpoint are complements of the opponent's attractor
+to the edges the player must avoid.  Mean-payoff values are rationals with
 denominator at most the vertex count on integer-scaled weights; they are
 found by a divide-and-conquer search over these candidates that solves
 energy games (Brim et al.'s progress measure) for "mean payoff >= lam" and
@@ -18,8 +21,9 @@ solver.
 One-player optima (all players cooperating, or the coalition minimizing
 against a fixed strategy) reduce to cycle analysis: strongly connected
 components, per-component cycle metrics, and propagation over the
-condensation.  `solve_parity` is a recursive attractor-based solver used by
-the synthesis layer.
+condensation.  `solve_parity` is a recursive attractor-based solver; model
+checking, synthesis and strategy verification hand it parity games built
+by one product explorer in `outcomes`.
 
 INF (SUP) arenas are handled with LIMINF (LIMSUP) cycle semantics; callers
 pass prefix-independence rebuilds for those measures, on which the two
@@ -91,10 +95,6 @@ class ParityGame:
     priority: dict  # vertex -> int >= 0
     succ: dict  # vertex -> tuple of successors
     init: object = None
-
-    @property
-    def vertices(self):
-        return sorted(self.owner)
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +301,22 @@ def _buchi(is_reacher, succ_map, target_edges, within):
     return set(), {}
 
 
+def _avoid(is_mine, succ_map, bad_edges, within):
+    """Largest set inside `within` where `mine` can stay forever without
+    crossing a bad edge: the complement of the opponent's attractor to the
+    bad edges and to the vertices with no successor inside `within`."""
+    within = set(within)
+    dead = {v for v in within if not any(w in within for w in succ_map[v])}
+    att, _ = _attr(lambda v: not is_mine(v), succ_map, dead, within, bad_edges)
+    return within - att
+
+
 def _cobuchi(is_mine, succ_map, good_edges, within):
     """Winning set/strategy for eventually traversing only good edges.
 
     Two-level fixpoint: the inner stage computes the largest set the player
-    can hold using good edges or one-step drops into the already-won set;
+    can hold using good edges or one-step drops into the already-won set,
+    as the complement of the opponent's attractor to every other edge;
     drops strictly decrease the inclusion level, so only finitely many
     non-good edges occur along any play following the recorded moves.
     """
@@ -313,25 +324,11 @@ def _cobuchi(is_mine, succ_map, good_edges, within):
     won: set = set()
     strat = {}
     while True:
-        y = set(within)
-        changed = True
-        while changed:
-            changed = False
-            for v in sorted(y, key=_key):
-                ins = [u for u in succ_map[v] if u in within]
-                if not ins:
-                    ok = False
-                elif is_mine(v):
-                    ok = any(
-                        u in won or ((v, u) in good_edges and u in y) for u in ins
-                    )
-                else:
-                    ok = all(
-                        u in won or ((v, u) in good_edges and u in y) for u in ins
-                    )
-                if not ok:
-                    y.discard(v)
-                    changed = True
+        forbidden = {
+            (v, u) for v in within for u in succ_map[v]
+            if (v, u) not in good_edges and u not in won
+        }
+        y = _avoid(is_mine, succ_map, forbidden, within)
         if y == won:
             break
         for v in sorted(y - won, key=_key):
@@ -378,18 +375,8 @@ def _threshold_region(cg: CoalitionGame, measure: PayoffKind, theta, within) -> 
         att, strat = _attr(cg.is_max, g.succ, set(), within, heavy)
         return Region(frozenset(att), strat)
     if measure is PayoffKind.INF:
-        safe = set(within)
-        changed = True
-        while changed:
-            changed = False
-            for v in sorted(safe, key=_key):
-                if cg.is_max(v):
-                    ok = any(w in safe and (v, w) in heavy for w in g.succ[v])
-                else:
-                    ok = all(w in safe and (v, w) in heavy for w in g.succ[v])
-                if not ok:
-                    safe.discard(v)
-                    changed = True
+        light = {(v, w) for v in within for w in g.succ[v] if (v, w) not in heavy}
+        safe = _avoid(cg.is_max, g.succ, light, within)
         strat = {
             v: min((w for w in g.succ[v] if w in safe and (v, w) in heavy), key=_key)
             for v in sorted(safe, key=_key)

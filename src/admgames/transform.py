@@ -11,7 +11,8 @@ keeps its original payoff.  The other four measures pass through untouched.
 `product_with_strategy` synchronizes a finite-state Moore strategy with an
 arena: the strategy owner's choices are resolved by the transducer, all
 other players keep their choices, and memory advances on every traversed
-edge.
+edge.  `moore_layout` turns the modes of a strategy construction into a
+Moore strategy; every constructed strategy goes through it.
 """
 
 from __future__ import annotations
@@ -182,8 +183,42 @@ class MooreStrategy:
     def next_memory(self, mem: int, vertex: str) -> int:
         return self.update.get((mem, vertex), mem)
 
-    def move(self, mem: int, vertex: str) -> str:
-        return self.moves[(mem, vertex)]
+
+def moore_layout(g: Game, player: int, origin, start, expand) -> MooreStrategy:
+    """Lay the modes reachable from `start` out as a Moore strategy on `g`.
+
+    `expand(mode)` returns the move taken in the mode, an arena edge or None
+    where the player does not move, and the (arena vertex, next mode) pairs
+    the play continues with.  Modes are numbered breadth first from 0, and
+    `origin` maps arena vertices to the vertices of `g` the strategy reads.
+    The move table is total: where a mode never moves at one of the
+    player's vertices, it takes that vertex's first successor.
+    """
+    ids = {start: 0}
+    queue = deque([start])
+    update, moves = {}, {}
+    while queue:
+        mode = queue.popleft()
+        m = ids[mode]
+        move, outs = expand(mode)
+        if move is not None:
+            moves[(m, origin(move[0]))] = origin(move[1])
+        for tv2, nxt in outs:
+            if nxt not in ids:
+                ids[nxt] = len(ids)
+                queue.append(nxt)
+            update[(m, origin(tv2))] = ids[nxt]
+    for v in sorted(g.owner):
+        if g.owner[v] == player:
+            for m in range(len(ids)):
+                moves.setdefault((m, v), g.successors(v)[0])
+    return MooreStrategy(
+        player=player,
+        memory=len(ids),
+        init_mem=0,
+        update={k: m2 for k, m2 in update.items() if m2 != k[0]},
+        moves=moves,
+    )
 
 
 def validate_strategy(g: Game, s: MooreStrategy) -> list[str]:
@@ -227,9 +262,6 @@ class ProductGame:
     init: tuple[str, int]
     states: tuple[tuple[str, int], ...]
     succ: dict[tuple[str, int], tuple[tuple[str, int], ...]]
-
-    def owner(self, state: tuple[str, int]) -> int:
-        return self.arena.owner[state[0]]
 
 
 def product_with_strategy(

@@ -10,6 +10,7 @@ from pathlib import Path
 from admgames import Game, Lasso, MooreStrategy, PayoffKind, payoff_of_lasso
 from admgames.solvers import (
     CoalitionGame,
+    Region,
     _critical_cycle,
     _effective,
     _scc_metric,
@@ -75,6 +76,68 @@ def mp_value_iteration(cg: CoalitionGame) -> dict:
             assert abs(val - approx) < Fraction(1, 2 * n * (n - 1))
         out[v] = val / denom
     return out
+
+
+def threshold_region_sweep(cg: CoalitionGame, measure: PayoffKind, theta, within) -> Region:
+    """Reference INF and LIMINF threshold regions by re-sweeping to a fixpoint.
+
+    The safety and coBuchi games solved by passes over the vertices in
+    sorted order until none changes, as `solvers._threshold_region` and
+    `solvers._cobuchi` did before they used the attractor.
+    """
+    g = cg.game
+    p = cg.player - 1
+    key = repr
+    heavy = {(v, w) for v in within for w in g.succ[v] if g.weights[(v, w)][p] >= theta}
+    if measure is PayoffKind.INF:
+        safe = set(within)
+        changed = True
+        while changed:
+            changed = False
+            for v in sorted(safe, key=key):
+                if cg.is_max(v):
+                    ok = any(w in safe and (v, w) in heavy for w in g.succ[v])
+                else:
+                    ok = all(w in safe and (v, w) in heavy for w in g.succ[v])
+                if not ok:
+                    safe.discard(v)
+                    changed = True
+        strat = {
+            v: min((w for w in g.succ[v] if w in safe and (v, w) in heavy), key=key)
+            for v in sorted(safe, key=key)
+            if cg.is_max(v)
+        }
+        return Region(frozenset(safe), strat)
+
+    assert measure is PayoffKind.LIMINF
+    is_mine, succ_map, within = cg.is_max, g.succ, set(within)
+    won: set = set()
+    strat = {}
+    while True:
+        y = set(within)
+        changed = True
+        while changed:
+            changed = False
+            for v in sorted(y, key=key):
+                ins = [u for u in succ_map[v] if u in within]
+                if not ins:
+                    ok = False
+                elif is_mine(v):
+                    ok = any(u in won or ((v, u) in heavy and u in y) for u in ins)
+                else:
+                    ok = all(u in won or ((v, u) in heavy and u in y) for u in ins)
+                if not ok:
+                    y.discard(v)
+                    changed = True
+        if y == won:
+            break
+        for v in sorted(y - won, key=key):
+            if is_mine(v):
+                good = [u for u in sorted(succ_map[v], key=key) if u in y and (v, u) in heavy]
+                drop = [u for u in sorted(succ_map[v], key=key) if u in won]
+                strat[v] = good[0] if good else drop[0]
+        won = y
+    return Region(frozenset(won), strat)
 
 
 def witness_lasso_per_call(g: Game, player: int, start, value, allowed=None) -> Lasso:

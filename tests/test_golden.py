@@ -1,0 +1,73 @@
+"""Pinned outputs: the exact strategy files of sco, wco and synth and the mc
+counterexamples on the fixture games.
+
+Refactors of the product, layout and solver code must keep these byte for
+byte.  The fixture games are also run under the other measures, so the
+inf/sup rebuilds (and the mapping of their vertices back to the game) are
+covered.  `python tests/test_golden.py` rewrites the stored file; do that
+only for an intended change of output.
+"""
+
+import json
+
+from admgames import (
+    construct_sco,
+    construct_wco_candidate,
+    model_check_admissible,
+    parse_game,
+    parse_spec,
+    synthesize_assume_admissible,
+)
+from admgames.transform import serialize_strategy
+
+from helpers import FIXTURES, fixture_text
+
+GOLDEN = FIXTURES / "golden_outputs.json"
+GAMES = ("fig1.game", "fig1_liminf.game", "fig2.game", "fig3.game")
+SPECS = ("geq2.spec", "geq3.spec", "true.spec")
+
+
+def _variants():
+    for name in GAMES:
+        lines = fixture_text(name).splitlines()
+        for measure in ("as-is", "inf", "sup", "limsup"):
+            if measure != "as-is":
+                lines = [f"measure {measure}" if l.startswith("measure ") else l for l in lines]
+            yield f"{name} {measure}", parse_game("\n".join(lines) + "\n")
+
+
+def golden_outputs() -> dict:
+    out = {}
+    for key, g in _variants():
+        for player in range(1, g.players + 1):
+            out[f"{key} sco {player}"] = serialize_strategy(construct_sco(g, player))
+            s, verified = construct_wco_candidate(g, player)
+            out[f"{key} wco {player}"] = f"verified={verified}\n" + serialize_strategy(s)
+        if g.measure.is_mean_payoff:
+            continue
+        for spec_name in SPECS:
+            spec = parse_spec(fixture_text(spec_name))
+            verdict = model_check_admissible(g, spec)
+            ce = verdict.counterexample
+            out[f"{key} mc {spec_name}"] = "holds" if verdict.holds else (
+                f"prefix: {' '.join(ce.prefix)}\ncycle: {' '.join(ce.cycle)}\n"
+            )
+            for player in range(1, g.players + 1):
+                res = synthesize_assume_admissible(g, player, spec)
+                out[f"{key} synth {player} {spec_name}"] = (
+                    serialize_strategy(res.strategy) if res.realizable else "unrealizable"
+                )
+    return out
+
+
+def test_outputs_match_the_pinned_text():
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = golden_outputs()
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert got[key] == want[key], key
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(golden_outputs(), indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")

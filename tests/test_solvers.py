@@ -31,6 +31,7 @@ from helpers import (
     load_strategy,
     memoryless,
     mp_value_iteration,
+    threshold_region_sweep,
     witness_lasso_per_call,
 )
 
@@ -242,6 +243,18 @@ def test_parity_all_even_and_odd_loop():
     assert r1.vertices == frozenset({"a"}) and not r0.vertices
 
 
+def _random_parity_game(rng, n, priorities=4, degree=2):
+    verts = [f"p{i}" for i in range(n)]
+    return ParityGame(
+        owner={v: rng.randint(0, 1) for v in verts},
+        priority={v: rng.randint(0, priorities - 1) for v in verts},
+        succ={
+            v: tuple(sorted(rng.sample(verts, rng.randint(1, min(degree, n)))))
+            for v in verts
+        },
+    )
+
+
 def _brute_parity_regions(pg: ParityGame):
     verts = sorted(pg.owner)
     own0 = [v for v in verts if pg.owner[v] == 0]
@@ -281,16 +294,7 @@ def _brute_parity_regions(pg: ParityGame):
 def test_parity_against_brute_force():
     rng = random.Random(3)
     for seed in range(200):
-        n = rng.randint(2, 6)
-        verts = [f"p{i}" for i in range(n)]
-        pg = ParityGame(
-            owner={v: rng.randint(0, 1) for v in verts},
-            priority={v: rng.randint(0, 3) for v in verts},
-            succ={
-                v: tuple(sorted(rng.sample(verts, rng.randint(1, min(2, n)))))
-                for v in verts
-            },
-        )
+        pg = _random_parity_game(rng, rng.randint(2, 6))
         r0, r1 = solve_parity(pg)
         brute0 = _brute_parity_regions(pg)
         assert r0.vertices == frozenset(brute0), (seed, pg)
@@ -329,19 +333,23 @@ def _parity_strategy_wins(pg, region, strategy, player):
 def test_parity_strategies_win():
     rng = random.Random(8)
     for seed in range(60):
-        n = rng.randint(2, 5)
-        verts = [f"p{i}" for i in range(n)]
-        pg = ParityGame(
-            owner={v: rng.randint(0, 1) for v in verts},
-            priority={v: rng.randint(0, 3) for v in verts},
-            succ={
-                v: tuple(sorted(rng.sample(verts, rng.randint(1, min(2, n)))))
-                for v in verts
-            },
-        )
+        pg = _random_parity_game(rng, rng.randint(2, 5))
         r0, r1 = solve_parity(pg)
         assert _parity_strategy_wins(pg, r0.vertices, r0.strategy, 0), seed
         assert _parity_strategy_wins(pg, r1.vertices, r1.strategy, 1), seed
+
+
+def test_parity_strategy_moves_everywhere_the_winner_owns():
+    # model checking and synthesis read the winner's move at every state of
+    # its region they reach, with no fallback
+    rng = random.Random(11)
+    for seed in range(300):
+        pg = _random_parity_game(rng, rng.randint(2, 30), priorities=6, degree=3)
+        for player, region in enumerate(solve_parity(pg)):
+            for v in region.vertices:
+                if pg.owner[v] == player:
+                    assert region.strategy[v] in pg.succ[v], (seed, v)
+                    assert region.strategy[v] in region.vertices, (seed, v)
 
 
 def test_extremes_fig2_and_fig3():
@@ -427,6 +435,43 @@ def test_nested_threshold_sweep_matches_whole_arena_sweep(measure):
                 assert zero_sum_value(cg, measure) == _whole_arena_sweep(cg, measure), (
                     size, seed, player,
                 )
+
+
+def _coalition_closed(g, player, rng):
+    """A seeded vertex set that no coalition edge leaves; some of the
+    player's vertices in it may have no successor in it."""
+    within = set(rng.sample(sorted(g.owner), rng.randint(1, len(g.owner))))
+    todo = list(within)
+    while todo:
+        v = todo.pop()
+        if g.owner[v] != player:
+            for w in g.succ[v]:
+                if w not in within:
+                    within.add(w)
+                    todo.append(w)
+    return within
+
+
+@pytest.mark.parametrize("measure", [PayoffKind.INF, PayoffKind.LIMINF])
+def test_safety_and_cobuchi_regions_match_the_sweep_reference(measure):
+    # raw arenas; `within` is the whole arena, the region of each lower
+    # threshold as in the nested sweep of zero_sum_value, and for INF a
+    # seeded set closed under coalition moves (coBuchi needs every vertex
+    # to keep a successor inside `within`, or its Buchi cross-check fails)
+    for size in (5, 9, 14):
+        for seed in range(40):
+            g = random_game(seed, size=size, players=2 + seed % 2, measure=measure)
+            rng = random.Random(seed)
+            for player in range(1, g.players + 1):
+                cg = CoalitionGame(g, player)
+                nested = set(g.owner)
+                others = [_coalition_closed(g, player, rng)] if measure is PayoffKind.INF else []
+                for theta in sorted({w[player - 1] for w in g.weights.values()}):
+                    for within in [set(g.owner), *others, nested]:  # nested last
+                        want = threshold_region_sweep(cg, measure, theta, within)
+                        got = solvers._threshold_region(cg, measure, theta, within)
+                        assert got == want, (size, seed, player, theta, within)
+                    nested = want.vertices
 
 
 @pytest.mark.parametrize("measure", list(PayoffKind))
