@@ -26,12 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .games import Game, GameFormatError
-from .solvers import (
-    _WitnessLassos,
-    fixed_strategy_extremes,
-    one_player_values,
-    worst_case_strategy,
-)
+from .solvers import _WitnessLassos, fixed_strategy_extremes, one_player_values
 from .transform import MooreStrategy, moore_layout, product_with_strategy, validate_strategy
 from .values import ValueTable, compute_value_table
 
@@ -192,9 +187,6 @@ class _ScoMachine(_ModeMachine):
     def __init__(self, table: ValueTable, player: int):
         super().__init__(table, player)
         arena = self.arena
-        self.wco = worst_case_strategy(
-            arena, player, {v: self.aval(v) for v in arena.owner}
-        )
         witnesses = _WitnessLassos(arena, player)
         self.lassos = {}
         for v in arena.owner:
@@ -229,7 +221,7 @@ class _ScoMachine(_ModeMachine):
     def mode_move(self, mode):
         kind, a, pos = mode
         if kind == "wco":
-            return self.wco[a]
+            return self.table.wcs[self.player][a]
         nodes, cstart = self.lassos[a]
         return nodes[_advance(nodes, cstart, pos)]
 

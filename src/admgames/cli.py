@@ -41,8 +41,12 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_game(path: str) -> Game:
-    return parse_game(_read(path))
+def _load_game(args) -> Game:
+    g = parse_game(_read(args.game))
+    player = getattr(args, "player", None)
+    if player is not None and not 1 <= player <= g.players:
+        raise GameFormatError(f"--player {player} is out of range 1..{g.players}")
+    return g
 
 
 def _emit(text: str, out: str | None):
@@ -77,7 +81,7 @@ def _load_spec(path: str):
 
 
 def cmd_values(args) -> int:
-    g = _load_game(args.game)
+    g = _load_game(args)
     table = compute_value_table(g)
     arena = table.arena
     tg = table.transformed
@@ -105,7 +109,7 @@ def cmd_values(args) -> int:
 
 
 def cmd_check(args) -> int:
-    g = _load_game(args.game)
+    g = _load_game(args)
     s = parse_strategy(_read(args.strategy))
     verdict = check_strategy_admissible(g, s)
     if verdict.admissible:
@@ -140,7 +144,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_sco(args) -> int:
-    g = _load_game(args.game)
+    g = _load_game(args)
     s = construct_sco(g, args.player)
     text = serialize_strategy(s)
     _emit(text, args.output)
@@ -154,7 +158,7 @@ def cmd_sco(args) -> int:
 
 
 def cmd_wco(args) -> int:
-    g = _load_game(args.game)
+    g = _load_game(args)
     s, verified = construct_wco_candidate(g, args.player)
     _emit(serialize_strategy(s), args.output)
     if args.json:
@@ -167,7 +171,7 @@ def cmd_wco(args) -> int:
 
 
 def cmd_outcomes(args) -> int:
-    g = _load_game(args.game)
+    g = _load_game(args)
     table = compute_value_table(g)
     lg = label_edges(g, table)
     if g.measure.is_mean_payoff:
@@ -189,7 +193,7 @@ def cmd_outcomes(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    g = _load_game(args.game)
+    g = _load_game(args)
     spec = _load_spec(args.spec)
     verdict = model_check_admissible(g, spec)
     if verdict.holds:
@@ -209,7 +213,7 @@ def cmd_mc(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    g = _load_game(args.game)
+    g = _load_game(args)
     spec = _load_spec(args.spec)
     result = synthesize_assume_admissible(g, args.player, spec)
     if not result.realizable:
@@ -227,7 +231,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    g = _load_game(args.game)
+    try:
+        import networkx  # noqa: F401  (the brute-force lasso enumeration needs it)
+    except ImportError:
+        print("error: oracle needs networkx: pip install 'admgames[oracle]'", file=sys.stderr)
+        return 2
+    g = _load_game(args)
     table = compute_value_table(g)
     rows = []
     mismatches = 0

@@ -65,11 +65,6 @@ class PayoffKind(Enum):
     def is_mean_payoff(self) -> bool:
         return self in (PayoffKind.MP_INF, PayoffKind.MP_SUP)
 
-    @property
-    def is_regular(self) -> bool:
-        """True when payoff threshold sets are omega-regular (not mean-payoff)."""
-        return not self.is_mean_payoff
-
 
 _MEASURE_BY_TOKEN = {k.value: k for k in PayoffKind}
 

@@ -15,8 +15,9 @@ energy games (Brim et al.'s progress measure) for "mean payoff >= lam" and
 its dual "<= lam".  Every mean-payoff table is certified before it is
 returned: positional strategies for both sides, read off the energy games
 at each vertex's value, are evaluated exactly and must meet the table at
-every vertex.  Positional mean-payoff strategies come from the same energy
-solver.
+every vertex.  Worst-case-optimal strategies come from the value solve
+itself, never from a second one: the threshold regions' moves for the
+extremum measures, the certificate's player strategy for mean payoff.
 
 One-player optima (all players cooperating, or the coalition minimizing
 against a fixed strategy) reduce to cycle analysis: strongly connected
@@ -394,27 +395,41 @@ def _threshold_region(cg: CoalitionGame, measure: PayoffKind, theta, within) -> 
 # zero-sum values
 
 
-def zero_sum_value(cg: CoalitionGame, measure: PayoffKind) -> dict:
-    """Per-vertex value of the max player against the merged coalition."""
+def zero_sum_value(cg: CoalitionGame, measure: PayoffKind) -> tuple[dict, dict]:
+    """Per-vertex value of the max player against the merged coalition, and
+    one memoryless strategy of that player achieving every value at once: the
+    certificate's sigma for mean payoff, otherwise each vertex's move in the
+    highest threshold region it lies in, which is its own value."""
     if measure.is_mean_payoff:
         ar = _MpArena(cg)
         val = _mp_search(ar)
-        _mp_certify(ar, val)
-        return {v: x / ar.denom for v, x in zip(ar.verts, val)}
-    weights = sorted({w[cg.player - 1] for w in cg.game.weights.values()})
-    within = set(cg.game.owner)
-    vals = {}
-    for theta in weights:
-        region = _threshold_region(cg, measure, theta, within)
-        for v in region.vertices:
-            vals[v] = theta
-        # The region is a coalition trap holding every play that wins a
-        # higher threshold, so the next game is solved inside it.  Not for
-        # SUP: a play that wins takes a heavy edge, which may leave it.
-        if measure is not PayoffKind.SUP:
-            within = region.vertices
-    assert set(vals) == set(cg.game.owner), "every play reaches the minimum weight"
-    return vals
+        sigma = _mp_certify(ar, val)
+        values = {v: x / ar.denom for v, x in zip(ar.verts, val)}
+        strat = {ar.verts[i]: ar.verts[j] for i, j in sigma.items()}
+    else:
+        weights = sorted({w[cg.player - 1] for w in cg.game.weights.values()})
+        within = set(cg.game.owner)
+        values, strat = {}, {}
+        for theta in weights:
+            region = _threshold_region(cg, measure, theta, within)
+            for v in region.vertices:
+                values[v] = theta
+            strat.update(region.strategy)
+            # The region is a coalition trap holding every play that wins a
+            # higher threshold, so the next game is solved inside it.  Not for
+            # SUP: a play that wins takes a heavy edge, which may leave it.
+            if measure is not PayoffKind.SUP:
+                within = region.vertices
+        assert set(values) == set(cg.game.owner), "every play reaches the minimum weight"
+    assert set(strat) == set(filter(cg.is_max, cg.game.owner)), "a move at every max vertex"
+    return values, strat
+
+
+def worst_case_strategy(g: Game, player: int) -> dict:
+    """One memoryless strategy achieving aval(v) from every vertex at once."""
+    # Kept by name for `perfbench/spans.py`, which looks it up with getattr
+    # in traced runs; the package itself takes the moves from zero_sum_value.
+    return zero_sum_value(CoalitionGame(g, player), g.measure)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +728,7 @@ def _mp_search(ar: _MpArena) -> list:
     return val
 
 
-def _mp_certify(ar: _MpArena, val: list) -> None:
+def _mp_certify(ar: _MpArena, val: list) -> dict:
     """Accept a value table only if positional strategies prove it exactly.
 
     Per value class lam, sigma takes the player's moves of the energy game
@@ -723,7 +738,8 @@ def _mp_certify(ar: _MpArena, val: list) -> None:
     against a maximizing player from above, both exactly by Karp's cycle
     means.  A vertex that loses its own class game gets no move and is left
     to the opponent, which only weakens that bound.  Raises RuntimeError
-    unless both bounds equal `val` everywhere.
+    unless both bounds equal `val` everywhere; returns sigma, a worst-case
+    optimal strategy by vertex index.
     """
     classes: dict = {}
     for i, lam in enumerate(val):
@@ -750,46 +766,7 @@ def _mp_certify(ar: _MpArena, val: list) -> None:
                     f"mean-payoff certificate failed at vertex {ar.verts[i]!r}: "
                     f"{side} gives {got[i]}, the search gave {x} (scaled weights)"
                 )
-
-
-def _mp_threshold_strategy(cg: CoalitionGame, lam: Fraction):
-    """Winning region of "mean payoff >= lam" and the player's moves on it."""
-    ar = _MpArena(cg)
-    n = len(ar.verts)
-    f, moves = _energy(ar, lam.numerator * ar.denom, lam.denominator, range(n), None)
-    win = {ar.verts[i] for i in range(n) if f[i] < inf}
-    return win, {ar.verts[i]: ar.verts[j] for i, j in moves.items()}
-
-
-# ---------------------------------------------------------------------------
-# positional worst-case-optimal strategies
-
-
-def worst_case_strategy(g: Game, player: int, aval: dict) -> dict:
-    """One memoryless strategy achieving aval(v) from every vertex at once.
-
-    Built level by level: each vertex follows the witness strategy of the
-    threshold game at its own value; the guaranteed level never drops along
-    induced plays, so the guarantees compose.
-    """
-    cg = CoalitionGame(g, player)
-    per_level = {}
-    for lam in sorted(set(aval.values())):
-        if g.measure.is_mean_payoff:
-            win, strat = _mp_threshold_strategy(cg, lam)
-        else:
-            region = solve_threshold(cg, g.measure, lam)
-            win, strat = region.vertices, region.strategy
-        per_level[lam] = (win, strat)
-
-    out = {}
-    for v in sorted(g.owner):
-        if g.owner[v] != player:
-            continue
-        win, strat = per_level[aval[v]]
-        assert v in win, f"vertex {v} must win its own value threshold"
-        out[v] = strat[v]
-    return out
+    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -798,8 +775,6 @@ def worst_case_strategy(g: Game, player: int, aval: dict) -> dict:
 
 def solve_parity(pg: ParityGame) -> tuple[Region, Region]:
     """Recursive attractor-based solver; returns regions for players 0 and 1."""
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * len(pg.owner) + 1000))
-
     succ = pg.succ
     owner = pg.owner
     prio = pg.priority
@@ -833,7 +808,12 @@ def solve_parity(pg: ParityGame) -> tuple[Region, Region]:
         p_win = sub2[p]
         return (p_win, q_win) if p == 0 else (q_win, p_win)
 
-    (w0, s0), (w1, s1) = solve(set(pg.owner))
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, 4 * len(pg.owner) + 1000))
+    try:
+        (w0, s0), (w1, s1) = solve(set(pg.owner))
+    finally:
+        sys.setrecursionlimit(old_limit)
     r0 = Region(frozenset(w0), {v: s0[v] for v in s0 if owner[v] == 0})
     r1 = Region(frozenset(w1), {v: s1[v] for v in s1 if owner[v] == 1})
     return r0, r1

@@ -40,6 +40,7 @@ class ValueTable:
     cval: dict
     acval: dict
     avalues: dict  # player -> sorted tuple of distinct aval entries
+    wcs: dict  # player -> {vertex: move}, one worst-case-optimal strategy
 
     @property
     def arena(self) -> Game:
@@ -74,8 +75,9 @@ def compute_value_table(g: Game) -> ValueTable:
     cval = {}
     acval = {}
     avalues = {}
+    wcs = {}
     for player in range(1, g.players + 1):
-        pa = zero_sum_value(CoalitionGame(arena, player), arena.measure)
+        pa, wcs[player] = zero_sum_value(CoalitionGame(arena, player), arena.measure)
         pc = one_player_max_value(arena, player)
         for v in arena.owner:
             aval[(player, v)] = pa[v]
@@ -97,7 +99,7 @@ def compute_value_table(g: Game) -> ValueTable:
                 f"{aval[k]} <= {acval[k]} <= {cval[k]}"
             )
     return ValueTable(
-        source=g, transformed=tg, aval=aval, cval=cval, acval=acval, avalues=avalues
+        source=g, transformed=tg, aval=aval, cval=cval, acval=acval, avalues=avalues, wcs=wcs
     )
 
 

@@ -18,8 +18,8 @@ from admgames.solvers import (
     bfs_path,
     cooperative_witness_lasso,
     reachable_from,
+    solve_threshold,
     tarjan_sccs,
-    worst_case_strategy,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -138,6 +138,29 @@ def threshold_region_sweep(cg: CoalitionGame, measure: PayoffKind, theta, within
                 strat[v] = good[0] if good else drop[0]
         won = y
     return Region(frozenset(won), strat)
+
+
+def worst_case_strategy_per_level(g: Game, player: int, aval: dict) -> dict:
+    """Reference extremum worst-case strategy that re-solves every value level.
+
+    The body `solvers.worst_case_strategy` had before the moves came out of
+    the value sweep: each vertex takes the move of the whole-arena threshold
+    game at its own value.
+    """
+    cg = CoalitionGame(g, player)
+    per_level = {}
+    for lam in sorted(set(aval.values())):
+        region = solve_threshold(cg, g.measure, lam)
+        per_level[lam] = (region.vertices, region.strategy)
+
+    out = {}
+    for v in sorted(g.owner):
+        if g.owner[v] != player:
+            continue
+        win, strat = per_level[aval[v]]
+        assert v in win, f"vertex {v} must win its own value threshold"
+        out[v] = strat[v]
+    return out
 
 
 def witness_lasso_per_call(g: Game, player: int, start, value, allowed=None) -> Lasso:
@@ -276,7 +299,7 @@ def switch_dominator(g: Game, table, player: int, sigma_moves: dict, verdict):
     assert table.transformed.identity
     h = verdict.witness
     aval = {v: table.aval[(player, v)] for v in arena.owner}
-    wco = worst_case_strategy(arena, player, aval)
+    wco = table.wcs[player]
 
     if verdict.violated == "eq4":
         anchor = h[-1]

@@ -172,6 +172,25 @@ def test_malformed_spec_exit_2(tmp_path, capsys, spec):
     assert err.startswith("error: spec: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("over", [False, True], ids=["zero", "players+1"])
+@pytest.mark.parametrize("command", ["sco", "wco", "outcomes", "synth"])
+def test_player_out_of_range_exit_2(capsys, command, over):
+    player = load_game("fig2.game").players + 1 if over else 0
+    argv = [command, fx("fig2.game"), "--player", str(player)]
+    if command == "synth":
+        argv += ["--spec", fx("geq2.spec")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --player ") and err.count("\n") == 1
+
+
+def test_oracle_without_networkx_exit_2(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "networkx", None)  # import raises ImportError
+    assert run(["oracle", fx("fig3.game")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "networkx" in err and err.count("\n") == 1
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as e:
         run(["values"])  # missing game argument

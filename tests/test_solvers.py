@@ -2,13 +2,22 @@
 parity solving, fixed-strategy extremes."""
 
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
+from math import inf
 
 import pytest
 
-from admgames import PayoffKind, parse_game, payoff_of_lasso, product_with_strategy
+from admgames import (
+    PayoffKind,
+    check_strategy_admissible,
+    construct_sco,
+    parse_game,
+    payoff_of_lasso,
+    product_with_strategy,
+)
 from admgames import solvers
 from admgames.oracle import brute_cooperative, brute_zero_sum, random_game
 from admgames.solvers import (
@@ -33,6 +42,7 @@ from helpers import (
     mp_value_iteration,
     threshold_region_sweep,
     witness_lasso_per_call,
+    worst_case_strategy_per_level,
 )
 
 F = Fraction
@@ -99,9 +109,9 @@ def test_threshold_rejects_mean_payoff():
 
 def test_zero_sum_fig1_mean_payoff():
     g = load_game("fig1.game")
-    v1 = zero_sum_value(CoalitionGame(g, 1), g.measure)
+    v1 = zero_sum_value(CoalitionGame(g, 1), g.measure)[0]
     assert all(v1[v] == 1 for v in g.owner)
-    v2 = zero_sum_value(CoalitionGame(g, 2), g.measure)
+    v2 = zero_sum_value(CoalitionGame(g, 2), g.measure)[0]
     assert v2 == {"v1": 0, "v2": 2, "v3": 0, "v4": 2}
 
 
@@ -110,7 +120,7 @@ def test_zero_sum_single_loop_every_measure():
         g = parse_game(
             f"players 1\nmeasure {measure.token}\ninit a\nvertex a 1\nedge a a 5/3\n"
         )
-        vals = zero_sum_value(CoalitionGame(g, 1), measure)
+        vals = zero_sum_value(CoalitionGame(g, 1), measure)[0]
         assert vals["a"] == F(5, 3)
 
 
@@ -124,7 +134,7 @@ def test_zero_sum_mean_payoff_rational_weights():
         "edge c c 2/3 0\nedge c a -1 0\n"
     )
     g = parse_game(text)
-    vals = zero_sum_value(CoalitionGame(g, 1), g.measure)
+    vals = zero_sum_value(CoalitionGame(g, 1), g.measure)[0]
     assert vals == brute_zero_sum(g, 1)
     assert vals["c"] == F(2, 3)
 
@@ -157,19 +167,25 @@ def _mean_payoff_tables():
 
 def test_zero_sum_mean_payoff_matches_value_iteration():
     for cg, aval in _mean_payoff_tables():
-        assert zero_sum_value(cg, cg.game.measure) == aval
+        assert zero_sum_value(cg, cg.game.measure)[0] == aval
 
 
 def test_mp_threshold_win_set_is_the_value_upper_set():
     for cg, aval in _mean_payoff_tables():
+        ar = solvers._MpArena(cg)
+        n = len(ar.verts)
         levels = sorted(set(aval.values()))
         # every value, every midpoint between values, and both outsides
         lams = levels + [(x + y) / 2 for x, y in zip(levels, levels[1:])]
         lams += [levels[0] - F(1, 3), levels[-1] + F(1, 7)]
         for lam in lams:
-            win, strat = solvers._mp_threshold_strategy(cg, lam)
+            # the energy game on the whole arena, so no vertex is a sink
+            f, moves = solvers._energy(
+                ar, lam.numerator * ar.denom, lam.denominator, range(n), None
+            )
+            win = {ar.verts[i] for i in range(n) if f[i] < inf}
             assert win == {v for v in aval if aval[v] >= lam}, (cg.player, lam)
-            assert set(strat) == {v for v in win if cg.is_max(v)}
+            assert {ar.verts[i] for i in moves} == {v for v in win if cg.is_max(v)}
 
 
 @pytest.mark.parametrize("step", [1, -1])
@@ -190,7 +206,7 @@ def test_mean_payoff_certificate_rejects_a_shifted_value(monkeypatch, step):
 
     monkeypatch.setattr(solvers, "_mp_search", shifted)
     with pytest.raises(RuntimeError, match="certificate failed at vertex 'n3'"):
-        zero_sum_value(CoalitionGame(g, 1), g.measure)
+        zero_sum_value(CoalitionGame(g, 1), g.measure)[0]
 
 
 def test_local_consistency_and_bounds():
@@ -199,7 +215,7 @@ def test_local_consistency_and_bounds():
             g = random_game(seed, size=5, measure=measure)
             for player in (1, 2):
                 cg = CoalitionGame(g, player)
-                aval = zero_sum_value(cg, measure)
+                aval = zero_sum_value(cg, measure)[0]
                 cval = one_player_max_value(g, player)
                 for v in g.owner:
                     succ_vals = [aval[u] for u in g.successors(v)]
@@ -352,6 +368,16 @@ def test_parity_strategy_moves_everywhere_the_winner_owns():
                     assert region.strategy[v] in region.vertices, (seed, v)
 
 
+def test_parity_leaves_the_recursion_limit_as_it_found_it():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        solve_parity(_random_parity_game(random.Random(0), 10))
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(old)
+
+
 def test_extremes_fig2_and_fig3():
     g = load_game("fig2.game")
     prod = product_with_strategy(g, load_strategy("fig2_s2s6.strat"))
@@ -379,13 +405,44 @@ def test_worst_case_strategy_achieves_values():
             if not measure.prefix_independent:
                 continue
             for player in (1, 2):
-                aval = zero_sum_value(CoalitionGame(g, player), measure)
-                wco = worst_case_strategy(g, player, aval)
+                aval = zero_sum_value(CoalitionGame(g, player), measure)[0]
+                wco = worst_case_strategy(g, player)
                 s = memoryless(player, wco)
                 prod = product_with_strategy(g, s)
                 ext = fixed_strategy_extremes(prod, player)
                 for (v, m), (lo, _) in ext.items():
                     assert lo == aval[v], (measure, seed, player, v)
+
+
+@pytest.mark.parametrize(
+    "measure", [PayoffKind.INF, PayoffKind.SUP, PayoffKind.LIMINF, PayoffKind.LIMSUP]
+)
+def test_sweep_strategy_matches_per_level_reference(measure):
+    # raw arenas, as in the sweep tests below; the per-level reference
+    # solves each value's threshold game again on the whole arena
+    for size in (5, 9, 14):
+        for seed in range(40):
+            g = random_game(seed, size=size, players=2 + seed % 2, measure=measure)
+            for player in range(1, g.players + 1):
+                aval, strat = zero_sum_value(CoalitionGame(g, player), measure)
+                assert strat == worst_case_strategy_per_level(g, player, aval), (
+                    size, seed, player,
+                )
+
+
+def test_mean_payoff_sigma_achieves_the_values():
+    # a game where sigma, read off the value-class energy games, differs
+    # from the moves of the whole-arena energy game at each value
+    g = random_game(32, size=14, weight_range=(-5, 5), players=3, measure=PayoffKind.MP_INF)
+    aval, sigma = zero_sum_value(CoalitionGame(g, 3), g.measure)
+    ext = fixed_strategy_extremes(product_with_strategy(g, memoryless(3, sigma)), 3)
+    for (v, _), (lo, _) in ext.items():
+        assert lo == aval[v], v
+
+
+def test_mean_payoff_sco_with_sigma_is_admissible():
+    g = random_game(8, size=20, weight_range=(-5, 5), players=3, measure=PayoffKind.MP_INF)
+    assert check_strategy_admissible(g, construct_sco(g, 1)).admissible
 
 
 def test_cooperative_witness_lassos_hit_their_value():
@@ -407,7 +464,7 @@ def test_zero_sum_below_one_player():
         for seed in range(10):
             g = random_game(seed, size=5, measure=measure)
             for player in (1, 2):
-                aval = zero_sum_value(CoalitionGame(g, player), measure)
+                aval = zero_sum_value(CoalitionGame(g, player), measure)[0]
                 cval = one_player_max_value(g, player)
                 assert all(aval[v] <= cval[v] for v in g.owner)
 
@@ -432,7 +489,7 @@ def test_nested_threshold_sweep_matches_whole_arena_sweep(measure):
             g = random_game(seed, size=size, players=2 + seed % 2, measure=measure)
             for player in range(1, g.players + 1):
                 cg = CoalitionGame(g, player)
-                assert zero_sum_value(cg, measure) == _whole_arena_sweep(cg, measure), (
+                assert zero_sum_value(cg, measure)[0] == _whole_arena_sweep(cg, measure), (
                     size, seed, player,
                 )
 
