@@ -1,5 +1,6 @@
-"""Pinned outputs: the exact strategy files of sco, wco and synth and the mc
-counterexamples on the fixture games.
+"""Pinned outputs on the fixture games: the exact strategy files of sco, wco
+and synth, the mc counterexamples, the outcome automata (native and dot),
+the value rows and the check verdicts of the fixture strategies.
 
 Refactors of the product, layout and solver code must keep these byte for
 byte.  The fixture games are also run under the other measures, so the
@@ -11,20 +12,27 @@ only for an intended change of output.
 import json
 
 from admgames import (
+    check_strategy_admissible,
+    compute_value_table,
     construct_sco,
     construct_wco_candidate,
+    label_edges,
     model_check_admissible,
+    outcome_automaton,
     parse_game,
     parse_spec,
+    parse_strategy,
     synthesize_assume_admissible,
 )
-from admgames.transform import serialize_strategy
+from admgames.automata import automaton_to_dot, serialize_automaton
+from admgames.transform import serialize_strategy, validate_strategy
 
 from helpers import FIXTURES, fixture_text
 
 GOLDEN = FIXTURES / "golden_outputs.json"
 GAMES = ("fig1.game", "fig1_liminf.game", "fig2.game", "fig3.game")
 SPECS = ("geq2.spec", "geq3.spec", "true.spec")
+STRATEGIES = sorted(p.name for p in FIXTURES.glob("*.strat"))
 
 
 def _variants():
@@ -36,15 +44,48 @@ def _variants():
             yield f"{name} {measure}", parse_game("\n".join(lines) + "\n")
 
 
+def _values_text(table) -> str:
+    tg = table.transformed
+    return "".join(
+        f"player={p} vertex={v} origin={tg.origin(v)} "
+        f"aval={a} cval={c} acval={ac}\n"
+        for p in range(1, table.source.players + 1)
+        for v in sorted(table.arena.owner)
+        for a, c, ac in [table.at(p, v)]
+    )
+
+
+def _check_text(verdict) -> str:
+    if verdict.admissible:
+        return "admissible\n"
+    return (
+        f"vertex={verdict.vertex} memory={verdict.memory} "
+        f"violated={verdict.violated} aval={verdict.aval} acval={verdict.acval} "
+        f"strat_aval={verdict.strat_min} strat_cval={verdict.strat_max}\n"
+        f"witness: {' '.join(verdict.witness)}\n"
+    )
+
+
 def golden_outputs() -> dict:
     out = {}
     for key, g in _variants():
+        table = compute_value_table(g)
+        out[f"{key} values"] = _values_text(table)
+        for name in STRATEGIES:
+            s = parse_strategy(fixture_text(name))
+            if not validate_strategy(g, s):
+                out[f"{key} check {name}"] = _check_text(check_strategy_admissible(g, s))
         for player in range(1, g.players + 1):
             out[f"{key} sco {player}"] = serialize_strategy(construct_sco(g, player))
             s, verified = construct_wco_candidate(g, player)
             out[f"{key} wco {player}"] = f"verified={verified}\n" + serialize_strategy(s)
         if g.measure.is_mean_payoff:
             continue
+        lg = label_edges(g, table)
+        for player in range(1, g.players + 1):
+            aut = outcome_automaton(lg, player)
+            out[f"{key} outcomes {player} native"] = serialize_automaton(aut)
+            out[f"{key} outcomes {player} dot"] = automaton_to_dot(aut)
         for spec_name in SPECS:
             spec = parse_spec(fixture_text(spec_name))
             verdict = model_check_admissible(g, spec)
