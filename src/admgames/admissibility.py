@@ -21,7 +21,6 @@ such a strategy, so the result carries a verification flag.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,18 +77,7 @@ def check_strategy_admissible(
     arena = prod.arena
     tg = table.transformed
 
-    parent = {prod.init: None}
-    order = [prod.init]
-    queue = deque([prod.init])
-    while queue:
-        state = queue.popleft()
-        for nxt in prod.succ[state]:
-            if nxt not in parent:
-                parent[nxt] = state
-                order.append(nxt)
-                queue.append(nxt)
-
-    for state in order:
+    for state in prod.succ:  # breadth first from prod.init
         tv, mem = state
         if arena.owner[tv] != s.player:
             continue
@@ -101,11 +89,14 @@ def check_strategy_admissible(
         if lo == hi == q == ac:
             continue
         violated = EQ_DROP if lo < q else EQ_PIN
-        chain = []
-        cur = state
-        while cur is not None:
-            chain.append(cur)
-            cur = parent[cur]
+        # the first state listing a successor is its breadth-first parent
+        parent = {prod.init: None}
+        for src, outs in prod.succ.items():
+            for nxt in outs:
+                parent.setdefault(nxt, src)
+        chain = [state]
+        while parent[chain[-1]] is not None:
+            chain.append(parent[chain[-1]])
         chain.reverse()
         return AdmissibilityVerdict(
             admissible=False,

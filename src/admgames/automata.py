@@ -14,10 +14,10 @@ deep into the record the deepest grant or unanswered request reached.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .games import Game, GameFormatError, Lasso
+from .games import Game, GameFormatError, Lasso, run_until_repeat
+from .solvers import explore
 
 __all__ = [
     "EdgeAutomaton",
@@ -73,16 +73,13 @@ def accepts_lasso(aut: EdgeAutomaton, lasso: Lasso) -> bool:
     for e in lasso.prefix_edges():
         state = aut.step(state, e)
     cyc = lasso.cycle_edges()
-    seen = {}
-    trace = []
-    pos = 0
-    while (state, pos) not in seen:
-        seen[(state, pos)] = len(trace)
-        state = aut.step(state, cyc[pos])
-        trace.append(state)
-        pos = (pos + 1) % len(cyc)
-    start = seen[(state, pos)]
-    top = max(aut.priority[s] for s in trace[start:])
+
+    def step(key):  # (automaton state, index in cyc of the edge read next)
+        s, pos = key
+        return aut.step(s, cyc[pos]), (pos + 1) % len(cyc)
+
+    _, loop = run_until_repeat((state, 0), step)
+    top = max(aut.priority[s] for s, _ in loop)
     return top % 2 == 0
 
 
@@ -100,12 +97,7 @@ def intersect(g: Game, components: list[EdgeAutomaton]) -> EdgeAutomaton:
             pairs.append((ci, o))
     h = len(pairs)
 
-    init = (g.init, tuple(a.initial for a in components), tuple(range(h)), 0)
-    delta = {}
-    priority = {init: 0}
-    queue = deque([init])
-    while queue:
-        state = queue.popleft()
+    def succ(state):
         v, comp_states, perm, _ = state
         for v2 in g.successors(v):
             e = (v, v2)
@@ -135,12 +127,24 @@ def intersect(g: Game, components: list[EdgeAutomaton]) -> EdgeAutomaton:
             perm2 = tuple(j for j in perm if j not in gset) + tuple(
                 j for j in perm if j in gset
             )
-            nxt = (v2, nxt_comp, perm2, pr)
-            delta[(state, e)] = nxt
-            if nxt not in priority:
-                priority[nxt] = pr
-                queue.append(nxt)
-    return EdgeAutomaton(initial=init, delta=delta, priority=priority)
+            yield v2, nxt_comp, perm2, pr
+
+    init = (g.init, tuple(a.initial for a in components), tuple(range(h)), 0)
+    return _explored(init, succ)
+
+
+def _explored(init, succ) -> EdgeAutomaton:
+    """Automaton on the states reachable from `init` along the arena's edges.
+
+    A state is (arena vertex, ..., priority): `succ(state)` lists one
+    successor per arena edge leaving its vertex, in the arena's order.
+    """
+    graph = explore(init, succ)
+    return EdgeAutomaton(
+        initial=init,
+        delta={(s, (s[0], t[0])): t for s, outs in graph.items() for t in outs},
+        priority={s: s[-1] for s in graph},
+    )
 
 
 def reindex_edges(aut: EdgeAutomaton, edge_map: dict) -> EdgeAutomaton:

@@ -23,6 +23,7 @@ __all__ = [
     "PayoffKind",
     "Game",
     "Lasso",
+    "run_until_repeat",
     "GameFormatError",
     "parse_rational",
     "format_rational",
@@ -174,6 +175,22 @@ class Lasso:
         for (u, v) in self.prefix_edges() + self.cycle_edges():
             if not g.has_edge(u, v):
                 raise ValueError(f"lasso uses non-edge ({u}, {v})")
+
+
+def run_until_repeat(state, step) -> tuple[list, list]:
+    """Apply `step` from `state` until a state repeats.
+
+    Returns the states visited before the first repeated one and the cycle
+    that starts at it, each state once, in visiting order.
+    """
+    seen: dict = {}
+    seq = []
+    while state not in seen:
+        seen[state] = len(seq)
+        seq.append(state)
+        state = step(state)
+    k = seen[state]
+    return seq[:k], seq[k:]
 
 
 def check_history(g: Game, h: Sequence[str]) -> None:

@@ -21,12 +21,12 @@ parity-automaton products over the arena.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .automata import (
     EdgeAutomaton,
+    _explored,
     accepts_lasso,
     constant_automaton,
     intersect,
@@ -34,8 +34,16 @@ from .automata import (
     parse_automaton,
     reindex_edges,
 )
-from .games import Game, GameFormatError, Lasso, PayoffKind, parse_rational, payoff_of_lasso
-from .solvers import ParityGame, solve_parity
+from .games import (
+    Game,
+    GameFormatError,
+    Lasso,
+    PayoffKind,
+    parse_rational,
+    payoff_of_lasso,
+    run_until_repeat,
+)
+from .solvers import ParityGame, explore, solve_parity
 from .transform import MooreStrategy, moore_layout
 from .values import ValueTable, compute_value_table
 
@@ -211,28 +219,18 @@ def outcome_automaton(lg: LabeledGame, player: int) -> EdgeAutomaton:
         )
     labels = lg.labels[player]
 
-    init = (arena.init, None, 0)
-    delta = {}
-    priority = {init: 0}
-    queue = deque([init])
-    while queue:
-        state = queue.popleft()
+    def succ(state):
         v, demand, _ = state
         for v2 in arena.successors(v):
-            e = (v, v2)
-            lab = labels[e]
             nxt_demand, reset = _demand_step(
-                demand, lab, arena.owner[v] == player
+                demand, labels[(v, v2)], arena.owner[v] == player
             )
             pr = _step_priority(
                 arena.measure, nxt_demand, reset, arena.weight(v, v2, player)
             )
-            nxt = (v2, nxt_demand, pr)
-            delta[(state, e)] = nxt
-            if nxt not in priority:
-                priority[nxt] = pr
-                queue.append(nxt)
-    return EdgeAutomaton(initial=init, delta=delta, priority=priority)
+            yield v2, nxt_demand, pr
+
+    return _explored((arena.init, None, 0), succ)
 
 
 # ---------------------------------------------------------------------------
@@ -512,51 +510,24 @@ def _require_regular(g: Game, what: str):
         )
 
 
-def _explore(init, expand) -> ParityGame:
-    """Parity game on the states reachable from `init`, breadth first.
-
-    `expand(state)` returns the state's owner, priority and successors.
-    """
-    owner, priority, succ = {}, {}, {}
-    seen = {init}
-    queue = deque([init])
-    while queue:
-        s = queue.popleft()
-        owner[s], priority[s], outs = expand(s)
-        succ[s] = tuple(outs)
-        for t in succ[s]:
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return ParityGame(owner=owner, priority=priority, succ=succ, init=init)
-
-
 def _parity_game(aut: EdgeAutomaton, arena: Game, owner_of) -> ParityGame:
     """The automaton run along the arena's edges as a parity game; a state
     (whose first component is its arena vertex v) belongs to owner_of(v)."""
-
-    def expand(s):
-        v = s[0]
-        outs = [aut.step(s, (v, v2)) for v2 in arena.successors(v)]
-        return owner_of(v), aut.priority[s], outs
-
-    return _explore(aut.initial, expand)
+    graph = explore(
+        aut.initial, lambda s: [aut.step(s, (s[0], v2)) for v2 in arena.successors(s[0])]
+    )
+    return ParityGame(
+        owner={s: owner_of(s[0]) for s in graph},
+        priority={s: aut.priority[s] for s in graph},
+        succ=graph,
+        init=aut.initial,
+    )
 
 
 def _automaton_lasso(aut: EdgeAutomaton, strategy: dict) -> Lasso:
     """Follow a positional choice through the automaton graph into a lasso."""
-    state = aut.initial
-    seen = {state: 0}
-    seq = [state]
-    while True:
-        state = strategy[state]
-        if state in seen:
-            k = seen[state]
-            break
-        seen[state] = len(seq)
-        seq.append(state)
-    verts = [s[0] for s in seq]
-    return Lasso(prefix=tuple(verts[:k]), cycle=tuple(verts[k:]))
+    pre, loop = run_until_repeat(aut.initial, strategy.__getitem__)
+    return Lasso(prefix=tuple(s[0] for s in pre), cycle=tuple(s[0] for s in loop))
 
 
 def _project_lasso(lg: LabeledGame, lasso: Lasso) -> Lasso:
@@ -623,18 +594,24 @@ def verify_strategy_wins(g: Game, player: int, spec: PayoffSpec, s: MooreStrateg
     tg = table.transformed
     objective = _objective_automaton(lg, player, spec)
 
-    def expand(state):
+    def succ(state):
         q, mem = state
         v = q[0]
         nexts = arena.successors(v)
         if arena.owner[v] == player:
             target = s.moves[(mem, tg.origin(v))]
             nexts = [v2 for v2 in nexts if tg.origin(v2) == target]
-        outs = [(objective.step(q, (v, v2)), s.next_memory(mem, tg.origin(v2))) for v2 in nexts]
-        return 1, objective.priority[q], outs
+        return [(objective.step(q, (v, v2)), s.next_memory(mem, tg.origin(v2))) for v2 in nexts]
 
     start = (objective.initial, s.init_mem)
-    r0, _ = solve_parity(_explore(start, expand))
+    graph = explore(start, succ)
+    pg = ParityGame(
+        owner=dict.fromkeys(graph, 1),
+        priority={st: objective.priority[st[0]] for st in graph},
+        succ=graph,
+        init=start,
+    )
+    r0, _ = solve_parity(pg)
     return start in r0.vertices
 
 

@@ -24,7 +24,9 @@ against a fixed strategy) reduce to cycle analysis: strongly connected
 components, per-component cycle metrics, and propagation over the
 condensation.  `solve_parity` is a recursive attractor-based solver; model
 checking, synthesis and strategy verification hand it parity games built
-by one product explorer in `outcomes`.
+by `explore`, the one breadth-first explorer that every construction over
+a reachable state space (rebuilds, products, automata, strategy modes)
+goes through.
 
 INF (SUP) arenas are handled with LIMINF (LIMSUP) cycle semantics; callers
 pass prefix-independence rebuilds for those measures, on which the two
@@ -45,6 +47,7 @@ __all__ = [
     "CoalitionGame",
     "ParityGame",
     "Region",
+    "explore",
     "attractor",
     "solve_threshold",
     "zero_sum_value",
@@ -151,16 +154,21 @@ def tarjan_sccs(nodes, succ):
     return comps
 
 
-def reachable_from(start, succ):
-    seen = {start}
-    todo = [start]
-    while todo:
-        v = todo.pop()
-        for w in succ(v):
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return seen
+def explore(init, succ):
+    """The states reachable from `init`, in breadth-first discovery order,
+    each mapped to the tuple of its successors in `succ`'s order."""
+    # `succ` runs as soon as a state is discovered, in the order a queue
+    # would expand the states, so the graph doubles as the visited set:
+    # states often carry `Fraction`s, which are costly to hash.
+    outs = tuple(succ(init))
+    graph = {init: outs}
+    pending = [outs]
+    for outs in pending:
+        for nxt in outs:
+            if nxt not in graph:
+                graph[nxt] = found = tuple(succ(nxt))
+                pending.append(found)
+    return graph
 
 
 def bfs_path(start, goal_pred, succ):
@@ -228,9 +236,10 @@ def _attr(is_mine, succ_map, targets, within, target_edges=frozenset()):
     order and propagate breadth-first.
     """
     within = set(within)
+    order = sorted(within, key=_key)
     moves = {v: [w for w in succ_map[v] if w in within] for v in within}
     preds: dict = {v: [] for v in within}
-    for v in sorted(within, key=_key):
+    for v in order:
         for w in moves[v]:
             preds[w].append(v)
 
@@ -246,7 +255,7 @@ def _attr(is_mine, succ_map, targets, within, target_edges=frozenset()):
 
     target_set = set(targets) & within
     remaining = {}
-    for v in sorted(within, key=_key):
+    for v in order:
         if v in target_set:
             activate(v)
             continue
@@ -334,11 +343,9 @@ def _cobuchi(is_mine, succ_map, good_edges, within):
             break
         for v in sorted(y - won, key=_key):
             if is_mine(v):
-                good = [
-                    u for u in sorted(succ_map[v], key=_key)
-                    if u in y and (v, u) in good_edges
-                ]
-                drop = [u for u in sorted(succ_map[v], key=_key) if u in won]
+                succs = sorted(succ_map[v], key=_key)
+                good = [u for u in succs if u in y and (v, u) in good_edges]
+                drop = [u for u in succs if u in won]
                 strat[v] = good[0] if good else drop[0]
         won = y
 
@@ -902,7 +909,7 @@ class _WitnessLassos:
             )
             shared = self._shared[key] = (edges, {})
         edges, cycles = shared
-        reach = reachable_from(start, succ.__getitem__)
+        reach = explore(start, succ.__getitem__)
         target = next((e for e in edges if e[0] in reach), None)
         assert target is not None, "cooperative value must be realizable"
         entry = target[0]
@@ -917,7 +924,7 @@ class _WitnessLassos:
 
     def _mean_payoff(self, start, value, succ):
         w, sub_succ = self.w, succ.__getitem__
-        for comp in tarjan_sccs(sorted(reachable_from(start, sub_succ)), sub_succ):
+        for comp in tarjan_sccs(sorted(explore(start, sub_succ)), sub_succ):
             cs = set(comp)
             internal = [
                 (u, v, w[(u, v)]) for u in comp for v in succ[u]

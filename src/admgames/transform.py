@@ -12,16 +12,18 @@ keeps its original payoff.  The other four measures pass through untouched.
 arena: the strategy owner's choices are resolved by the transducer, all
 other players keep their choices, and memory advances on every traversed
 edge.  `moore_layout` turns the modes of a strategy construction into a
-Moore strategy; every constructed strategy goes through it.
+Moore strategy; every constructed strategy goes through it.  All three
+explore their states with `solvers.explore` and number them, where they
+need numbers or names, in its breadth-first discovery order.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .games import Game, GameFormatError, PayoffKind
+from .games import Game, GameFormatError, Lasso, PayoffKind, run_until_repeat
+from .solvers import explore
 
 __all__ = [
     "TransformedGame",
@@ -99,37 +101,32 @@ def make_prefix_independent(g: Game) -> TransformedGame:
         taken.add(fresh)
         return fresh
 
-    init_state = (g.init, tuple(None for _ in range(g.players)))
+    def succ(state):
+        v, recs = state
+        for v2 in g.successors(v):
+            yield v2, tuple(fold1(r, w) for r, w in zip(recs, g.weights[(v, v2)]))
+
+    init_state = (g.init, (None,) * g.players)
+    graph = explore(init_state, succ)
+    names = {state: name(*state) for state in graph}
     owner: dict[str, int] = {}
     weights: dict[tuple[str, str], tuple[Fraction, ...]] = {}
     back: dict[str, tuple[str, tuple[Fraction | None, ...]]] = {}
     step: dict[tuple[str, str], str] = {}
-
-    queue = deque([init_state])
-    seen = {init_state: name(*init_state)}
-    while queue:
-        state = queue.popleft()
-        v, recs = state
-        tv = seen[state]
-        owner[tv] = g.owner[v]
+    for state, outs in graph.items():
+        tv = names[state]
+        owner[tv] = g.owner[state[0]]
         back[tv] = state
-        for v2 in g.successors(v):
-            out = tuple(
-                fold1(recs[i], g.weight(v, v2, i + 1)) for i in range(g.players)
-            )
-            state2 = (v2, out)
-            if state2 not in seen:
-                seen[state2] = name(*state2)
-                queue.append(state2)
-            tv2 = seen[state2]
-            weights[(tv, tv2)] = out
-            step[(tv, v2)] = tv2
+        for state2 in outs:
+            tv2 = names[state2]
+            weights[(tv, tv2)] = state2[1]
+            step[(tv, state2[0])] = tv2
 
     tg = Game(
         players=g.players,
         owner=owner,
         weights=weights,
-        init=seen[init_state],
+        init=names[init_state],
         measure=g.measure,
     )
     return TransformedGame(game=tg, back=back, step=step, identity=False)
@@ -141,8 +138,6 @@ def lift_lasso(tg: TransformedGame, lasso):
     The cycle may unroll several times until the recorded extrema stabilize;
     the result is again ultimately periodic.
     """
-    from .games import Lasso
-
     if tg.identity:
         return lasso
     start = lasso.prefix[0] if lasso.prefix else lasso.cycle[0]
@@ -152,16 +147,16 @@ def lift_lasso(tg: TransformedGame, lasso):
     for v in (lasso.prefix + lasso.cycle)[1:]:
         trace.append(tg.step[(trace[-1], v)])
     cyc = lasso.cycle
-    pos = 0  # index in cyc of the vertex entered next
-    seen = {}
-    while True:
-        key = (pos, trace[-1])
-        if key in seen:
-            k = seen[key]
-            return Lasso(prefix=tuple(trace[:k]), cycle=tuple(trace[k:-1]))
-        seen[key] = len(trace) - 1
-        trace.append(tg.step[(trace[-1], cyc[pos])])
-        pos = (pos + 1) % len(cyc)
+
+    def step(key):  # (index in cyc of the vertex entered next, rebuilt vertex)
+        pos, tv = key
+        return (pos + 1) % len(cyc), tg.step[(tv, cyc[pos])]
+
+    pre, loop = run_until_repeat((0, trace.pop()), step)
+    return Lasso(
+        prefix=tuple(trace) + tuple(tv for _, tv in pre),
+        cycle=tuple(tv for _, tv in loop),
+    )
 
 
 @dataclass(frozen=True)
@@ -189,24 +184,25 @@ def moore_layout(g: Game, player: int, origin, start, expand) -> MooreStrategy:
 
     `expand(mode)` returns the move taken in the mode, an arena edge or None
     where the player does not move, and the (arena vertex, next mode) pairs
-    the play continues with.  Modes are numbered breadth first from 0, and
-    `origin` maps arena vertices to the vertices of `g` the strategy reads.
-    The move table is total: where a mode never moves at one of the
-    player's vertices, it takes that vertex's first successor.
+    the play continues with; it is called once per mode.  The memory state
+    of a mode is its index in `explore`'s breadth-first order from `start`,
+    and `origin` maps arena vertices to the vertices of `g` the strategy
+    reads.  The move table is total: where a mode never moves at one of
+    the player's vertices, it takes that vertex's first successor.
     """
-    ids = {start: 0}
-    queue = deque([start])
+    expanded = {}
+
+    def succ(mode):
+        _, outs = expanded[mode] = expand(mode)
+        return [nxt for _, nxt in outs]
+
+    ids = {mode: m for m, mode in enumerate(explore(start, succ))}
     update, moves = {}, {}
-    while queue:
-        mode = queue.popleft()
-        m = ids[mode]
-        move, outs = expand(mode)
+    for mode, m in ids.items():
+        move, outs = expanded[mode]
         if move is not None:
             moves[(m, origin(move[0]))] = origin(move[1])
         for tv2, nxt in outs:
-            if nxt not in ids:
-                ids[nxt] = len(ids)
-                queue.append(nxt)
             update[(m, origin(tv2))] = ids[nxt]
     for v in sorted(g.owner):
         if g.owner[v] == player:
@@ -254,7 +250,8 @@ class ProductGame:
 
     States are (arena vertex, memory).  At states whose vertex the strategy
     owner controls there is exactly one outgoing edge (the strategy's move);
-    everywhere else all arena moves remain.
+    everywhere else all arena moves remain.  `succ` lists the states breadth
+    first from `init`, as `solvers.explore` found them; `states` is sorted.
     """
 
     arena: Game
@@ -287,12 +284,7 @@ def product_with_strategy(
     for (u, v) in g.weights:
         succ_by_obs[(u, obs(v))] = v
 
-    init = (g.init, s.init_mem)
-    succ: dict[tuple[str, int], tuple[tuple[str, int], ...]] = {}
-    queue = deque([init])
-    seen = {init}
-    while queue:
-        state = queue.popleft()
+    def succ(state):
         v, m = state
         if g.owner[v] == s.player:
             target = s.moves.get((m, obs(v)))
@@ -303,18 +295,14 @@ def product_with_strategy(
                 )
             nexts = [succ_by_obs[(v, target)]]
         else:
-            nexts = list(g.successors(v))
-        out = []
-        for v2 in nexts:
-            state2 = (v2, s.next_memory(m, obs(v2)))
-            out.append(state2)
-            if state2 not in seen:
-                seen.add(state2)
-                queue.append(state2)
-        succ[state] = tuple(out)
+            nexts = g.successors(v)
+        return [(v2, s.next_memory(m, obs(v2))) for v2 in nexts]
 
-    states = tuple(sorted(seen))
-    return ProductGame(arena=g, player=s.player, init=init, states=states, succ=succ)
+    init = (g.init, s.init_mem)
+    graph = explore(init, succ)
+    return ProductGame(
+        arena=g, player=s.player, init=init, states=tuple(sorted(graph)), succ=graph
+    )
 
 
 def parse_strategy(text: str) -> MooreStrategy:

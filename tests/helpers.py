@@ -17,7 +17,6 @@ from admgames.solvers import (
     _shortest_cycle_through,
     bfs_path,
     cooperative_witness_lasso,
-    reachable_from,
     solve_threshold,
     tarjan_sccs,
 )
@@ -161,6 +160,18 @@ def worst_case_strategy_per_level(g: Game, player: int, aval: dict) -> dict:
         assert v in win, f"vertex {v} must win its own value threshold"
         out[v] = strat[v]
     return out
+
+
+def reachable_from(start, succ) -> set:
+    """Depth-first reachability, kept apart from the explorer it checks."""
+    seen = {start}
+    todo = [start]
+    while todo:
+        for w in succ(todo.pop()):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
 
 
 def witness_lasso_per_call(g: Game, player: int, start, value, allowed=None) -> Lasso:

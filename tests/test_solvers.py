@@ -25,6 +25,7 @@ from admgames.solvers import (
     ParityGame,
     attractor,
     cooperative_witness_lasso,
+    explore,
     fixed_strategy_extremes,
     one_player_max_value,
     one_player_values,
@@ -46,6 +47,31 @@ from helpers import (
 )
 
 F = Fraction
+
+
+# a diamond a -> {c, b} -> d with a self-loop at c, then d -> e -> a
+DIAMOND = {"a": ("c", "b"), "b": ("d",), "c": ("c", "d"), "d": ("e",), "e": ("a",)}
+
+
+def test_explore_lists_states_breadth_first_with_successors_in_order():
+    graph = explore("a", DIAMOND.__getitem__)
+    assert list(graph) == ["a", "c", "b", "d", "e"]
+    assert graph == DIAMOND
+    assert list(explore("d", DIAMOND.__getitem__)) == ["d", "e", "a", "c", "b"]
+
+
+def test_explore_raises_at_the_first_bad_state_breadth_first():
+    calls = []
+
+    def succ(v):
+        calls.append(v)
+        if v in ("b", "d"):  # a depth-first walk through c would meet d first
+            raise ValueError(v)
+        return iter(DIAMOND[v])
+
+    with pytest.raises(ValueError, match="b"):
+        explore("a", succ)
+    assert calls == ["a", "c", "b"]
 
 
 def test_attractor_whole_arena():
