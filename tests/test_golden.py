@@ -1,6 +1,7 @@
-"""Pinned outputs on the fixture games: the exact strategy files of sco, wco
-and synth, the mc counterexamples, the outcome automata (native and dot),
-the value rows and the check verdicts of the fixture strategies.
+"""Pinned outputs on the fixture games: the exact strategy files of sco, wco,
+strategy_from_outcome and synth, the mc counterexamples, the outcome
+automata (native and dot), the value rows and the check verdicts of the
+fixture strategies.
 
 Refactors of the product, layout and solver code must keep these byte for
 byte.  The fixture games are also run under the other measures, so the
@@ -10,6 +11,7 @@ only for an intended change of output.
 """
 
 import json
+import random
 
 from admgames import (
     check_strategy_admissible,
@@ -24,7 +26,9 @@ from admgames import (
     parse_strategy,
     synthesize_assume_admissible,
 )
+from admgames.admissibility import strategy_from_outcome
 from admgames.automata import automaton_to_dot, serialize_automaton
+from admgames.oracle import random_lasso
 from admgames.transform import serialize_strategy, validate_strategy
 
 from helpers import FIXTURES, fixture_text
@@ -33,6 +37,7 @@ GOLDEN = FIXTURES / "golden_outputs.json"
 GAMES = ("fig1.game", "fig1_liminf.game", "fig2.game", "fig3.game")
 SPECS = ("geq2.spec", "geq3.spec", "true.spec")
 STRATEGIES = sorted(p.name for p in FIXTURES.glob("*.strat"))
+LASSO_SEEDS = (0, 1, 2)
 
 
 def _variants():
@@ -79,6 +84,13 @@ def golden_outputs() -> dict:
             out[f"{key} sco {player}"] = serialize_strategy(construct_sco(g, player))
             s, verified = construct_wco_candidate(g, player)
             out[f"{key} wco {player}"] = f"verified={verified}\n" + serialize_strategy(s)
+            for seed in LASSO_SEEDS:
+                # a lasso of the rebuilt arena, which is what the function follows
+                lasso = random_lasso(table.arena, random.Random(seed))
+                out[f"{key} follow {player} {seed}"] = (
+                    f"prefix: {' '.join(lasso.prefix)}\ncycle: {' '.join(lasso.cycle)}\n"
+                    + serialize_strategy(strategy_from_outcome(g, player, lasso, table))
+                )
         if g.measure.is_mean_payoff:
             continue
         lg = label_edges(g, table)
