@@ -10,13 +10,17 @@ INF/SUP rebuild) the relevant values of a history depend only on the
 reached (arena vertex, memory) pair, so checking the reachable states of
 the strategy-arena product covers all histories.
 
-`construct_sco` builds a strategy that pursues a fixed cooperative-optimal
-lasso wherever cooperation can beat the guarantee and falls back to uniform
+All three constructors lay out one pursuit rule, `_pursue`, and differ only
+in the lassos they pursue and in when they stop following one.
+`construct_sco` pursues a fixed cooperative-optimal lasso wherever
+cooperation can beat the guarantee and falls back to uniform
 worst-case-optimal play where it cannot; it re-evaluates whenever another
 player leaves the pursued lasso.  Such strategies are always admissible.
 `construct_wco_candidate` instead pursues the best cooperative payoff that
 keeps the worst-case guarantee intact at every step; games need not admit
 such a strategy, so the result carries a verification flag.
+`strategy_from_outcome` follows a given lasso and plays as `construct_sco`
+once the play leaves it.
 """
 
 from __future__ import annotations
@@ -117,104 +121,48 @@ def check_strategy_admissible(
 # strategy construction
 
 
-def _advance(nodes, cycle_start, pos):
-    """Position after `pos` on a lasso laid out as prefix + cycle."""
-    return pos + 1 if pos + 1 < len(nodes) else cycle_start
+def _pursue(table: ValueTable, player: int, lassos: dict, keep, init=None) -> MooreStrategy:
+    """Lay out the strategy that pursues lassos of the rebuilt arena.
 
-
-class _ModeMachine:
-    """Shared scaffolding: finite modes over the rebuilt arena.
-
-    A mode always knows the arena vertex it sits on; subclasses define the
-    initial mode of a vertex, the successor mode when the play enters an
-    arena vertex, and the move taken at player-owned modes.
+    Mode ("lasso", a, pos) sits at position `pos` of `lassos[a]` (prefix,
+    then cycle) and moves along it.  It keeps doing so while the play
+    follows the lasso and `keep(a, next vertex)` holds; otherwise it
+    restarts at the vertex entered: that vertex's own lasso if it has one,
+    else mode ("wco", v, 0), which plays `table.wcs` from then on.  The play
+    starts in mode `init`, by default the restart at the initial vertex.
     """
+    arena = table.arena
+    wcs = table.wcs[player]
+    laid = {a: (lasso.vertices(), len(lasso.prefix)) for a, lasso in lassos.items()}
 
-    def __init__(self, table: ValueTable, player: int):
-        self.table = table
-        self.player = player
-        self.arena = table.arena
-        self.tg = table.transformed
+    def restart(tv):
+        return ("lasso", tv, 0) if tv in lassos else ("wco", tv, 0)
 
-    def aval(self, tv) -> Fraction:
-        return self.table.aval[(self.player, tv)]
-
-    def cval(self, tv) -> Fraction:
-        return self.table.cval[(self.player, tv)]
-
-    def acval(self, tv) -> Fraction:
-        return self.table.acval[(self.player, tv)]
-
-    def mode_vertex(self, mode):
-        raise NotImplementedError
-
-    def initial_mode(self, tv):
-        raise NotImplementedError
-
-    def next_mode(self, mode, tv2):
-        raise NotImplementedError
-
-    def mode_move(self, mode):
-        raise NotImplementedError
-
-    def to_strategy(self) -> MooreStrategy:
-        """Explore reachable modes and lay them out as a Moore transducer."""
-        arena = self.arena
-
-        def expand(mode):
-            tv = self.mode_vertex(mode)
-            move = (tv, self.mode_move(mode)) if arena.owner[tv] == self.player else None
-            return move, [(tv2, self.next_mode(mode, tv2)) for tv2 in arena.successors(tv)]
-
-        return moore_layout(
-            self.table.source, self.player, self.tg.origin, self.initial_mode(arena.init), expand
-        )
-
-
-class _ScoMachine(_ModeMachine):
-    """Pursue a cooperative-optimal lasso; switch to worst-case play when
-    cooperation has no edge over the guarantee."""
-
-    def __init__(self, table: ValueTable, player: int):
-        super().__init__(table, player)
-        arena = self.arena
-        witnesses = _WitnessLassos(arena, player)
-        self.lassos = {}
-        for v in arena.owner:
-            if self.cval(v) > self.aval(v):
-                lasso = witnesses.lasso(v, self.cval(v))
-                nodes = lasso.prefix + lasso.cycle
-                self.lassos[v] = (nodes, len(lasso.prefix))
-
-    def mode_vertex(self, mode):
+    def expand(mode):
         kind, a, pos = mode
         if kind == "wco":
-            return a
-        return self.lassos[a][0][pos]
+            move = (a, wcs[a]) if arena.owner[a] == player else None
+            return move, [(tv2, ("wco", tv2, 0)) for tv2 in arena.successors(a)]
+        nodes, cycle_start = laid[a]
+        nxt = pos + 1 if pos + 1 < len(nodes) else cycle_start
+        tv, ahead = nodes[pos], nodes[nxt]
+        move = (tv, ahead) if arena.owner[tv] == player else None
+        return move, [
+            (tv2, ("lasso", a, nxt) if tv2 == ahead and keep(a, tv2) else restart(tv2))
+            for tv2 in arena.successors(tv)
+        ]
 
-    def initial_mode(self, tv):
-        if self.cval(tv) > self.aval(tv):
-            return ("lasso", tv, 0)
-        return ("wco", tv, 0)
+    start = restart(arena.init) if init is None else init
+    return moore_layout(table.source, player, table.transformed.origin, start, expand)
 
-    def next_mode(self, mode, tv2):
-        kind, a, pos = mode
-        if kind == "wco":
-            return ("wco", tv2, 0)
-        nodes, cstart = self.lassos[a]
-        nxt = _advance(nodes, cstart, pos)
-        if tv2 == nodes[nxt]:
-            if self.cval(tv2) == self.aval(tv2):
-                return ("wco", tv2, 0)
-            return ("lasso", a, nxt)
-        return self.initial_mode(tv2)
 
-    def mode_move(self, mode):
-        kind, a, pos = mode
-        if kind == "wco":
-            return self.table.wcs[self.player][a]
-        nodes, cstart = self.lassos[a]
-        return nodes[_advance(nodes, cstart, pos)]
+def _sco_lassos(table: ValueTable, player: int) -> dict:
+    """A cooperative-optimal lasso from every vertex where cval > aval."""
+    witnesses = _WitnessLassos(table.arena, player)
+    cval = {v: table.cval[(player, v)] for v in table.arena.owner}
+    return {
+        v: witnesses.lasso(v, c) for v, c in cval.items() if c > table.aval[(player, v)]
+    }
 
 
 def construct_sco(g: Game, player: int, table: ValueTable | None = None) -> MooreStrategy:
@@ -222,57 +170,8 @@ def construct_sco(g: Game, player: int, table: ValueTable | None = None) -> Moor
     worst case and worst-case-optimal elsewhere; always admissible."""
     if table is None:
         table = compute_value_table(g)
-    return _ScoMachine(table, player).to_strategy()
-
-
-class _WcoMachine(_ModeMachine):
-    """Pursue the best cooperation compatible with keeping the guarantee."""
-
-    def __init__(self, table: ValueTable, player: int):
-        super().__init__(table, player)
-        arena = self.arena
-        aval = {v: self.aval(v) for v in arena.owner}
-        w = arena.player_weights(player)
-        per_level = {}
-        for level in table.avalues[player]:
-            exact = frozenset(u for u in arena.owner if aval[u] == level)
-            wide = frozenset(u for u in arena.owner if aval[u] >= level)
-            flat = one_player_values(
-                exact,
-                lambda x: tuple(t for t in arena.succ[x] if t in exact),
-                lambda a, b: w[(a, b)],
-                arena.measure,
-                True,
-            )
-            per_level[level] = (exact, wide, flat)
-        witnesses = _WitnessLassos(arena, player)
-        self.lassos = {}
-        for v in arena.owner:
-            target = self.acval(v)
-            exact, wide, flat = per_level[aval[v]]
-            allowed = exact if flat.get(v) == target else wide
-            lasso = witnesses.lasso(v, target, allowed)
-            self.lassos[v] = (lasso.prefix + lasso.cycle, len(lasso.prefix))
-
-    def mode_vertex(self, mode):
-        a, pos = mode
-        return self.lassos[a][0][pos]
-
-    def initial_mode(self, tv):
-        return (tv, 0)
-
-    def next_mode(self, mode, tv2):
-        a, pos = mode
-        nodes, cstart = self.lassos[a]
-        nxt = _advance(nodes, cstart, pos)
-        if tv2 == nodes[nxt] and self.aval(tv2) == self.aval(a):
-            return (a, nxt)
-        return (tv2, 0)
-
-    def mode_move(self, mode):
-        a, pos = mode
-        nodes, cstart = self.lassos[a]
-        return nodes[_advance(nodes, cstart, pos)]
+    lassos = _sco_lassos(table, player)
+    return _pursue(table, player, lassos, lambda a, tv: tv in lassos)
 
 
 def construct_wco_candidate(
@@ -280,14 +179,38 @@ def construct_wco_candidate(
 ) -> tuple[MooreStrategy, bool]:
     """Best-effort worst-case cooperative-optimal strategy plus verification.
 
-    The flag is True iff at every reachable product state the strategy's
-    guaranteed payoff equals the state's worst-case value and its best
-    cooperative payoff equals the state's guarded cooperative optimum; some
-    games admit no such strategy, in which case it is False.
+    It pursues, from every vertex, a lasso of payoff acval that stays inside
+    the vertices of the same aval (when one exists) or of no lower aval, and
+    re-plans whenever aval changes.  The flag is True iff at every reachable
+    product state the strategy's guaranteed payoff equals the state's
+    worst-case value and its best cooperative payoff equals the state's
+    guarded cooperative optimum; some games admit no such strategy, in which
+    case it is False.
     """
     if table is None:
         table = compute_value_table(g)
-    s = _WcoMachine(table, player).to_strategy()
+    arena = table.arena
+    aval = {v: table.aval[(player, v)] for v in arena.owner}
+    w = arena.player_weights(player)
+    per_level = {}
+    for level in table.avalues[player]:
+        exact = frozenset(u for u in arena.owner if aval[u] == level)
+        wide = frozenset(u for u in arena.owner if aval[u] >= level)
+        flat = one_player_values(
+            exact,
+            lambda x: tuple(t for t in arena.succ[x] if t in exact),
+            lambda a, b: w[(a, b)],
+            arena.measure,
+            True,
+        )
+        per_level[level] = (exact, wide, flat)
+    witnesses = _WitnessLassos(arena, player)
+    lassos = {}
+    for v in arena.owner:
+        target = table.acval[(player, v)]
+        exact, wide, flat = per_level[aval[v]]
+        lassos[v] = witnesses.lasso(v, target, exact if flat.get(v) == target else wide)
+    s = _pursue(table, player, lassos, lambda a, tv: aval[tv] == aval[a])
     prod = _checked_product(g, s, table)
     extremes = fixed_strategy_extremes(prod, player)
     verified = all(
@@ -297,46 +220,20 @@ def construct_wco_candidate(
     return s, verified
 
 
-class _FollowMachine(_ModeMachine):
-    """Follow a fixed lasso; restart cooperative/worst-case play on deviation."""
-
-    def __init__(self, table: ValueTable, player: int, nodes, cycle_start):
-        super().__init__(table, player)
-        self.sco = _ScoMachine(table, player)
-        self.nodes = nodes
-        self.cstart = cycle_start
-
-    def mode_vertex(self, mode):
-        kind, payload = mode
-        if kind == "follow":
-            return self.nodes[payload]
-        return self.sco.mode_vertex(payload)
-
-    def initial_mode(self, tv):
-        assert tv == self.nodes[0]
-        return ("follow", 0)
-
-    def next_mode(self, mode, tv2):
-        kind, payload = mode
-        if kind == "follow":
-            nxt = _advance(self.nodes, self.cstart, payload)
-            if tv2 == self.nodes[nxt]:
-                return ("follow", nxt)
-            return ("sco", self.sco.initial_mode(tv2))
-        return ("sco", self.sco.next_mode(payload, tv2))
-
-    def mode_move(self, mode):
-        kind, payload = mode
-        if kind == "follow":
-            return self.nodes[_advance(self.nodes, self.cstart, payload)]
-        return self.sco.mode_move(payload)
-
-
 def strategy_from_outcome(g: Game, player: int, lasso, table: ValueTable | None = None):
-    """Strategy compatible with a given arena lasso that restarts admissible
-    play on any deviation (used to witness outcome-level characterizations)."""
+    """Strategy compatible with a given lasso of the rebuilt arena that
+    restarts admissible play on any deviation (used to witness outcome-level
+    characterizations).  The lasso must start at the arena's initial vertex.
+    """
     if table is None:
         table = compute_value_table(g)
     lasso.check(table.arena)
-    nodes = lasso.prefix + lasso.cycle
-    return _FollowMachine(table, player, nodes, len(lasso.prefix)).to_strategy()
+    if lasso.start != table.arena.init:
+        raise ValueError(
+            f"lasso starts at {lasso.start}, not at the initial vertex {table.arena.init}"
+        )
+    lassos = _sco_lassos(table, player)
+    lassos[None] = lasso  # always kept: leaving it is the only way off
+    return _pursue(
+        table, player, lassos, lambda a, tv: a is None or tv in lassos, ("lasso", None, 0)
+    )

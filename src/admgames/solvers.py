@@ -199,29 +199,7 @@ def bfs_path(start, goal_pred, succ):
 
 def _shortest_cycle_through(u, succ):
     """Canonical shortest cycle through u, as a vertex list starting at u."""
-    if u in succ(u):
-        return [u]
-    parent = {}
-    frontier = []
-    for w in sorted(succ(u), key=_key):
-        if w not in parent:
-            parent[w] = None
-            frontier.append(w)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in sorted(succ(v), key=_key):
-                if w == u:
-                    path = [v]
-                    while parent[path[-1]] is not None:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return [u] + path
-                if w not in parent:
-                    parent[w] = v
-                    nxt.append(w)
-        frontier = nxt
-    return None
+    return bfs_path(u, lambda v: u in succ(v), succ)
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,8 @@ def compute_value_table(g: Game) -> ValueTable:
         levels = sorted(set(pa.values()))
         avalues[player] = tuple(levels)
         for level in levels:
-            coop = _restricted_cooperative(arena, player, pa, level)
+            # the lowest level keeps every vertex and edge: cval itself
+            coop = pc if level == levels[0] else _restricted_cooperative(arena, player, pa, level)
             for v in arena.owner:
                 if pa[v] == level:
                     assert coop[v] is not None, (

@@ -14,7 +14,6 @@ from admgames.solvers import (
     _critical_cycle,
     _effective,
     _scc_metric,
-    _shortest_cycle_through,
     bfs_path,
     cooperative_witness_lasso,
     solve_threshold,
@@ -174,6 +173,35 @@ def reachable_from(start, succ) -> set:
     return seen
 
 
+def shortest_cycle_through(u, succ):
+    """Canonical shortest cycle through u, starting at u: a breadth-first
+    search from u's successors in `repr` order, kept apart from the
+    `bfs_path`-based search it checks."""
+    if u in succ(u):
+        return [u]
+    parent = {}
+    frontier = []
+    for w in sorted(succ(u), key=repr):
+        if w not in parent:
+            parent[w] = None
+            frontier.append(w)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in sorted(succ(v), key=repr):
+                if w == u:
+                    path = [v]
+                    while parent[path[-1]] is not None:
+                        path.append(parent[path[-1]])
+                    path.reverse()
+                    return [u] + path
+                if w not in parent:
+                    parent[w] = v
+                    nxt.append(w)
+        frontier = nxt
+    return None
+
+
 def witness_lasso_per_call(g: Game, player: int, start, value, allowed=None) -> Lasso:
     """Reference cooperative witness lasso that analyses the arena afresh.
 
@@ -199,7 +227,7 @@ def witness_lasso_per_call(g: Game, player: int, start, value, allowed=None) -> 
         path = bfs_path(start, lambda v: v in cyclic, sub_succ)
         assert path is not None, "cooperative value must be realizable"
         entry = path[-1]
-        cycle = _shortest_cycle_through(
+        cycle = shortest_cycle_through(
             entry, lambda v: tuple(t for t in good_succ(v) if t in cyclic)
         )
     elif measure is PayoffKind.LIMSUP:

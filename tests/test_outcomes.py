@@ -359,6 +359,14 @@ def test_accepted_lassos_extend_to_admissible_strategies():
                 break
 
 
+def test_outcome_lasso_must_start_at_the_initial_vertex():
+    g = load_game("fig1_liminf.game")
+    t = compute_value_table(g)
+    lasso = Lasso(prefix=(), cycle=("v2", "v4"))  # an arena lasso, from v2 instead of v1
+    with pytest.raises(ValueError, match="not at the initial vertex v1"):
+        strategy_from_outcome(g, 1, lasso, t)
+
+
 def test_synthesis_unrealizable_spec_against_own_condition():
     # demanding more than the global cooperative optimum can never be done
     g = load_game("fig3.game")

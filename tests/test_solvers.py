@@ -41,6 +41,7 @@ from helpers import (
     load_strategy,
     memoryless,
     mp_value_iteration,
+    shortest_cycle_through,
     threshold_region_sweep,
     witness_lasso_per_call,
     worst_case_strategy_per_level,
@@ -555,6 +556,18 @@ def test_safety_and_cobuchi_regions_match_the_sweep_reference(measure):
                         got = solvers._threshold_region(cg, measure, theta, within)
                         assert got == want, (size, seed, player, theta, within)
                     nested = want.vertices
+
+
+def test_shortest_cycle_through_matches_reference_search():
+    assert solvers._shortest_cycle_through("a", DIAMOND.__getitem__) == ["a", "b", "d", "e"]
+    assert solvers._shortest_cycle_through("c", DIAMOND.__getitem__) == ["c"]
+    rng = random.Random(5)
+    for _ in range(40):
+        names = [f"v{i}" for i in range(rng.randint(2, 9))]
+        graph = {v: tuple(rng.sample(names, rng.randint(0, 3))) for v in names}
+        for v in names:
+            got = solvers._shortest_cycle_through(v, graph.__getitem__)
+            assert got == shortest_cycle_through(v, graph.__getitem__), (graph, v)
 
 
 @pytest.mark.parametrize("measure", list(PayoffKind))
