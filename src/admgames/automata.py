@@ -206,8 +206,12 @@ def parse_automaton(text: str) -> EdgeAutomaton:
         if kind == "state" and len(args) == 1:
             states.add(args[0])
         elif kind == "initial" and len(args) == 1:
+            if initial is not None:
+                raise GameFormatError("duplicate initial", lineno)
             initial = args[0]
         elif kind == "priority" and len(args) == 2:
+            if args[0] in priority:
+                raise GameFormatError(f"duplicate priority for state {args[0]}", lineno)
             try:
                 priority[args[0]] = int(args[1])
             except ValueError:

@@ -260,14 +260,15 @@ def parse_game(text: str) -> Game:
     """Parse the line-oriented game format into a validated Game.
 
     Directives (order free, except `players` must come before owners/weights
-    are interpreted): players, measure, init, vertex, edge.  `#` starts a
-    comment; blank lines are ignored.
+    are interpreted): players, measure, init, vertex, edge; each of the
+    first three exactly once.  `#` starts a comment; blank lines are ignored.
     """
     players = None
     measure = None
     init = None
     owner: dict[str, int] = {}
     weights: dict[tuple[str, str], tuple[Fraction, ...]] = {}
+    declared: set[str] = set()  # players/measure/init seen so far
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -275,6 +276,10 @@ def parse_game(text: str) -> Game:
             continue
         parts = line.split()
         kind, args = parts[0], parts[1:]
+        if kind in declared:
+            raise GameFormatError(f"duplicate {kind}", lineno)
+        if kind in ("players", "measure", "init"):
+            declared.add(kind)
         if kind == "players":
             if len(args) != 1 or not args[0].isdigit():
                 raise GameFormatError("players expects one positive integer", lineno)

@@ -239,7 +239,11 @@ def validate_strategy(g: Game, s: MooreStrategy) -> list[str]:
             elif not g.has_edge(v, t):
                 problems.append(f"move ({m}, {v}) -> {t} is not an edge")
     for (m, v) in sorted(s.moves):
-        if v in g.owner and g.owner[v] != s.player:
+        if not 0 <= m < s.memory:
+            problems.append(f"move ({m}, {v}) out of memory range")
+        if v not in g.owner:
+            problems.append(f"move references unknown vertex {v}")
+        elif g.owner[v] != s.player:
             problems.append(f"move declared at vertex {v} not owned by player {s.player}")
     return problems
 
@@ -306,10 +310,12 @@ def product_with_strategy(
 
 
 def parse_strategy(text: str) -> MooreStrategy:
-    """Parse the strategy file format (strategy/memory/initmem/update/move)."""
-    player = None
-    memory = None
-    init_mem = None
+    """Parse the strategy file format (strategy/memory/initmem/update/move).
+
+    `strategy` is required; `memory` (default 1), `initmem` (default 0) and
+    each update or move entry may appear at most once.
+    """
+    header: dict[str, int] = {}  # strategy/memory/initmem -> value
     update: dict[tuple[int, str], int] = {}
     moves: dict[tuple[int, str], str] = {}
 
@@ -325,28 +331,28 @@ def parse_strategy(text: str) -> MooreStrategy:
             continue
         parts = line.split()
         kind, args = parts[0], parts[1:]
-        if kind == "strategy" and len(args) == 1:
-            player = need_int(args[0], lineno)
-        elif kind == "memory" and len(args) == 1:
-            memory = need_int(args[0], lineno)
-        elif kind == "initmem" and len(args) == 1:
-            init_mem = need_int(args[0], lineno)
-        elif kind == "update" and len(args) == 3:
-            m, v, m2 = need_int(args[0], lineno), args[1], need_int(args[2], lineno)
-            update[(m, v)] = m2
-        elif kind == "move" and len(args) == 3:
-            m, v, t = need_int(args[0], lineno), args[1], args[2]
-            moves[(m, v)] = t
+        if kind in ("strategy", "memory", "initmem") and len(args) == 1:
+            if kind in header:
+                raise GameFormatError(f"duplicate {kind}", lineno)
+            header[kind] = need_int(args[0], lineno)
+        elif kind in ("update", "move") and len(args) == 3:
+            table = update if kind == "update" else moves
+            key = (need_int(args[0], lineno), args[1])
+            if key in table:
+                raise GameFormatError(
+                    f"duplicate {kind} for memory {key[0]} at vertex {key[1]}", lineno
+                )
+            table[key] = need_int(args[2], lineno) if kind == "update" else args[2]
         else:
             raise GameFormatError(f"bad strategy directive {line!r}", lineno)
-    if player is None:
+    if "strategy" not in header:
         raise GameFormatError("missing strategy player")
-    if memory is None:
-        memory = 1
-    if init_mem is None:
-        init_mem = 0
     return MooreStrategy(
-        player=player, memory=memory, init_mem=init_mem, update=update, moves=moves
+        player=header["strategy"],
+        memory=header.get("memory", 1),
+        init_mem=header.get("initmem", 0),
+        update=update,
+        moves=moves,
     )
 
 

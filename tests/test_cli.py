@@ -11,7 +11,7 @@ import pytest
 from admgames import check_strategy_admissible, parse_automaton, parse_strategy
 from admgames.cli import run
 
-from helpers import FIXTURES, load_game
+from helpers import FIXTURES, fixture_text, load_game
 
 
 def fx(name: str) -> str:
@@ -170,6 +170,54 @@ def test_malformed_spec_exit_2(tmp_path, capsys, spec):
     assert run(["mc", fx("fig1_liminf.game"), "--spec", str(tmp_path / "bad.spec")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: spec: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("players 3", "line 16: duplicate players"),
+    ("measure mp-sup", "line 16: duplicate measure"),
+    ("init v2", "line 16: duplicate init"),
+], ids=["players", "measure", "init"])
+def test_repeated_game_directive_exit_2(tmp_path, capsys, extra, message):
+    (tmp_path / "dup.game").write_text(fixture_text("fig1.game") + extra + "\n")
+    assert run(["values", str(tmp_path / "dup.game")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("move 0 v2 v1", "line 7: duplicate move for memory 0 at vertex v2"),
+    ("update 0 v2 0\nupdate 0 v2 0", "line 8: duplicate update for memory 0 at vertex v2"),
+    ("strategy 2", "line 7: duplicate strategy"),
+    ("memory 2", "line 7: duplicate memory"),
+    ("initmem 0", "line 7: duplicate initmem"),
+], ids=["move", "update", "strategy", "memory", "initmem"])
+def test_repeated_strategy_directive_exit_2(tmp_path, capsys, extra, message):
+    # the last duplicate used to win: with a trailing move to v1 the fixture
+    # strategy was silently judged not admissible
+    (tmp_path / "dup.strat").write_text(fixture_text("fig1_p2_stay.strat") + extra + "\n")
+    assert run(["check", fx("fig1.game"), str(tmp_path / "dup.strat")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
+def test_move_outside_memory_and_arena_exit_2(tmp_path, capsys):
+    # reported like the same defects of an update line
+    (tmp_path / "bad.strat").write_text(fixture_text("fig1_p2_stay.strat") + "move 7 zz v1\n")
+    assert run(["check", fx("fig1.game"), str(tmp_path / "bad.strat")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: move (7, zz) out of memory range; move references unknown vertex zz\n"
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("initial ok", "line 4: duplicate initial"),
+    ("priority ok 1", "line 4: duplicate priority for state ok"),
+], ids=["initial", "priority"])
+def test_repeated_automaton_directive_exit_2(tmp_path, capsys, extra, message):
+    (tmp_path / "dup.aut").write_text("state ok\ninitial ok\npriority ok 0\n" + extra + "\n")
+    (tmp_path / "ref.spec").write_text('automaton "dup.aut"\n')
+    assert run(["mc", fx("fig1_liminf.game"), "--spec", str(tmp_path / "ref.spec")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{message}\n") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("over", [False, True], ids=["zero", "players+1"])

@@ -1,7 +1,7 @@
 """Pinned outputs on the fixture games: the exact strategy files of sco, wco,
 strategy_from_outcome and synth, the mc counterexamples, the outcome
-automata (native and dot), the value rows and the check verdicts of the
-fixture strategies.
+automata (native and dot), the value rows, and the check verdict of every
+fixture strategy (or the defects that make it unfit for the game).
 
 Refactors of the product, layout and solver code must keep these byte for
 byte.  The fixture games are also run under the other measures, so the
@@ -78,8 +78,11 @@ def golden_outputs() -> dict:
         out[f"{key} values"] = _values_text(table)
         for name in STRATEGIES:
             s = parse_strategy(fixture_text(name))
-            if not validate_strategy(g, s):
-                out[f"{key} check {name}"] = _check_text(check_strategy_admissible(g, s))
+            problems = validate_strategy(g, s)
+            out[f"{key} check {name}"] = (
+                f"rejected: {'; '.join(problems)}\n" if problems
+                else _check_text(check_strategy_admissible(g, s))
+            )
         for player in range(1, g.players + 1):
             out[f"{key} sco {player}"] = serialize_strategy(construct_sco(g, player))
             s, verified = construct_wco_candidate(g, player)
