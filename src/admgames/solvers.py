@@ -22,11 +22,14 @@ extremum measures, the certificate's player strategy for mean payoff.
 One-player optima (all players cooperating, or the coalition minimizing
 against a fixed strategy) reduce to cycle analysis: strongly connected
 components, per-component cycle metrics, and propagation over the
-condensation.  `solve_parity` is a recursive attractor-based solver; model
-checking, synthesis and strategy verification hand it parity games built
-by `explore`, the one breadth-first explorer that every construction over
-a reachable state space (rebuilds, products, automata, strategy modes)
-goes through.
+condensation.  `solve_parity` runs Zielonka's algorithm iteratively, with
+an explicit stack, over a dense integer copy of the game (states numbered
+once in `_key` order, successor and predecessor lists built once,
+subgames as a membership array), and checks every solution before it
+returns it; model checking, synthesis and strategy verification hand it
+parity games built by `explore`, the one breadth-first explorer that every
+construction over a reachable state space (rebuilds, products, automata,
+strategy modes) goes through.
 
 INF (SUP) arenas are handled with LIMINF (LIMSUP) cycle semantics; callers
 pass prefix-independence rebuilds for those measures, on which the two
@@ -35,7 +38,6 @@ coincide because weight sequences are monotone along every play.
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,6 +56,7 @@ __all__ = [
     "one_player_max_value",
     "one_player_values",
     "solve_parity",
+    "check_parity_solution",
     "fixed_strategy_extremes",
     "worst_case_strategy",
     "cooperative_witness_lasso",
@@ -758,50 +761,230 @@ def _mp_certify(ar: _MpArena, val: list) -> dict:
 # parity games
 
 
+class _DenseParity:
+    """Integer view of a parity game for the solver and its check.
+
+    State i is the i-th state in `_key` order, so integer order is the order
+    every tie-break of the solver uses.  Successor lists keep the game's
+    order and repeats; predecessor lists come out in increasing order.
+    """
+
+    def __init__(self, pg: ParityGame):
+        self.verts = sorted(pg.owner, key=_key)
+        idx = {v: i for i, v in enumerate(self.verts)}
+        self.idx = idx
+        self.owner = [pg.owner[v] for v in self.verts]
+        self.prio = [pg.priority[v] for v in self.verts]
+        self.succ = [[idx[w] for w in pg.succ[v]] for v in self.verts]
+        self.pred = [[] for _ in self.verts]
+        for i, outs in enumerate(self.succ):
+            for j in outs:
+                self.pred[j].append(i)
+
+
+def _dense_attr(dp: _DenseParity, player, targets, inside, strat):
+    """Attractor of `player` to the sorted `targets` in the subgame `inside`.
+
+    Breadth-first from the targets in order, like `_attr`; an opponent
+    vertex gets its count of moves inside the subgame when first reached.
+    Records the player's moves in `strat` and returns the attractor.
+    """
+    owner, succ, pred = dp.owner, dp.succ, dp.pred
+    att = bytearray(len(owner))
+    for v in targets:
+        att[v] = 1
+    queue = list(targets)
+    remaining = {}
+    for u in queue:
+        for v in pred[u]:
+            if att[v] or not inside[v]:
+                continue
+            if owner[v] == player:
+                strat[v] = u
+            else:
+                left = remaining.get(v)
+                if left is None:
+                    left = sum(inside[w] for w in succ[v])
+                left -= 1
+                if left:
+                    remaining[v] = left
+                    continue
+            att[v] = 1
+            queue.append(v)
+    return queue
+
+
+def _zielonka(dp: _DenseParity):
+    """Zielonka's algorithm with an explicit stack over the dense game.
+
+    Returns (winner of each state, move of each state); a move is kept only
+    where the state's owner wins it.  Every subgame is solved in place: the
+    vertices an attractor removes are cleared from `inside` for the nested
+    solve and put back after it, and a solve writes `win` and `strat` only
+    for its own vertices, the last write standing.
+    """
+    n = len(dp.owner)
+    owner, prio, succ = dp.owner, dp.prio, dp.succ
+    inside = bytearray(b"\x01") * n
+    win = bytearray(n)
+    strat = [-1] * n
+    # frames: (0, within) to solve; (1, within, rest, removed, top, p) after
+    # the first nested solve; (2, removed) after the second one
+    stack = [(0, list(range(n)))]
+    while stack:
+        frame = stack.pop()
+        if frame[0] == 0:
+            within = frame[1]
+            if not within:
+                continue
+            d = max(map(prio.__getitem__, within))
+            p = d % 2
+            top = [v for v in within if prio[v] == d]
+            a = _dense_attr(dp, p, top, inside, strat)
+            for v in a:
+                inside[v] = 0
+            rest = [v for v in within if inside[v]]
+            stack.append((1, within, rest, a, top, p))
+            stack.append((0, rest))
+        elif frame[0] == 1:
+            _, within, rest, a, top, p = frame
+            for v in a:
+                inside[v] = 1
+            lost = [v for v in rest if win[v] != p]
+            if not lost:
+                for v in within:
+                    win[v] = p
+                for v in top:
+                    if owner[v] == p:
+                        strat[v] = min(w for w in succ[v] if inside[w])
+                continue
+            b = _dense_attr(dp, 1 - p, lost, inside, strat)
+            for v in b:
+                inside[v] = 0
+                win[v] = 1 - p
+            stack.append((2, b))
+            stack.append((0, [v for v in within if inside[v]]))
+        else:
+            for v in frame[1]:
+                inside[v] = 1
+    return win, [s if owner[v] == win[v] else -1 for v, s in enumerate(strat)]
+
+
+def _check_parity(dp: _DenseParity, regions, strategies):
+    """Raise RuntimeError unless the regions and strategies solve the game.
+
+    `regions[i]` lists player i's winning states and `strategies[i]` maps
+    them to moves, all as dense indices.  The regions must partition the
+    game; each winner's strategy must move along an edge and stay in its
+    region at every state of the region the winner owns; no loser state may
+    have an edge out of the region; and in the graph the strategy leaves
+    inside the region, every cycle's top priority must have the winner's
+    parity.  The last is checked by SCC decomposition: a component with a
+    cycle fails if its top priority is the loser's, and otherwise is split
+    again without its top-priority states, O(d * (n + m)) in all.
+    """
+    n = len(dp.owner)
+    owner, prio, succ = dp.owner, dp.prio, dp.succ
+    region_of = [-1] * n
+    for i in (0, 1):
+        for v in regions[i]:
+            if region_of[v] != -1:
+                raise RuntimeError(
+                    f"parity solution check failed: {dp.verts[v]!r} is in both regions"
+                )
+            region_of[v] = i
+    if -1 in region_of:
+        v = region_of.index(-1)
+        raise RuntimeError(f"parity solution check failed: {dp.verts[v]!r} is in no region")
+
+    graph = [None] * n
+    for i in (0, 1):
+        moves = strategies[i]
+        for v in regions[i]:
+            if owner[v] == i:
+                w = moves.get(v)
+                if w is None or w not in succ[v] or region_of[w] != i:
+                    raise RuntimeError(
+                        f"parity solution check failed: player {i}'s move at "
+                        f"{dp.verts[v]!r} does not stay in its region along an edge"
+                    )
+                graph[v] = (w,)
+            else:
+                if any(region_of[w] != i for w in succ[v]):
+                    raise RuntimeError(
+                        f"parity solution check failed: player {1 - i} can leave "
+                        f"player {i}'s region at {dp.verts[v]!r}"
+                    )
+                graph[v] = succ[v]
+        for v in moves:
+            if region_of[v] != i or owner[v] != i:
+                raise RuntimeError(
+                    f"parity solution check failed: player {i} has a move at "
+                    f"{dp.verts[v]!r}, which it does not own in its region"
+                )
+
+    # every vertex sits in one group; a component with a cycle is re-split
+    # without its top priority under a fresh group number
+    group = region_of[:]
+    work = [(i, sorted(regions[i])) for i in (0, 1)]
+    fresh = 2
+    while work:
+        g, nodes = work.pop()
+        for comp in tarjan_sccs(nodes, lambda v: [w for w in graph[v] if group[w] == g]):
+            v = comp[0]
+            if len(comp) == 1 and v not in graph[v]:
+                continue
+            d = max(prio[u] for u in comp)
+            if d % 2 != region_of[v]:
+                at = min(u for u in comp if prio[u] == d)
+                raise RuntimeError(
+                    f"parity solution check failed: player {d % 2} can close a cycle "
+                    f"of top priority {d} through {dp.verts[at]!r} in player "
+                    f"{region_of[v]}'s region"
+                )
+            rest = [u for u in comp if prio[u] != d]
+            for u in comp:
+                group[u] = fresh if prio[u] != d else -1
+            if rest:
+                work.append((fresh, rest))
+            fresh += 1
+
+
 def solve_parity(pg: ParityGame) -> tuple[Region, Region]:
-    """Recursive attractor-based solver; returns regions for players 0 and 1."""
-    succ = pg.succ
-    owner = pg.owner
-    prio = pg.priority
+    """Winning regions and positional strategies of players 0 and 1.
 
-    def attr(player, targets, within):
-        return _attr(lambda v: owner[v] == player, succ, targets, within)
+    Zielonka's algorithm (TCS 1998), iterative, on the dense integer view of
+    the game; every solution is checked before it is returned (see
+    `_check_parity`), and a failed check raises RuntimeError.
+    """
+    dp = _DenseParity(pg)
+    win, strat = _zielonka(dp)
+    regions = ([], [])
+    strategies = ({}, {})
+    for v, i in enumerate(win):
+        regions[i].append(v)
+        if strat[v] >= 0:
+            strategies[i][v] = strat[v]
+    _check_parity(dp, regions, strategies)
+    verts = dp.verts
+    return tuple(
+        Region(
+            frozenset(verts[v] for v in regions[i]),
+            {verts[v]: verts[w] for v, w in strategies[i].items()},
+        )
+        for i in (0, 1)
+    )
 
-    def solve(within):
-        if not within:
-            return (set(), {}), (set(), {})
-        d = max(prio[v] for v in within)
-        p = 0 if d % 2 == 0 else 1
-        top = {v for v in within if prio[v] == d}
-        a, a_strat = attr(p, top, within)
-        sub = solve(within - a)
-        wq_sub, sq_sub = sub[1 - p]
-        if not wq_sub:
-            strat = dict(sub[p][1])
-            strat.update(a_strat)
-            for v in sorted(top, key=_key):
-                if owner[v] == p and v not in strat:
-                    strat[v] = min((w for w in succ[v] if w in within), key=_key)
-            win = (set(within), strat)
-            return (win, (set(), {})) if p == 0 else ((set(), {}), win)
-        b, b_strat = attr(1 - p, wq_sub, within)
-        sub2 = solve(within - b)
-        q_strat = dict(sub2[1 - p][1])
-        q_strat.update(b_strat)
-        q_strat.update(sq_sub)
-        q_win = (sub2[1 - p][0] | b, q_strat)
-        p_win = sub2[p]
-        return (p_win, q_win) if p == 0 else (q_win, p_win)
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * len(pg.owner) + 1000))
-    try:
-        (w0, s0), (w1, s1) = solve(set(pg.owner))
-    finally:
-        sys.setrecursionlimit(old_limit)
-    r0 = Region(frozenset(w0), {v: s0[v] for v in s0 if owner[v] == 0})
-    r1 = Region(frozenset(w1), {v: s1[v] for v in s1 if owner[v] == 1})
-    return r0, r1
+def check_parity_solution(pg: ParityGame, r0: Region, r1: Region) -> None:
+    """`solve_parity`'s solution check on regions given by state."""
+    dp = _DenseParity(pg)
+    idx = dp.idx
+    _check_parity(
+        dp,
+        tuple([idx[v] for v in r.vertices] for r in (r0, r1)),
+        tuple({idx[v]: idx[w] for v, w in r.strategy.items()} for r in (r0, r1)),
+    )
 
 
 # ---------------------------------------------------------------------------

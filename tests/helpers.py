@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import product as iproduct
 from math import lcm
@@ -10,9 +11,12 @@ from pathlib import Path
 from admgames import Game, Lasso, MooreStrategy, PayoffKind, payoff_of_lasso
 from admgames.solvers import (
     CoalitionGame,
+    ParityGame,
     Region,
+    _attr,
     _critical_cycle,
     _effective,
+    _key,
     _scc_metric,
     bfs_path,
     cooperative_witness_lasso,
@@ -159,6 +163,57 @@ def worst_case_strategy_per_level(g: Game, player: int, aval: dict) -> dict:
         assert v in win, f"vertex {v} must win its own value threshold"
         out[v] = strat[v]
     return out
+
+
+def reference_solve_parity(pg: ParityGame) -> tuple[Region, Region]:
+    """Reference parity solver: recursive Zielonka over `_attr`.
+
+    The solver `solve_parity` replaced, kept to pin its regions and
+    strategies.  Every level rebuilds its attractor lists from the states
+    themselves, and deep games raise the recursion limit for the call.
+    """
+    succ = pg.succ
+    owner = pg.owner
+    prio = pg.priority
+
+    def attr(player, targets, within):
+        return _attr(lambda v: owner[v] == player, succ, targets, within)
+
+    def solve(within):
+        if not within:
+            return (set(), {}), (set(), {})
+        d = max(prio[v] for v in within)
+        p = 0 if d % 2 == 0 else 1
+        top = {v for v in within if prio[v] == d}
+        a, a_strat = attr(p, top, within)
+        sub = solve(within - a)
+        wq_sub, sq_sub = sub[1 - p]
+        if not wq_sub:
+            strat = dict(sub[p][1])
+            strat.update(a_strat)
+            for v in sorted(top, key=_key):
+                if owner[v] == p and v not in strat:
+                    strat[v] = min((w for w in succ[v] if w in within), key=_key)
+            win = (set(within), strat)
+            return (win, (set(), {})) if p == 0 else ((set(), {}), win)
+        b, b_strat = attr(1 - p, wq_sub, within)
+        sub2 = solve(within - b)
+        q_strat = dict(sub2[1 - p][1])
+        q_strat.update(b_strat)
+        q_strat.update(sq_sub)
+        q_win = (sub2[1 - p][0] | b, q_strat)
+        p_win = sub2[p]
+        return (p_win, q_win) if p == 0 else (q_win, p_win)
+
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, 4 * len(pg.owner) + 1000))
+    try:
+        (w0, s0), (w1, s1) = solve(set(pg.owner))
+    finally:
+        sys.setrecursionlimit(old_limit)
+    r0 = Region(frozenset(w0), {v: s0[v] for v in s0 if owner[v] == 0})
+    r1 = Region(frozenset(w1), {v: s1[v] for v in s1 if owner[v] == 1})
+    return r0, r1
 
 
 def reachable_from(start, succ) -> set:

@@ -23,7 +23,9 @@ from admgames.oracle import brute_cooperative, brute_zero_sum, random_game
 from admgames.solvers import (
     CoalitionGame,
     ParityGame,
+    Region,
     attractor,
+    check_parity_solution,
     cooperative_witness_lasso,
     explore,
     fixed_strategy_extremes,
@@ -41,6 +43,7 @@ from helpers import (
     load_strategy,
     memoryless,
     mp_value_iteration,
+    reference_solve_parity,
     shortest_cycle_through,
     threshold_region_sweep,
     witness_lasso_per_call,
@@ -403,6 +406,119 @@ def test_parity_leaves_the_recursion_limit_as_it_found_it():
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(old)
+
+
+def _named_parity_game(rng):
+    """Random parity game over mixed tuple names with `Fraction` fields,
+    inserted in shuffled order, so `repr` order is not insertion order."""
+    n = rng.randint(2, 200)
+    names = set()
+    while len(names) < n:
+        tag = rng.choice(("q", "r", ("s", rng.randint(0, 3))))
+        names.add((tag, F(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(0, 40)))
+    names = list(names)
+    rng.shuffle(names)
+    priorities = rng.randint(1, 8)
+    return ParityGame(
+        owner={v: rng.randint(0, 1) for v in names},
+        priority={v: rng.randint(0, priorities - 1) for v in names},
+        succ={v: tuple(rng.sample(names, rng.randint(1, min(3, n)))) for v in names},
+    )
+
+
+def test_parity_matches_reference_solver_on_named_games():
+    rng = random.Random(2024)
+    for seed in range(500):
+        pg = _named_parity_game(rng)
+        got, want = solve_parity(pg), reference_solve_parity(pg)
+        for player in (0, 1):
+            assert got[player].vertices == want[player].vertices, (seed, player)
+            assert got[player].strategy == want[player].strategy, (seed, player)
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_parity_deep_game_needs_no_recursion(monkeypatch):
+    # a cycle of distinct priorities: Zielonka nests one subgame per vertex
+    n = 300
+    pg = ParityGame(
+        owner={("c", i): i % 2 for i in range(n)},
+        priority={("c", i): i for i in range(n)},
+        succ={("c", i): (("c", i), ("c", (i + 1) % n)) for i in range(n)},
+    )
+    set_limit, old = sys.setrecursionlimit, sys.getrecursionlimit()
+
+    def refuse(limit):
+        raise AssertionError("solve_parity must not set the recursion limit")
+
+    set_limit(_stack_depth() + 100)
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    try:
+        got = solve_parity(pg)
+    finally:
+        monkeypatch.undo()
+        set_limit(old)
+    assert got == reference_solve_parity(pg)
+
+
+# a solved game for the tampering tests: player 0 wins {a, b} by a -> b -> a
+# (top priority 2); player 1 wins {c, d} by looping at d (priority 1), and c
+# can only go to d
+TAMPER = ParityGame(
+    owner={"a": 0, "b": 1, "c": 0, "d": 1},
+    priority={"a": 2, "b": 0, "c": 0, "d": 1},
+    succ={"a": ("b", "c"), "b": ("a",), "c": ("d",), "d": ("d",)},
+)
+
+
+def test_parity_check_accepts_the_solution():
+    r0, r1 = solve_parity(TAMPER)
+    assert r0.vertices == {"a", "b"} and r0.strategy == {"a": "b"}
+    assert r1.vertices == {"c", "d"} and r1.strategy == {"d": "d"}
+    check_parity_solution(TAMPER, r0, r1)
+
+
+def test_parity_check_rejects_a_move_out_of_the_region():
+    r0, r1 = solve_parity(TAMPER)
+    bad = Region(r0.vertices, {"a": "c"})
+    with pytest.raises(RuntimeError, match="move at 'a' does not stay in its region"):
+        check_parity_solution(TAMPER, bad, r1)
+
+
+def test_parity_check_rejects_a_loser_edge_out_of_the_region():
+    # an edge b -> d lets player 1 leave player 0's region at b
+    game = replace(TAMPER, succ={**TAMPER.succ, "b": ("a", "d")})
+    r0 = Region(frozenset({"a", "b"}), {"a": "b"})
+    r1 = Region(frozenset({"c", "d"}), {"d": "d"})
+    with pytest.raises(RuntimeError, match="player 1 can leave player 0's region at 'b'"):
+        check_parity_solution(game, r0, r1)
+
+
+def test_parity_check_rejects_overlapping_regions():
+    r0, r1 = solve_parity(TAMPER)
+    both = Region(r1.vertices | {"b"}, r1.strategy)
+    with pytest.raises(RuntimeError, match="'b' is in both regions"):
+        check_parity_solution(TAMPER, r0, both)
+
+
+def test_parity_check_rejects_an_odd_cycle_under_an_even_top():
+    # player 1 owns x (priority 2) and y (priority 1): the component {x, y}
+    # has the even top 2, but player 1 wins by looping at y
+    game = ParityGame(
+        owner={"x": 1, "y": 1},
+        priority={"x": 2, "y": 1},
+        succ={"x": ("y",), "y": ("x", "y")},
+    )
+    r0, r1 = solve_parity(game)
+    assert not r0.vertices and r1.vertices == {"x", "y"}
+    claimed = Region(frozenset({"x", "y"}), {})
+    with pytest.raises(RuntimeError, match="cycle of top priority 1 through 'y'"):
+        check_parity_solution(game, claimed, Region(frozenset(), {}))
 
 
 def test_extremes_fig2_and_fig3():
