@@ -4,32 +4,36 @@ One coalition game pits a distinguished maximizing player against all other
 players merged into a single minimizer.  For INF/SUP/LIMINF/LIMSUP the
 per-vertex game value always belongs to the finite set of edge weights, so
 values are computed by sweeping threshold games (safety, reachability,
-Buchi, coBuchi) over that set, each solved inside the winning region of
-the one below it, except for SUP.  All four rest on one attractor:
-reachability and Buchi use it directly, and the safety region and each
-stage of the coBuchi fixpoint are complements of the opponent's attractor
-to the edges the player must avoid.  Mean-payoff values are rationals with
-denominator at most the vertex count on integer-scaled weights; they are
-found by a divide-and-conquer search over these candidates that solves
-energy games (Brim et al.'s progress measure) for "mean payoff >= lam" and
-its dual "<= lam".  Every mean-payoff table is certified before it is
-returned: positional strategies for both sides, read off the energy games
-at each vertex's value, are evaluated exactly and must meet the table at
-every vertex.  Worst-case-optimal strategies come from the value solve
-itself, never from a second one: the threshold regions' moves for the
-extremum measures, the certificate's player strategy for mean payoff.
+Buchi, coBuchi) over that set, each solved inside the winning region of the
+one below it, except for SUP.  The sweep runs on a dense integer copy of
+the game, built once per coalition game: states numbered in `_key` order,
+and each edge's weight replaced by its rank among the player's distinct
+weights, so an edge is heavy for the t-th threshold iff its rank is at
+least t.  All four games rest on one attractor, `_dense_attr`, the one
+Zielonka's algorithm uses too: reachability and Buchi use it directly, and
+the safety region and each stage of the coBuchi fixpoint are complements of
+the opponent's attractor to the edges the player must avoid.  Mean-payoff
+values are rationals with denominator at most the vertex count on
+integer-scaled weights; they are found by a divide-and-conquer search over
+these candidates that solves energy games (Brim et al.'s progress measure)
+for "mean payoff >= lam" and its dual "<= lam".  Every mean-payoff table is
+certified before it is returned: positional strategies for both sides, read
+off the energy games at each vertex's value, are evaluated exactly and must
+meet the table at every vertex.  Worst-case-optimal strategies come from
+the value solve itself, never from a second one: the threshold regions'
+moves for the extremum measures, the certificate's player strategy for mean
+payoff.
 
 One-player optima (all players cooperating, or the coalition minimizing
 against a fixed strategy) reduce to cycle analysis: strongly connected
 components, per-component cycle metrics, and propagation over the
 condensation.  `solve_parity` runs Zielonka's algorithm iteratively, with
-an explicit stack, over a dense integer copy of the game (states numbered
-once in `_key` order, successor and predecessor lists built once,
-subgames as a membership array), and checks every solution before it
-returns it; model checking, synthesis and strategy verification hand it
-parity games built by `explore`, the one breadth-first explorer that every
-construction over a reachable state space (rebuilds, products, automata,
-strategy modes) goes through.
+an explicit stack, over the same kind of dense copy (successor and
+predecessor lists built once, subgames as a membership array), and checks
+every solution before it returns it; model checking, synthesis and strategy
+verification hand it parity games built by `explore`, the one breadth-first
+explorer that every construction over a reachable state space (rebuilds,
+products, automata, strategy modes) goes through.
 
 INF (SUP) arenas are handled with LIMINF (LIMSUP) cycle semantics; callers
 pass prefix-independence rebuilds for those measures, on which the two
@@ -38,6 +42,7 @@ coincide because weight sequences are monotone along every play.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -209,133 +214,231 @@ def _shortest_cycle_through(u, succ):
 # attractors
 
 
-def _attr(is_mine, succ_map, targets, within, target_edges=frozenset()):
-    """Least set `mine` can force into the targets or across a target edge.
+class _DenseGraph:
+    """Integer view of a two-player game graph for the attractor.
 
-    Returns (attractor set, strategy moves recorded for `mine` vertices added
-    outside the vertex targets).  Deterministic: vertices seed in sorted
-    order and propagate breadth-first.
+    State i is the i-th state in `_key` order, so integer order is the order
+    every tie-break uses, and `owner[i]` is 0 or 1.  Successor lists keep the
+    game's order and repeats; predecessor lists come out in increasing order.
     """
-    within = set(within)
-    order = sorted(within, key=_key)
-    moves = {v: [w for w in succ_map[v] if w in within] for v in within}
-    preds: dict = {v: [] for v in within}
-    for v in order:
-        for w in moves[v]:
-            preds[w].append(v)
 
-    att = set()
-    strat = {}
-    queue = deque()
+    def __init__(self, states, owner, succ):
+        self.verts = verts = sorted(states, key=_key)
+        self.idx = idx = {v: i for i, v in enumerate(verts)}
+        self.owner = [owner(v) for v in verts]
+        self.succ = [[idx[w] for w in succ[v]] for v in verts]
+        self.pred = [[] for _ in verts]
+        for i, outs in enumerate(self.succ):
+            for j in outs:
+                self.pred[j].append(i)
 
-    def activate(v, move=None):
-        att.add(v)
-        if move is not None and is_mine(v):
-            strat[v] = move
-        queue.append(v)
 
-    target_set = set(targets) & within
-    remaining = {}
-    for v in order:
-        if v in target_set:
-            activate(v)
-            continue
-        sat = [w for w in moves[v] if (v, w) in target_edges]
-        if is_mine(v):
-            if sat:
-                activate(v, min(sat, key=_key))
-        else:
-            remaining[v] = len(moves[v]) - len(sat)
-            if moves[v] and remaining[v] == 0:
-                activate(v)
+def _dense_attr(dg, player, targets, inside, strat, within=(), edges=None):
+    """Attractor of `player` to the sorted `targets`, and across target edges
+    if `edges` is given, in the subgame with membership array `inside`.
 
-    while queue:
-        u = queue.popleft()
-        for v in preds[u]:
-            if v in att:
+    `edges(v)` lists v's moves, in `succ` order, that are target edges.  Its
+    seeds come from one pass over the subgame's states `within`, in
+    increasing order, along with the targets: a player state with target
+    edges inside the subgame takes the lowest one, and an opponent state
+    whose moves inside are all target edges is attracted.  Then the
+    attractor grows breadth-first in seed order; an opponent state counts
+    its moves inside the subgame, less its target edges, when first reached.
+    Records the player's moves in `strat` and returns the attractor in the
+    order it grew.
+    """
+    owner, succ, pred = dg.owner, dg.succ, dg.pred
+    free = bytearray(inside)  # inside and not attracted yet
+    for v in targets:
+        free[v] = 0
+    remaining = [0] * len(owner)  # 0: not counted yet
+    crossed = {}  # opponent state -> its target-edge moves, counted at seeding
+    if edges is None:
+        queue = list(targets)
+    else:
+        queue = []
+        for v in within:
+            if not free[v]:
+                queue.append(v)
                 continue
-            if (v, u) in target_edges:
-                continue  # already counted at seed time
-            if is_mine(v):
-                activate(v, u)
+            hits = [w for w in edges(v) if inside[w]]
+            if not hits:
+                continue
+            if owner[v] == player:
+                strat[v] = min(hits)
             else:
-                remaining[v] -= 1
-                if remaining[v] == 0:
-                    activate(v)
-    return att, strat
+                left = sum(map(inside.__getitem__, succ[v])) - len(hits)
+                if left:
+                    remaining[v] = left
+                    crossed[v] = set(hits)
+                    continue
+            free[v] = 0
+            queue.append(v)
+    for u in queue:
+        for v in pred[u]:
+            if not free[v]:
+                continue
+            if owner[v] == player:
+                strat[v] = u
+            else:
+                if crossed and u in crossed.get(v, ()):
+                    continue
+                left = remaining[v] or sum(map(inside.__getitem__, succ[v]))
+                left -= 1
+                if left:
+                    remaining[v] = left
+                    continue
+            free[v] = 0
+            queue.append(v)
+    return queue
 
 
 def attractor(g: Game, player: int, targets=(), target_edges=()) -> Region:
     """Attractor of `player` to a vertex set and/or an edge set."""
-    att, strat = _attr(
-        lambda v: g.owner[v] == player, g.succ, set(targets), set(g.owner),
-        set(target_edges),
+    dg = _DenseGraph(g.owner, lambda v: int(g.owner[v] == player), g.succ)
+    idx, succ, verts = dg.idx, dg.succ, dg.verts
+    n = len(verts)
+    edges = {(idx[u], idx[w]) for u, w in target_edges if u in idx and w in idx}
+    strat = {}
+    att = _dense_attr(
+        dg, 1, sorted(idx[v] for v in set(targets) if v in idx), bytearray(b"\x01") * n,
+        strat, range(n), lambda v: [w for w in succ[v] if (v, w) in edges],
     )
-    return Region(vertices=frozenset(att), strategy=strat)
+    return Region(
+        frozenset(verts[v] for v in att), {verts[v]: verts[w] for v, w in strat.items()}
+    )
 
 
 # ---------------------------------------------------------------------------
 # threshold games
+#
+# Every solver below works on a subgame given twice: `within`, its states in
+# increasing order, and `inside`, their membership array; it returns its
+# winning set the same two ways.
 
 
-def _buchi(is_reacher, succ_map, target_edges, within):
-    """Winning set and positional strategy for traversing target edges i.o."""
-    V = set(within)
-    while V:
-        te = {(u, w) for (u, w) in target_edges if u in V and w in V}
-        att, strat = _attr(is_reacher, succ_map, set(), V, te)
-        rest = V - att
-        if not rest:
-            return V, strat
-        esc, _ = _attr(lambda v: not is_reacher(v), succ_map, rest, V)
-        V -= esc
-    return set(), {}
+class _DenseThreshold(_DenseGraph):
+    """A coalition game on the dense graph, owner 1 being the max player.
+
+    `levels` are the player's distinct weights in increasing order, and
+    `rank[i][k]` is the index in `levels` of the weight of state i's k-th
+    move.  The ranks are found once, exactly, on the weights scaled to
+    integers by the lcm of their denominators; a move is heavy for the
+    threshold `levels[t]` iff its rank is at least t.
+    """
+
+    def __init__(self, cg: CoalitionGame):
+        g = cg.game
+        super().__init__(g.owner, lambda v: int(g.owner[v] == cg.player), g.succ)
+        ws = {e: w[cg.player - 1] for e, w in g.weights.items()}
+        denom = lcm(*(w.denominator for w in ws.values()))
+        scaled = {e: w.numerator * (denom // w.denominator) for e, w in ws.items()}
+        ints = sorted(set(scaled.values()))
+        at = {x: r for r, x in enumerate(ints)}
+        self.levels = [Fraction(x, denom) for x in ints]
+        self.rank = [[at[scaled[(v, w)]] for w in g.succ[v]] for v in self.verts]
+
+    def heavy(self, t):
+        """The target-edge lister, for `_dense_attr`, of the moves of rank >= t."""
+        succ, rank = self.succ, self.rank
+        return lambda v: [w for w, r in zip(succ[v], rank[v]) if r >= t]
+
+    def light(self, t):
+        """The target-edge lister of the moves of rank < t."""
+        succ, rank = self.succ, self.rank
+        return lambda v: [w for w, r in zip(succ[v], rank[v]) if r < t]
 
 
-def _avoid(is_mine, succ_map, bad_edges, within):
-    """Largest set inside `within` where `mine` can stay forever without
-    crossing a bad edge: the complement of the opponent's attractor to the
-    bad edges and to the vertices with no successor inside `within`."""
-    within = set(within)
-    dead = {v for v in within if not any(w in within for w in succ_map[v])}
-    att, _ = _attr(lambda v: not is_mine(v), succ_map, dead, within, bad_edges)
-    return within - att
+def _avoid(dg, player, edges, within, inside):
+    """Largest set inside the subgame where `player` can stay forever without
+    crossing an edge that `edges` lists: the complement of the opponent's
+    attractor to those edges and to the states with no move inside the
+    subgame."""
+    succ = dg.succ
+    dead = [v for v in within if not any(map(inside.__getitem__, succ[v]))]
+    keep = bytearray(inside)
+    for v in _dense_attr(dg, 1 - player, dead, inside, {}, within, edges):
+        keep[v] = 0
+    return [v for v in within if keep[v]], keep
 
 
-def _cobuchi(is_mine, succ_map, good_edges, within):
-    """Winning set/strategy for eventually traversing only good edges.
+def _buchi(dg, player, edges, within, inside):
+    """Winning set and positional strategy of `player` for crossing edges that
+    `edges` lists infinitely often."""
+    while within:
+        strat = {}
+        att = _dense_attr(dg, player, (), inside, strat, within, edges)
+        if len(att) == len(within):
+            return within, inside, strat
+        reached = bytearray(len(inside))
+        for v in att:
+            reached[v] = 1
+        rest = [v for v in within if not reached[v]]
+        inside = bytearray(inside)
+        for v in _dense_attr(dg, 1 - player, rest, inside, {}):
+            inside[v] = 0
+        within = [v for v in within if inside[v]]
+    return [], inside, {}
+
+
+def _cobuchi(dt: _DenseThreshold, t, within, inside):
+    """Winning set and strategy of the max player for eventually crossing
+    only heavy moves, those of rank at least t.
 
     Two-level fixpoint: the inner stage computes the largest set the player
-    can hold using good edges or one-step drops into the already-won set,
-    as the complement of the opponent's attractor to every other edge;
+    can hold using heavy moves or one-step drops into the already-won set,
+    as the complement of the opponent's attractor to every other move;
     drops strictly decrease the inclusion level, so only finitely many
-    non-good edges occur along any play following the recorded moves.
+    light moves occur along any play following the recorded moves.
     """
-    within = set(within)
-    won: set = set()
+    owner, succ, rank = dt.owner, dt.succ, dt.rank
+    won, inwon = [], bytearray(len(owner))
     strat = {}
     while True:
-        forbidden = {
-            (v, u) for v in within for u in succ_map[v]
-            if (v, u) not in good_edges and u not in won
-        }
-        y = _avoid(is_mine, succ_map, forbidden, within)
+        y, iny = _avoid(
+            dt, 1, lambda v: [w for w, r in zip(succ[v], rank[v]) if r < t and not inwon[w]],
+            within, inside,
+        )
         if y == won:
             break
-        for v in sorted(y - won, key=_key):
-            if is_mine(v):
-                succs = sorted(succ_map[v], key=_key)
-                good = [u for u in succs if u in y and (v, u) in good_edges]
-                drop = [u for u in succs if u in won]
-                strat[v] = good[0] if good else drop[0]
-        won = y
+        for v in y:
+            if owner[v] and not inwon[v]:
+                good = [w for w, r in zip(succ[v], rank[v]) if r >= t and iny[w]]
+                strat[v] = min(good) if good else min(w for w in succ[v] if inwon[w])
+        won, inwon = y, iny
 
-    bad = {
-        (u, w) for u in within for w in succ_map[u] if w in within
-    } - good_edges
-    loser_win, _ = _buchi(lambda v: not is_mine(v), succ_map, bad, within)
-    assert won == within - loser_win, "coBuchi region must complement the Buchi dual"
-    return won, strat
+    lost = _buchi(dt, 0, dt.light(t), within, inside)[1]
+    assert won == [v for v in within if not lost[v]], (
+        "coBuchi region must complement the Buchi dual"
+    )
+    return won, inwon, strat
+
+
+def _threshold(dt: _DenseThreshold, measure: PayoffKind, t, within, inside):
+    """The max player's winning set and moves in "payoff >= levels[t]".
+
+    SUP is reachability of a heavy move, INF safety against light moves,
+    LIMSUP a Buchi condition on heavy moves, LIMINF the dual coBuchi
+    condition.
+    """
+    owner, succ, rank = dt.owner, dt.succ, dt.rank
+    if measure is PayoffKind.SUP:
+        strat = {}
+        win = bytearray(len(owner))
+        for v in _dense_attr(dt, 1, (), inside, strat, within, dt.heavy(t)):
+            win[v] = 1
+        return [v for v in within if win[v]], win, strat
+    if measure is PayoffKind.INF:
+        safe, keep = _avoid(dt, 1, dt.light(t), within, inside)
+        strat = {
+            v: min(w for w, r in zip(succ[v], rank[v]) if r >= t and keep[w])
+            for v in safe
+            if owner[v]
+        }
+        return safe, keep, strat
+    if measure is PayoffKind.LIMSUP:
+        return _buchi(dt, 1, dt.heavy(t), within, inside)
+    return _cobuchi(dt, t, within, inside)
 
 
 def solve_threshold(cg: CoalitionGame, measure: PayoffKind, theta: Fraction) -> Region:
@@ -347,7 +450,7 @@ def solve_threshold(cg: CoalitionGame, measure: PayoffKind, theta: Fraction) -> 
     """
     if measure.is_mean_payoff:
         raise ValueError("mean-payoff thresholds are solved by zero_sum_value")
-    return _threshold_region(cg, measure, theta, set(cg.game.owner))
+    return _threshold_region(cg, measure, theta, cg.game.owner)
 
 
 def _threshold_region(cg: CoalitionGame, measure: PayoffKind, theta, within) -> Region:
@@ -356,27 +459,16 @@ def _threshold_region(cg: CoalitionGame, measure: PayoffKind, theta, within) -> 
     Exact only if no coalition edge leaves `within` and every winning play
     of the whole arena stays inside it.
     """
-    g = cg.game
-    p = cg.player - 1
-    heavy = {(v, w) for v in within for w in g.succ[v] if g.weights[(v, w)][p] >= theta}
-
-    if measure is PayoffKind.SUP:
-        att, strat = _attr(cg.is_max, g.succ, set(), within, heavy)
-        return Region(frozenset(att), strat)
-    if measure is PayoffKind.INF:
-        light = {(v, w) for v in within for w in g.succ[v] if (v, w) not in heavy}
-        safe = _avoid(cg.is_max, g.succ, light, within)
-        strat = {
-            v: min((w for w in g.succ[v] if w in safe and (v, w) in heavy), key=_key)
-            for v in sorted(safe, key=_key)
-            if cg.is_max(v)
-        }
-        return Region(frozenset(safe), strat)
-    if measure is PayoffKind.LIMSUP:
-        win, strat = _buchi(cg.is_max, g.succ, heavy, within)
-        return Region(frozenset(win), strat)
-    win, strat = _cobuchi(cg.is_max, g.succ, heavy, within)
-    return Region(frozenset(win), strat)
+    dt = _DenseThreshold(cg)
+    inside = bytearray(len(dt.verts))
+    for v in within:
+        inside[dt.idx[v]] = 1
+    states = [i for i, x in enumerate(inside) if x]
+    win, _, strat = _threshold(dt, measure, bisect_left(dt.levels, theta), states, inside)
+    verts = dt.verts
+    return Region(
+        frozenset(verts[v] for v in win), {verts[v]: verts[w] for v, w in strat.items()}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +479,12 @@ def zero_sum_value(cg: CoalitionGame, measure: PayoffKind) -> tuple[dict, dict]:
     """Per-vertex value of the max player against the merged coalition, and
     one memoryless strategy of that player achieving every value at once: the
     certificate's sigma for mean payoff, otherwise each vertex's move in the
-    highest threshold region it lies in, which is its own value."""
+    highest threshold region it lies in, which is its own value.
+
+    The extremum values come from one sweep over the player's distinct
+    weights on a `_DenseThreshold` built once: the t-th game is solved on
+    integer ranks inside the region of the one below it (except for SUP),
+    and the sweep stops at the first empty region."""
     if measure.is_mean_payoff:
         ar = _MpArena(cg)
         val = _mp_search(ar)
@@ -395,20 +492,27 @@ def zero_sum_value(cg: CoalitionGame, measure: PayoffKind) -> tuple[dict, dict]:
         values = {v: x / ar.denom for v, x in zip(ar.verts, val)}
         strat = {ar.verts[i]: ar.verts[j] for i, j in sigma.items()}
     else:
-        weights = sorted({w[cg.player - 1] for w in cg.game.weights.values()})
-        within = set(cg.game.owner)
-        values, strat = {}, {}
-        for theta in weights:
-            region = _threshold_region(cg, measure, theta, within)
-            for v in region.vertices:
-                values[v] = theta
-            strat.update(region.strategy)
+        dt = _DenseThreshold(cg)
+        n = len(dt.verts)
+        within, inside = list(range(n)), bytearray(b"\x01") * n
+        level = [-1] * n
+        moves = {}
+        for t in range(len(dt.levels)):
+            win, inwin, region_moves = _threshold(dt, measure, t, within, inside)
+            if not win:
+                break  # regions shrink as the threshold grows
+            for v in win:
+                level[v] = t
+            moves.update(region_moves)
             # The region is a coalition trap holding every play that wins a
             # higher threshold, so the next game is solved inside it.  Not for
             # SUP: a play that wins takes a heavy edge, which may leave it.
             if measure is not PayoffKind.SUP:
-                within = region.vertices
-        assert set(values) == set(cg.game.owner), "every play reaches the minimum weight"
+                within, inside = win, inwin
+        assert -1 not in level, "every play reaches the minimum weight"
+        verts = dt.verts
+        values = {v: dt.levels[t] for v, t in zip(verts, level)}
+        strat = {verts[v]: verts[w] for v, w in moves.items()}
     assert set(strat) == set(filter(cg.is_max, cg.game.owner)), "a move at every max vertex"
     return values, strat
 
@@ -761,57 +865,13 @@ def _mp_certify(ar: _MpArena, val: list) -> dict:
 # parity games
 
 
-class _DenseParity:
-    """Integer view of a parity game for the solver and its check.
-
-    State i is the i-th state in `_key` order, so integer order is the order
-    every tie-break of the solver uses.  Successor lists keep the game's
-    order and repeats; predecessor lists come out in increasing order.
-    """
+class _DenseParity(_DenseGraph):
+    """The dense graph of a parity game, with its priorities, for the solver
+    and its check."""
 
     def __init__(self, pg: ParityGame):
-        self.verts = sorted(pg.owner, key=_key)
-        idx = {v: i for i, v in enumerate(self.verts)}
-        self.idx = idx
-        self.owner = [pg.owner[v] for v in self.verts]
+        super().__init__(pg.owner, pg.owner.__getitem__, pg.succ)
         self.prio = [pg.priority[v] for v in self.verts]
-        self.succ = [[idx[w] for w in pg.succ[v]] for v in self.verts]
-        self.pred = [[] for _ in self.verts]
-        for i, outs in enumerate(self.succ):
-            for j in outs:
-                self.pred[j].append(i)
-
-
-def _dense_attr(dp: _DenseParity, player, targets, inside, strat):
-    """Attractor of `player` to the sorted `targets` in the subgame `inside`.
-
-    Breadth-first from the targets in order, like `_attr`; an opponent
-    vertex gets its count of moves inside the subgame when first reached.
-    Records the player's moves in `strat` and returns the attractor.
-    """
-    owner, succ, pred = dp.owner, dp.succ, dp.pred
-    att = bytearray(len(owner))
-    for v in targets:
-        att[v] = 1
-    queue = list(targets)
-    remaining = {}
-    for u in queue:
-        for v in pred[u]:
-            if att[v] or not inside[v]:
-                continue
-            if owner[v] == player:
-                strat[v] = u
-            else:
-                left = remaining.get(v)
-                if left is None:
-                    left = sum(inside[w] for w in succ[v])
-                left -= 1
-                if left:
-                    remaining[v] = left
-                    continue
-            att[v] = 1
-            queue.append(v)
-    return queue
 
 
 def _zielonka(dp: _DenseParity):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from collections import deque
 from fractions import Fraction
 from itertools import product as iproduct
 from math import lcm
@@ -13,7 +14,6 @@ from admgames.solvers import (
     CoalitionGame,
     ParityGame,
     Region,
-    _attr,
     _critical_cycle,
     _effective,
     _key,
@@ -165,8 +165,166 @@ def worst_case_strategy_per_level(g: Game, player: int, aval: dict) -> dict:
     return out
 
 
+def reference_attr(is_mine, succ_map, targets, within, target_edges=frozenset()):
+    """Reference attractor: least set `mine` can force into the targets or
+    across a target edge, on hashed states.
+
+    Returns (attractor set, strategy moves recorded for `mine` vertices added
+    outside the vertex targets).  Every call rebuilds its move and
+    predecessor lists; vertices seed in sorted order and propagate
+    breadth-first.  The attractor the solvers used before they numbered
+    states densely, kept to pin the seed order and the moves.
+    """
+    within = set(within)
+    order = sorted(within, key=_key)
+    moves = {v: [w for w in succ_map[v] if w in within] for v in within}
+    preds: dict = {v: [] for v in within}
+    for v in order:
+        for w in moves[v]:
+            preds[w].append(v)
+
+    att = set()
+    strat = {}
+    queue = deque()
+
+    def activate(v, move=None):
+        att.add(v)
+        if move is not None and is_mine(v):
+            strat[v] = move
+        queue.append(v)
+
+    target_set = set(targets) & within
+    remaining = {}
+    for v in order:
+        if v in target_set:
+            activate(v)
+            continue
+        sat = [w for w in moves[v] if (v, w) in target_edges]
+        if is_mine(v):
+            if sat:
+                activate(v, min(sat, key=_key))
+        else:
+            remaining[v] = len(moves[v]) - len(sat)
+            if moves[v] and remaining[v] == 0:
+                activate(v)
+
+    while queue:
+        u = queue.popleft()
+        for v in preds[u]:
+            if v in att:
+                continue
+            if (v, u) in target_edges:
+                continue  # already counted at seed time
+            if is_mine(v):
+                activate(v, u)
+            else:
+                remaining[v] -= 1
+                if remaining[v] == 0:
+                    activate(v)
+    return att, strat
+
+
+def _buchi(is_reacher, succ_map, target_edges, within):
+    """Winning set and positional strategy for traversing target edges i.o."""
+    V = set(within)
+    while V:
+        te = {(u, w) for (u, w) in target_edges if u in V and w in V}
+        att, strat = reference_attr(is_reacher, succ_map, set(), V, te)
+        rest = V - att
+        if not rest:
+            return V, strat
+        esc, _ = reference_attr(lambda v: not is_reacher(v), succ_map, rest, V)
+        V -= esc
+    return set(), {}
+
+
+def _avoid(is_mine, succ_map, bad_edges, within):
+    """Largest set inside `within` where `mine` can stay forever without
+    crossing a bad edge: the complement of the opponent's attractor to the
+    bad edges and to the vertices with no successor inside `within`."""
+    within = set(within)
+    dead = {v for v in within if not any(w in within for w in succ_map[v])}
+    att, _ = reference_attr(lambda v: not is_mine(v), succ_map, dead, within, bad_edges)
+    return within - att
+
+
+def _cobuchi(is_mine, succ_map, good_edges, within):
+    """Winning set/strategy for eventually traversing only good edges, by
+    the two-level fixpoint of `solvers._cobuchi`, with its Buchi-dual
+    cross-check."""
+    within = set(within)
+    won: set = set()
+    strat = {}
+    while True:
+        forbidden = {
+            (v, u) for v in within for u in succ_map[v]
+            if (v, u) not in good_edges and u not in won
+        }
+        y = _avoid(is_mine, succ_map, forbidden, within)
+        if y == won:
+            break
+        for v in sorted(y - won, key=_key):
+            if is_mine(v):
+                succs = sorted(succ_map[v], key=_key)
+                good = [u for u in succs if u in y and (v, u) in good_edges]
+                drop = [u for u in succs if u in won]
+                strat[v] = good[0] if good else drop[0]
+        won = y
+
+    bad = {
+        (u, w) for u in within for w in succ_map[u] if w in within
+    } - good_edges
+    loser_win, _ = _buchi(lambda v: not is_mine(v), succ_map, bad, within)
+    assert won == within - loser_win, "coBuchi region must complement the Buchi dual"
+    return won, strat
+
+
+def reference_threshold_region(
+    cg: CoalitionGame, measure: PayoffKind, theta, within
+) -> Region:
+    """Reference threshold region on the subgame `within`, on hashed states
+    and `Fraction` weights: each threshold builds its heavy edge set anew."""
+    g = cg.game
+    p = cg.player - 1
+    heavy = {(v, w) for v in within for w in g.succ[v] if g.weights[(v, w)][p] >= theta}
+
+    if measure is PayoffKind.SUP:
+        att, strat = reference_attr(cg.is_max, g.succ, set(), within, heavy)
+        return Region(frozenset(att), strat)
+    if measure is PayoffKind.INF:
+        light = {(v, w) for v in within for w in g.succ[v] if (v, w) not in heavy}
+        safe = _avoid(cg.is_max, g.succ, light, within)
+        strat = {
+            v: min((w for w in g.succ[v] if w in safe and (v, w) in heavy), key=_key)
+            for v in sorted(safe, key=_key)
+            if cg.is_max(v)
+        }
+        return Region(frozenset(safe), strat)
+    if measure is PayoffKind.LIMSUP:
+        win, strat = _buchi(cg.is_max, g.succ, heavy, within)
+        return Region(frozenset(win), strat)
+    win, strat = _cobuchi(cg.is_max, g.succ, heavy, within)
+    return Region(frozenset(win), strat)
+
+
+def reference_zero_sum_value(cg: CoalitionGame, measure: PayoffKind) -> tuple[dict, dict]:
+    """Reference extremum values and worst-case strategy: the nested sweep
+    of `solvers.zero_sum_value` over `reference_threshold_region`."""
+    weights = sorted({w[cg.player - 1] for w in cg.game.weights.values()})
+    within = set(cg.game.owner)
+    values, strat = {}, {}
+    for theta in weights:
+        region = reference_threshold_region(cg, measure, theta, within)
+        for v in region.vertices:
+            values[v] = theta
+        strat.update(region.strategy)
+        if measure is not PayoffKind.SUP:
+            within = region.vertices
+    return values, strat
+
+
 def reference_solve_parity(pg: ParityGame) -> tuple[Region, Region]:
-    """Reference parity solver: recursive Zielonka over `_attr`.
+    """Reference parity solver: recursive Zielonka over `reference_attr`.
 
     The solver `solve_parity` replaced, kept to pin its regions and
     strategies.  Every level rebuilds its attractor lists from the states
@@ -177,7 +335,7 @@ def reference_solve_parity(pg: ParityGame) -> tuple[Region, Region]:
     prio = pg.priority
 
     def attr(player, targets, within):
-        return _attr(lambda v: owner[v] == player, succ, targets, within)
+        return reference_attr(lambda v: owner[v] == player, succ, targets, within)
 
     def solve(within):
         if not within:

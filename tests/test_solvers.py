@@ -11,6 +11,7 @@ from math import inf
 import pytest
 
 from admgames import (
+    Game,
     PayoffKind,
     check_strategy_admissible,
     construct_sco,
@@ -36,6 +37,7 @@ from admgames.solvers import (
     worst_case_strategy,
     zero_sum_value,
 )
+from admgames.transform import make_prefix_independent
 from admgames.values import compute_value_table
 
 from helpers import (
@@ -43,7 +45,9 @@ from helpers import (
     load_strategy,
     memoryless,
     mp_value_iteration,
+    reference_attr,
     reference_solve_parity,
+    reference_zero_sum_value,
     shortest_cycle_through,
     threshold_region_sweep,
     witness_lasso_per_call,
@@ -102,6 +106,86 @@ def test_attractor_to_edge_fig1():
     r = attractor(g, 2, target_edges={("v2", "v4")})
     assert r.vertices == frozenset({"v2", "v4"})
     assert r.strategy["v2"] == "v4"
+
+
+def _edge_game(edges, owners, succ=None):
+    """A two-player game on named vertices with zero weights."""
+    return Game(
+        players=2, owner=owners, weights={e: (F(0), F(0)) for e in edges},
+        init=min(owners), measure=PayoffKind.LIMINF, succ=succ,
+    )
+
+
+def test_attractor_seeds_an_opponent_vertex_whose_moves_are_all_target_edges():
+    # a (player 2) can only cross a target edge; d (player 1) then moves to a
+    g = _edge_game(
+        [("a", "b"), ("a", "c"), ("b", "b"), ("c", "c"), ("d", "a"), ("d", "d")],
+        {"a": 2, "b": 1, "c": 1, "d": 1},
+    )
+    r = attractor(g, 1, target_edges={("a", "b"), ("a", "c")})
+    assert r.vertices == frozenset({"a", "d"})
+    assert r.strategy == {"d": "a"}
+
+
+def test_attractor_takes_the_lower_key_target_edge():
+    # the successors are listed against `_key` order, which the move follows
+    g = _edge_game(
+        [("a", "b"), ("a", "c"), ("b", "b"), ("c", "c")],
+        {"a": 1, "b": 2, "c": 2},
+        succ={"a": ("c", "b"), "b": ("b",), "c": ("c",)},
+    )
+    r = attractor(g, 1, target_edges={("a", "b"), ("a", "c")})
+    assert r.vertices == frozenset({"a"})
+    assert r.strategy == {"a": "b"}
+
+
+def test_dense_attractor_never_attracts_an_opponent_vertex_stuck_outside():
+    # in the subgame {a, t, x}: a (opponent) has no move inside, only a
+    # target edge to b outside; x (player) has a target edge to a
+    succ = {"a": ("b",), "b": ("t",), "t": ("t",), "x": ("a", "x")}
+    dg = solvers._DenseGraph(succ, lambda v: int(v in ("b", "x")), succ)
+    idx, verts = dg.idx, dg.verts
+    inside = bytearray(len(verts))
+    within = sorted(idx[v] for v in ("a", "t", "x"))
+    for v in within:
+        inside[v] = 1
+    marked = {(idx["a"], idx["b"]), (idx["x"], idx["a"])}
+    strat = {}
+    att = solvers._dense_attr(
+        dg, 1, [idx["t"]], inside, strat, within,
+        lambda v: [w for w in dg.succ[v] if (v, w) in marked],
+    )
+    assert {verts[v] for v in att} == {"t", "x"}
+    assert strat == {idx["x"]: idx["a"]}
+
+
+def test_attractor_counts_a_target_edge_once():
+    # a (player 2) has a target edge into the target t and a free move to
+    # the trap z; reaching t backwards over that edge must not count twice
+    g = _edge_game(
+        [("a", "t"), ("a", "z"), ("t", "t"), ("z", "z")],
+        {"a": 2, "t": 1, "z": 2},
+    )
+    r = attractor(g, 1, targets={"t"}, target_edges={("a", "t")})
+    assert r.vertices == frozenset({"t"})
+    assert r.strategy == {}
+
+
+def test_attractor_matches_the_hashed_reference():
+    rng = random.Random(3)
+    for seed in range(60):
+        g = random_game(seed, size=4 + seed % 8, players=2 + seed % 2)
+        verts = sorted(g.owner)
+        edges = sorted(g.weights)
+        for player in range(1, g.players + 1):
+            targets = set(rng.sample(verts, rng.randint(0, 2)))
+            marked = set(rng.sample(edges, rng.randint(0, min(4, len(edges)))))
+            want, moves = reference_attr(
+                lambda v: g.owner[v] == player, g.succ, targets, g.owner, marked
+            )
+            got = attractor(g, player, targets, marked)
+            assert got.vertices == frozenset(want), (seed, player)
+            assert list(got.strategy.items()) == list(moves.items()), (seed, player)
 
 
 def test_threshold_fig1_liminf():
@@ -672,6 +756,34 @@ def test_safety_and_cobuchi_regions_match_the_sweep_reference(measure):
                         got = solvers._threshold_region(cg, measure, theta, within)
                         assert got == want, (size, seed, player, theta, within)
                     nested = want.vertices
+
+
+def test_dense_threshold_sweep_matches_the_reference_sweep():
+    # rebuilt arenas of every extremum measure, every player; a third carry
+    # halved weights and a third weights over mixed denominators, so the
+    # ranks come from numerators scaled by a common denominator
+    measures = [PayoffKind.INF, PayoffKind.SUP, PayoffKind.LIMINF, PayoffKind.LIMSUP]
+    fractional = 0
+    for seed in range(520):
+        g = random_game(
+            seed, size=4 + seed % 7, weight_range=(-3, 3), players=2 + seed % 2,
+            measure=measures[seed % 4],
+        )
+        if seed % 3:
+            weights = {
+                e: tuple(x / (2 if seed % 3 == 1 else 1 + i % 3) for x in w)
+                for i, (e, w) in enumerate(g.weights.items())
+            }
+            g = replace(g, weights=weights)
+            fractional += any(x.denominator > 1 for w in weights.values() for x in w)
+        arena = make_prefix_independent(g).game
+        for player in range(1, g.players + 1):
+            cg = CoalitionGame(arena, player)
+            values, strat = zero_sum_value(cg, g.measure)
+            ref_values, ref_strat = reference_zero_sum_value(cg, g.measure)
+            assert values == ref_values, (seed, player)
+            assert list(strat.items()) == list(ref_strat.items()), (seed, player)
+    assert fractional > 300
 
 
 def test_shortest_cycle_through_matches_reference_search():
