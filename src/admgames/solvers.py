@@ -301,7 +301,7 @@ def attractor(g: Game, player: int, targets=(), target_edges=()) -> Region:
     edges = {(idx[u], idx[w]) for u, w in target_edges if u in idx and w in idx}
     strat = {}
     att = _dense_attr(
-        dg, 1, sorted(idx[v] for v in set(targets) if v in idx), bytearray(b"\x01") * n,
+        dg, 1, sorted({idx[v] for v in targets if v in idx}), bytearray(b"\x01") * n,
         strat, range(n), lambda v: [w for w in succ[v] if (v, w) in edges],
     )
     return Region(
