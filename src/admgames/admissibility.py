@@ -224,10 +224,20 @@ def strategy_from_outcome(g: Game, player: int, lasso, table: ValueTable | None 
     """Strategy compatible with a given lasso of the rebuilt arena that
     restarts admissible play on any deviation (used to witness outcome-level
     characterizations).  The lasso must start at the arena's initial vertex.
+    Under INF/SUP the arena is the rebuild `table.arena`, not `g`; a lasso of
+    `g` is mapped there with `transform.lift_lasso`.
     """
     if table is None:
         table = compute_value_table(g)
-    lasso.check(table.arena)
+    try:
+        lasso.check(table.arena)
+    except ValueError as err:
+        if table.transformed.identity:
+            raise
+        raise ValueError(
+            f"{err}: under {g.measure.value} the lasso must be one of the rebuilt "
+            "arena table.arena; lift_lasso maps a lasso of the game there"
+        ) from None
     if lasso.start != table.arena.init:
         raise ValueError(
             f"lasso starts at {lasso.start}, not at the initial vertex {table.arena.init}"

@@ -317,19 +317,32 @@ def attractor(g: Game, player: int, targets=(), target_edges=()) -> Region:
 # winning set the same two ways.
 
 
-class _DenseThreshold(_DenseGraph):
-    """A coalition game on the dense graph, owner 1 being the max player.
+def dense_arena(g: Game) -> _DenseGraph:
+    """The dense graph of an arena with owners kept as player numbers, which
+    the coalition games of all its players share."""
+    return _DenseGraph(g.owner, g.owner.__getitem__, g.succ)
 
-    `levels` are the player's distinct weights in increasing order, and
-    `rank[i][k]` is the index in `levels` of the weight of state i's k-th
-    move.  The ranks are found once, exactly, on the weights scaled to
-    integers by the lcm of their denominators; a move is heavy for the
-    threshold `levels[t]` iff its rank is at least t.
+
+class _DenseThreshold:
+    """A coalition game on the dense graph of its arena, owner 1 being the
+    max player.
+
+    It shares the numbering and the successor and predecessor lists of
+    `arena`, the arena's `dense_arena` (built here if not given), and
+    derives only the owner bits and ranks of its player.  `levels` are the
+    player's distinct weights in increasing order, and `rank[i][k]` is the
+    index in `levels` of the weight of state i's k-th move.  The ranks are
+    found once, exactly, on the weights scaled to integers by the lcm of
+    their denominators; a move is heavy for the threshold `levels[t]` iff
+    its rank is at least t.
     """
 
-    def __init__(self, cg: CoalitionGame):
+    def __init__(self, cg: CoalitionGame, arena: _DenseGraph | None = None):
         g = cg.game
-        super().__init__(g.owner, lambda v: int(g.owner[v] == cg.player), g.succ)
+        if arena is None:
+            arena = dense_arena(g)
+        self.verts, self.idx, self.succ, self.pred = arena.verts, arena.idx, arena.succ, arena.pred
+        self.owner = [int(o == cg.player) for o in arena.owner]
         ws = {e: w[cg.player - 1] for e, w in g.weights.items()}
         denom = lcm(*(w.denominator for w in ws.values()))
         scaled = {e: w.numerator * (denom // w.denominator) for e, w in ws.items()}
@@ -475,7 +488,9 @@ def _threshold_region(cg: CoalitionGame, measure: PayoffKind, theta, within) -> 
 # zero-sum values
 
 
-def zero_sum_value(cg: CoalitionGame, measure: PayoffKind) -> tuple[dict, dict]:
+def zero_sum_value(
+    cg: CoalitionGame, measure: PayoffKind, arena: _DenseGraph | None = None
+) -> tuple[dict, dict]:
     """Per-vertex value of the max player against the merged coalition, and
     one memoryless strategy of that player achieving every value at once: the
     certificate's sigma for mean payoff, otherwise each vertex's move in the
@@ -484,7 +499,9 @@ def zero_sum_value(cg: CoalitionGame, measure: PayoffKind) -> tuple[dict, dict]:
     The extremum values come from one sweep over the player's distinct
     weights on a `_DenseThreshold` built once: the t-th game is solved on
     integer ranks inside the region of the one below it (except for SUP),
-    and the sweep stops at the first empty region."""
+    and the sweep stops at the first empty region.  Callers that solve
+    every player's game on one arena pass its `dense_arena` as `arena`, so
+    it is built once; mean payoff does not use it."""
     if measure.is_mean_payoff:
         ar = _MpArena(cg)
         val = _mp_search(ar)
@@ -492,7 +509,7 @@ def zero_sum_value(cg: CoalitionGame, measure: PayoffKind) -> tuple[dict, dict]:
         values = {v: x / ar.denom for v, x in zip(ar.verts, val)}
         strat = {ar.verts[i]: ar.verts[j] for i, j in sigma.items()}
     else:
-        dt = _DenseThreshold(cg)
+        dt = _DenseThreshold(cg, arena)
         n = len(dt.verts)
         within, inside = list(range(n)), bytearray(b"\x01") * n
         level = [-1] * n

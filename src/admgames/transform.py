@@ -184,11 +184,20 @@ def moore_layout(g: Game, player: int, origin, start, expand) -> MooreStrategy:
 
     `expand(mode)` returns the move taken in the mode, an arena edge or None
     where the player does not move, and the (arena vertex, next mode) pairs
-    the play continues with; it is called once per mode.  The memory state
-    of a mode is its index in `explore`'s breadth-first order from `start`,
-    and `origin` maps arena vertices to the vertices of `g` the strategy
-    reads.  The move table is total: where a mode never moves at one of
-    the player's vertices, it takes that vertex's first successor.
+    the play continues with; it is called once per mode.  `origin` maps
+    arena vertices to the vertices of `g` the strategy reads.
+
+    The result is the minimal Moore machine of the modes: two modes share a
+    memory state iff they take the same move at every vertex and, after
+    entering any vertex, go on in modes that share one.  The classes come
+    from signature refinement over the sparse mode data.  The first
+    partition is by the mode's move, where a move to the vertex's first
+    successor counts as no move; each round then splits a class by the
+    classes its `update` entries lead to, until no class splits.  Memory
+    states are numbered breadth first from the class of `start`, following
+    each class's entries in sorted vertex order.  The move table is total:
+    where a class never moves at one of the player's vertices, it takes
+    that vertex's first successor.
     """
     expanded = {}
 
@@ -196,25 +205,80 @@ def moore_layout(g: Game, player: int, origin, start, expand) -> MooreStrategy:
         _, outs = expanded[mode] = expand(mode)
         return [nxt for _, nxt in outs]
 
-    ids = {mode: m for m, mode in enumerate(explore(start, succ))}
-    update, moves = {}, {}
-    for mode, m in ids.items():
-        move, outs = expanded[mode]
+    graph = explore(start, succ)
+    index = {mode: i for i, mode in enumerate(graph)}
+    first = {v: g.successors(v)[0] for v in g.owner if g.owner[v] == player}
+    row, outs = [], []  # per mode: its non-default move, its sorted entries
+    for mode in graph:
+        move, pairs = expanded[mode]
         if move is not None:
-            moves[(m, origin(move[0]))] = origin(move[1])
-        for tv2, nxt in outs:
-            update[(m, origin(tv2))] = ids[nxt]
-    for v in sorted(g.owner):
-        if g.owner[v] == player:
-            for m in range(len(ids)):
-                moves.setdefault((m, v), g.successors(v)[0])
-    return MooreStrategy(
-        player=player,
-        memory=len(ids),
-        init_mem=0,
-        update={k: m2 for k, m2 in update.items() if m2 != k[0]},
-        moves=moves,
-    )
+            move = (origin(move[0]), origin(move[1]))
+            if first[move[0]] == move[1]:
+                move = None
+        row.append(move)
+        entries = {origin(tv2): index[nxt] for tv2, nxt in pairs}
+        outs.append(sorted(entries.items()))
+
+    cls = _number(row)
+    members = [[] for _ in range(max(cls) + 1)]
+    for i, c in enumerate(cls):
+        members[c].append(i)
+    preds = [[] for _ in row]
+    for i, entries in enumerate(outs):
+        for _, t in entries:
+            preds[t].append(i)
+    # A class is split again only when its signatures may have changed: a
+    # member's class or the class of one of its entries' targets moved.
+    dirty = range(len(members))
+    while dirty:
+        moved, split = [], []
+        for c in dirty:
+            if len(members[c]) < 2:
+                continue
+            parts = {}
+            for i in members[c]:
+                key = tuple([(v, cls[t]) for v, t in outs[i] if cls[t] != c])
+                parts.setdefault(key, []).append(i)
+            if len(parts) > 1:
+                members[c], *rest = parts.values()
+                split.append(c)
+                for part in rest:
+                    split.append(len(members))
+                    for i in part:
+                        cls[i] = len(members)
+                    members.append(part)
+                    moved += part
+        dirty = sorted({cls[p] for i in moved for p in preds[i]}.union(split))
+
+    # breadth-first numbering from the start class, through one member each
+    member = {}
+    for i, c in enumerate(cls):
+        member.setdefault(c, i)
+    ids = {cls[0]: 0}
+    order = [cls[0]]
+    for c in order:
+        for _, t in outs[member[c]]:
+            if cls[t] not in ids:
+                ids[cls[t]] = len(ids)
+                order.append(cls[t])
+    update, moves = {}, {}
+    for c in order:
+        m, i = ids[c], member[c]
+        if row[i] is not None:
+            moves[(m, row[i][0])] = row[i][1]
+        for v, t in outs[i]:
+            if cls[t] != c:
+                update[(m, v)] = ids[cls[t]]
+    for v in sorted(first):
+        for m in range(len(ids)):
+            moves.setdefault((m, v), first[v])
+    return MooreStrategy(player=player, memory=len(ids), init_mem=0, update=update, moves=moves)
+
+
+def _number(keys) -> list[int]:
+    """Class numbers of hashable keys, in order of first occurrence."""
+    seen = {}
+    return [seen.setdefault(k, len(seen)) for k in keys]
 
 
 def validate_strategy(g: Game, s: MooreStrategy) -> list[str]:

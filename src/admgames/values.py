@@ -21,6 +21,7 @@ from fractions import Fraction
 from .games import Game, check_history
 from .solvers import (
     CoalitionGame,
+    dense_arena,
     one_player_max_value,
     one_player_values,
     zero_sum_value,
@@ -76,8 +77,10 @@ def compute_value_table(g: Game) -> ValueTable:
     acval = {}
     avalues = {}
     wcs = {}
+    # the players' threshold games share one dense graph of the arena
+    dense = None if arena.measure.is_mean_payoff else dense_arena(arena)
     for player in range(1, g.players + 1):
-        pa, wcs[player] = zero_sum_value(CoalitionGame(arena, player), arena.measure)
+        pa, wcs[player] = zero_sum_value(CoalitionGame(arena, player), arena.measure, dense)
         pc = one_player_max_value(arena, player)
         for v in arena.owner:
             aval[(player, v)] = pa[v]

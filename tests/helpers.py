@@ -20,6 +20,7 @@ from admgames.solvers import (
     _scc_metric,
     bfs_path,
     cooperative_witness_lasso,
+    explore,
     solve_threshold,
     tarjan_sccs,
 )
@@ -481,6 +482,37 @@ def witness_lasso_per_call(g: Game, player: int, start, value, allowed=None) -> 
     lasso = Lasso(prefix=tuple(path[:-1]), cycle=tuple(cycle))
     assert payoff_of_lasso(g.measure, g, player, lasso) == value
     return lasso
+
+
+def mode_layout(g: Game, player: int, origin, start, expand) -> MooreStrategy:
+    """Reference for `transform.moore_layout` without the quotient: one
+    memory state per mode reachable from `start`, numbered breadth first,
+    and a move table filled with each vertex's first successor."""
+    expanded = {}
+
+    def succ(mode):
+        _, outs = expanded[mode] = expand(mode)
+        return [nxt for _, nxt in outs]
+
+    ids = {mode: m for m, mode in enumerate(explore(start, succ))}
+    update, moves = {}, {}
+    for mode, m in ids.items():
+        move, outs = expanded[mode]
+        if move is not None:
+            moves[(m, origin(move[0]))] = origin(move[1])
+        for tv2, nxt in outs:
+            update[(m, origin(tv2))] = ids[nxt]
+    for v in sorted(g.owner):
+        if g.owner[v] == player:
+            for m in range(len(ids)):
+                moves.setdefault((m, v), g.successors(v)[0])
+    return MooreStrategy(
+        player=player,
+        memory=len(ids),
+        init_mem=0,
+        update={k: m2 for k, m2 in update.items() if m2 != k[0]},
+        moves=moves,
+    )
 
 
 def memoryless(player: int, moves: dict) -> MooreStrategy:

@@ -31,6 +31,7 @@ from admgames.automata import automaton_to_dot
 from admgames.oracle import random_game, random_lasso
 
 from helpers import (
+    fixture_text,
     lasso_of_choice,
     load_game,
     memoryless,
@@ -365,6 +366,19 @@ def test_outcome_lasso_must_start_at_the_initial_vertex():
     lasso = Lasso(prefix=(), cycle=("v2", "v4"))  # an arena lasso, from v2 instead of v1
     with pytest.raises(ValueError, match="not at the initial vertex v1"):
         strategy_from_outcome(g, 1, lasso, t)
+
+
+def test_outcome_lasso_of_the_game_under_inf_names_lift_lasso():
+    lines = fixture_text("fig1_liminf.game").splitlines()
+    g = parse_game("\n".join(
+        "measure inf" if line.startswith("measure ") else line for line in lines
+    ) + "\n")
+    t = compute_value_table(g)
+    lasso = random_lasso(g, random.Random(0))  # a lasso of g, not of the rebuild
+    with pytest.raises(ValueError, match="must be one of the rebuilt arena.*lift_lasso"):
+        strategy_from_outcome(g, 1, lasso, t)
+    s = strategy_from_outcome(g, 1, lift_lasso(t.transformed, lasso), t)
+    assert check_strategy_admissible(g, s, t).admissible
 
 
 def test_synthesis_unrealizable_spec_against_own_condition():

@@ -1,6 +1,9 @@
 """Prefix-independence rebuild and strategy-product tests."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,17 +12,25 @@ from admgames import (
     GameFormatError,
     MooreStrategy,
     PayoffKind,
+    compute_value_table,
+    construct_sco,
+    construct_wco_candidate,
     lift_lasso,
     make_prefix_independent,
     parse_game,
+    parse_spec,
     parse_strategy,
     payoff_of_lasso,
     product_with_strategy,
     serialize_strategy,
+    synthesize_assume_admissible,
 )
+from admgames import admissibility, outcomes
+from admgames.admissibility import strategy_from_outcome
 from admgames.oracle import random_game, random_lasso
+from admgames.transform import moore_layout
 
-from helpers import load_game, load_strategy, memoryless
+from helpers import FIXTURES, load_game, load_strategy, memoryless, mode_layout
 
 F = Fraction
 
@@ -163,3 +174,136 @@ def test_strategy_round_trip():
         moves={(m, "s1"): "s2" for m in range(3)},
     )
     assert parse_strategy(serialize_strategy(counting)) == counting
+
+
+# ---------------------------------------------------------------------------
+# minimal Moore layout
+
+
+def _capture_layouts(monkeypatch):
+    """Record the arguments of every `moore_layout` call the constructors make."""
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return moore_layout(*args)
+
+    monkeypatch.setattr(admissibility, "moore_layout", recording)
+    monkeypatch.setattr(outcomes, "moore_layout", recording)
+    return calls
+
+
+def _same_moves_along_random_histories(g, quotient, modes, rng, runs=20, steps=30):
+    """Both machines read random plays of `g` (the owner sometimes leaves
+    the strategy too) and must pick the same move wherever the owner moves."""
+    player = quotient.player
+    for _ in range(runs):
+        v, mq, mm = g.init, quotient.init_mem, modes.init_mem
+        for _ in range(steps):
+            if g.owner[v] == player:
+                move = quotient.moves[(mq, v)]
+                assert move == modes.moves[(mm, v)], (v, mq, mm)
+                nxt = move if rng.random() < 0.8 else rng.choice(g.successors(v))
+            else:
+                nxt = rng.choice(g.successors(v))
+            v, mq, mm = nxt, quotient.next_memory(mq, nxt), modes.next_memory(mm, nxt)
+
+
+def test_quotient_plays_like_the_mode_layout(monkeypatch):
+    calls = _capture_layouts(monkeypatch)
+    spec = parse_spec("payoff(1) >= 1\n")
+    rng = random.Random(11)
+    kinds = set()
+    for measure in PayoffKind:
+        for seed in range(6):
+            g = random_game(seed, size=5 + seed % 2, measure=measure)
+            table = compute_value_table(g)
+            for player in (1, 2):
+                construct_sco(g, player, table)
+                construct_wco_candidate(g, player, table)
+                lasso = random_lasso(table.arena, random.Random(seed))
+                strategy_from_outcome(g, player, lasso, table)
+                kinds.update(("sco", "wco", "follow"))
+                if not measure.is_mean_payoff:
+                    if synthesize_assume_admissible(g, player, spec).realizable:
+                        kinds.add("synth")
+    assert kinds == {"sco", "wco", "follow", "synth"}
+    shrunk = 0
+    for args in calls:
+        quotient, modes = moore_layout(*args), mode_layout(*args)
+        assert quotient.memory <= modes.memory
+        shrunk += quotient.memory < modes.memory
+        _same_moves_along_random_histories(args[0], quotient, modes, rng)
+    assert shrunk > len(calls) // 4
+
+
+def test_modes_with_the_same_behaviour_share_one_memory_state():
+    g = parse_game(
+        "players 2\nmeasure liminf\ninit a\n"
+        "vertex a 1\nvertex b 2\n"
+        "edge a b 0 0\nedge a a 1 1\nedge b a 0 0\n"
+    )
+
+    def expand(k):  # two modes that swap on every vertex and both loop at a
+        return ("a", "a"), [("b", 1 - k), ("a", 1 - k)]
+
+    assert mode_layout(g, 1, str, 0, expand).memory == 2
+    s = moore_layout(g, 1, str, 0, expand)
+    assert serialize_strategy(s) == "strategy 1\nmemory 1\ninitmem 0\nmove 0 a a\n"
+
+
+def test_modes_that_differ_keep_their_memory_states():
+    g = parse_game(
+        "players 2\nmeasure liminf\ninit a\n"
+        "vertex a 1\nvertex b 2\n"
+        "edge a b 0 0\nedge a a 1 1\nedge b a 0 0\n"
+    )
+
+    # mode k loops at a until the third visit, then leaves for b for good
+    def expand(k):
+        move = ("a", "a") if k < 2 else ("a", "b")
+        return move, [("a", min(k + 1, 2)), ("b", 2)]
+
+    s = moore_layout(g, 1, str, 0, expand)
+    assert s.memory == 3
+    assert [s.moves[(m, "a")] for m in range(3)] == ["a", "a", "b"]
+
+
+_LAYOUT_SCRIPT = """
+import sys
+from admgames import compute_value_table, construct_sco, construct_wco_candidate, parse_game
+from admgames.transform import serialize_strategy
+for name, measure in (("fig1.game", "sup"), ("fig1_liminf.game", "as-is"), ("fig2.game", "inf")):
+    lines = open(sys.argv[1] + "/" + name).read().splitlines()
+    if measure != "as-is":
+        lines = ["measure " + measure if l.startswith("measure ") else l for l in lines]
+    g = parse_game("\\n".join(lines) + "\\n")
+    table = compute_value_table(g)
+    for player in range(1, g.players + 1):
+        sys.stdout.write(serialize_strategy(construct_sco(g, player, table)))
+        sys.stdout.write(serialize_strategy(construct_wco_candidate(g, player, table)[0]))
+"""
+
+
+def test_layout_text_does_not_depend_on_the_hash_seed():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", _LAYOUT_SCRIPT, str(FIXTURES)],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("strategy ") == 12
+
+
+def test_laying_out_the_same_modes_twice_gives_the_same_text(monkeypatch):
+    calls = _capture_layouts(monkeypatch)
+    for measure in (PayoffKind.SUP, PayoffKind.LIMINF):
+        g = random_game(3, size=6, measure=measure)
+        construct_sco(g, 1)
+        construct_wco_candidate(g, 2)
+    assert len(calls) == 4
+    for args in calls:
+        assert serialize_strategy(moore_layout(*args)) == serialize_strategy(moore_layout(*args))
