@@ -192,12 +192,14 @@ def moore_layout(g: Game, player: int, origin, start, expand) -> MooreStrategy:
     entering any vertex, go on in modes that share one.  The classes come
     from signature refinement over the sparse mode data.  The first
     partition is by the mode's move, where a move to the vertex's first
-    successor counts as no move; each round then splits a class by the
-    classes its `update` entries lead to, until no class splits.  Memory
-    states are numbered breadth first from the class of `start`, following
-    each class's entries in sorted vertex order.  The move table is total:
-    where a class never moves at one of the player's vertices, it takes
-    that vertex's first successor.
+    successor counts as no move.  Then a class is split by the classes its
+    members' `update` entries lead to (an entry into the member's own
+    class is the same as none), and split again whenever a member's class
+    or a target's class has changed, until no class splits.  Memory states
+    are the classes, numbered breadth first from the class of `start`,
+    following each class's entries in sorted vertex order, not the modes'
+    indices.  The move table is total: where a class never moves at one of
+    the player's vertices, it takes that vertex's first successor.
     """
     expanded = {}
 
@@ -219,8 +221,9 @@ def moore_layout(g: Game, player: int, origin, start, expand) -> MooreStrategy:
         entries = {origin(tv2): index[nxt] for tv2, nxt in pairs}
         outs.append(sorted(entries.items()))
 
-    cls = _number(row)
-    members = [[] for _ in range(max(cls) + 1)]
+    first_rows = {}
+    cls = [first_rows.setdefault(r, len(first_rows)) for r in row]
+    members = [[] for _ in first_rows]
     for i, c in enumerate(cls):
         members[c].append(i)
     preds = [[] for _ in row]
@@ -250,20 +253,17 @@ def moore_layout(g: Game, player: int, origin, start, expand) -> MooreStrategy:
                     moved += part
         dirty = sorted({cls[p] for i in moved for p in preds[i]}.union(split))
 
-    # breadth-first numbering from the start class, through one member each
-    member = {}
-    for i, c in enumerate(cls):
-        member.setdefault(c, i)
+    # breadth-first numbering from the start class, through its first member
     ids = {cls[0]: 0}
     order = [cls[0]]
     for c in order:
-        for _, t in outs[member[c]]:
+        for _, t in outs[members[c][0]]:
             if cls[t] not in ids:
                 ids[cls[t]] = len(ids)
                 order.append(cls[t])
     update, moves = {}, {}
     for c in order:
-        m, i = ids[c], member[c]
+        m, i = ids[c], members[c][0]
         if row[i] is not None:
             moves[(m, row[i][0])] = row[i][1]
         for v, t in outs[i]:
@@ -274,11 +274,6 @@ def moore_layout(g: Game, player: int, origin, start, expand) -> MooreStrategy:
             moves.setdefault((m, v), first[v])
     return MooreStrategy(player=player, memory=len(ids), init_mem=0, update=update, moves=moves)
 
-
-def _number(keys) -> list[int]:
-    """Class numbers of hashable keys, in order of first occurrence."""
-    seen = {}
-    return [seen.setdefault(k, len(seen)) for k in keys]
 
 
 def validate_strategy(g: Game, s: MooreStrategy) -> list[str]:
