@@ -209,21 +209,21 @@ def moore_layout(g: Game, player: int, origin, start, expand) -> MooreStrategy:
 
     graph = explore(start, succ)
     index = {mode: i for i, mode in enumerate(graph)}
-    first = {v: g.successors(v)[0] for v in g.owner if g.owner[v] == player}
+    default = {v: g.successors(v)[0] for v in g.owner if g.owner[v] == player}
     row, outs = [], []  # per mode: its non-default move, its sorted entries
     for mode in graph:
         move, pairs = expanded[mode]
         if move is not None:
             move = (origin(move[0]), origin(move[1]))
-            if first[move[0]] == move[1]:
+            if default[move[0]] == move[1]:
                 move = None
         row.append(move)
         entries = {origin(tv2): index[nxt] for tv2, nxt in pairs}
         outs.append(sorted(entries.items()))
 
-    first_rows = {}
-    cls = [first_rows.setdefault(r, len(first_rows)) for r in row]
-    members = [[] for _ in first_rows]
+    by_row = {}
+    cls = [by_row.setdefault(r, len(by_row)) for r in row]
+    members = [[] for _ in by_row]
     for i, c in enumerate(cls):
         members[c].append(i)
     preds = [[] for _ in row]
@@ -269,9 +269,9 @@ def moore_layout(g: Game, player: int, origin, start, expand) -> MooreStrategy:
         for v, t in outs[i]:
             if cls[t] != c:
                 update[(m, v)] = ids[cls[t]]
-    for v in sorted(first):
+    for v in sorted(default):
         for m in range(len(ids)):
-            moves.setdefault((m, v), first[v])
+            moves.setdefault((m, v), default[v])
     return MooreStrategy(player=player, memory=len(ids), init_mem=0, update=update, moves=moves)
 
 
