@@ -12,7 +12,7 @@ keeps its original payoff.  The other four measures pass through untouched.
 arena: the strategy owner's choices are resolved by the transducer, all
 other players keep their choices, and memory advances on every traversed
 edge.  `moore_layout` turns the modes of a strategy construction into a
-Moore strategy; every constructed strategy goes through it.  All three
+minimal Moore strategy; every constructed strategy goes through it.  All three
 explore their states with `solvers.explore` and number them, where they
 need numbers or names, in its breadth-first discovery order.
 """
