@@ -213,7 +213,7 @@ def test_quotient_plays_like_the_mode_layout(monkeypatch):
     calls = _capture_layouts(monkeypatch)
     spec = parse_spec("payoff(1) >= 1\n")
     rng = random.Random(11)
-    kinds = set()
+    realizable = 0
     for measure in PayoffKind:
         for seed in range(6):
             g = random_game(seed, size=5 + seed % 2, measure=measure)
@@ -223,11 +223,9 @@ def test_quotient_plays_like_the_mode_layout(monkeypatch):
                 construct_wco_candidate(g, player, table)
                 lasso = random_lasso(table.arena, random.Random(seed))
                 strategy_from_outcome(g, player, lasso, table)
-                kinds.update(("sco", "wco", "follow"))
                 if not measure.is_mean_payoff:
-                    if synthesize_assume_admissible(g, player, spec).realizable:
-                        kinds.add("synth")
-    assert kinds == {"sco", "wco", "follow", "synth"}
+                    realizable += synthesize_assume_admissible(g, player, spec).realizable
+    assert realizable > 0  # some synth strategies are among the layouts
     shrunk = 0
     for args in calls:
         quotient, modes = moore_layout(*args), mode_layout(*args)
