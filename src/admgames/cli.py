@@ -37,8 +37,11 @@ from .values import compute_value_table
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise GameFormatError(f"{path}: not UTF-8 text at byte {exc.start}") from None
 
 
 def _load_game(args) -> Game:
@@ -231,11 +234,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        import networkx  # noqa: F401  (the brute-force lasso enumeration needs it)
-    except ImportError:
-        print("error: oracle needs networkx: pip install 'admgames[oracle]'", file=sys.stderr)
-        return 2
     g = _load_game(args)
     table = compute_value_table(g)
     rows = []

@@ -281,9 +281,10 @@ def parse_game(text: str) -> Game:
         if kind in ("players", "measure", "init"):
             declared.add(kind)
         if kind == "players":
-            if len(args) != 1 or not args[0].isdigit():
-                raise GameFormatError("players expects one positive integer", lineno)
-            players = int(args[0])
+            try:
+                (players,) = map(int, args)
+            except ValueError:
+                raise GameFormatError("players expects one positive integer", lineno) from None
             if players < 1:
                 raise GameFormatError("players must be >= 1", lineno)
         elif kind == "measure":

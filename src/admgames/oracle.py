@@ -4,7 +4,9 @@ Everything here is deliberately independent of the solver stack: values are
 obtained by exhaustive enumeration of memoryless strategy profiles (valid
 because all six measures admit memoryless optima on finite arenas for both
 the protagonist and the merged coalition) and of simple-prefix/simple-cycle
-lassos (via networkx cycle and path enumeration).  Intended for small
+lassos.  Paths and cycles are enumerated by plain depth-first search: each
+simple cycle once, from its least vertex through larger vertices only, in
+the spirit of Johnson (SIAM J. Comput. 1975).  Intended for small
 instances; every entry point enforces a vertex bound.
 """
 
@@ -14,7 +16,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from .games import Game, Lasso, PayoffKind, payoff_of_lasso, validate
+from .games import Game, Lasso, PayoffKind, payoff_of_lasso, run_until_repeat, validate
 
 __all__ = [
     "OracleBoundError",
@@ -46,19 +48,6 @@ def _profiles(g: Game, verts):
         yield dict(zip(verts, combo))
 
 
-def _lasso_of_choice(g: Game, choice: dict, start) -> Lasso:
-    """The eventually periodic play induced by a total successor choice."""
-    seen = {}
-    seq = [start]
-    v = start
-    while v not in seen:
-        seen[v] = len(seq) - 1
-        v = choice[v]
-        seq.append(v)
-    k = seen[v]
-    return Lasso(prefix=tuple(seq[:k]), cycle=tuple(seq[k:-1]))
-
-
 def brute_zero_sum(g: Game, player: int, bound: int | None = None) -> dict:
     """max over own memoryless strategies of min over coalition profiles."""
     _check_bound(g, bound)
@@ -70,7 +59,8 @@ def brute_zero_sum(g: Game, player: int, bound: int | None = None) -> dict:
         for tau in _profiles(g, others):
             choice = {**sigma, **tau}
             for v in g.owner:
-                pay = payoff_of_lasso(g.measure, g, player, _lasso_of_choice(g, choice, v))
+                prefix, cycle = run_until_repeat(v, choice.__getitem__)
+                pay = payoff_of_lasso(g.measure, g, player, Lasso(tuple(prefix), tuple(cycle)))
                 if worst[v] is None or pay < worst[v]:
                     worst[v] = pay
         for v in g.owner:
@@ -79,34 +69,53 @@ def brute_zero_sum(g: Game, player: int, bound: int | None = None) -> dict:
     return best
 
 
-def _all_lassos_from(g: Game, start, nodes):
-    """Simple-prefix + simple-cycle lassos from start inside `nodes`."""
-    import networkx as nx  # only the brute-force enumeration needs it
+def _simple_paths(g: Game, path: tuple, nodes):
+    """`path` and every simple path inside `nodes` that extends it."""
+    yield path
+    for w in g.succ[path[-1]]:
+        if w in nodes and w not in path:
+            yield from _simple_paths(g, path + (w,), nodes)
 
-    sub = nx.DiGraph()
-    sub.add_nodes_from(nodes)
-    sub.add_edges_from((u, v) for (u, v) in g.weights if u in nodes and v in nodes)
-    for cyc in nx.simple_cycles(sub):
+
+def _simple_cycles(g: Game, nodes):
+    """Every simple cycle inside `nodes` once, starting at its least vertex."""
+    for root in sorted(nodes):
+        above = {v for v in nodes if v >= root}
+        for path in _simple_paths(g, (root,), above):
+            if g.has_edge(path[-1], root):
+                yield path
+
+
+def _lassos_from(g: Game, start, nodes):
+    """Simple-prefix + simple-cycle lassos from start inside `nodes`."""
+    prefixes: dict = {}
+    for path in _simple_paths(g, (start,), nodes):
+        prefixes.setdefault(path[-1], []).append(path[:-1])
+    for cyc in _simple_cycles(g, prefixes.keys()):
         for i, entry in enumerate(cyc):
-            rot = tuple(cyc[i:] + cyc[:i])
-            if start == entry:
-                yield Lasso(prefix=(), cycle=rot)
-            for path in nx.all_simple_paths(sub, start, entry):
-                yield Lasso(prefix=tuple(path[:-1]), cycle=rot)
+            rot = cyc[i:] + cyc[:i]
+            for prefix in prefixes[entry]:
+                yield Lasso(prefix=prefix, cycle=rot)
+
+
+def _best_payoff(g: Game, player: int, start, nodes) -> Fraction | None:
+    """Best lasso payoff from start inside `nodes`.
+
+    A prefix-independent payoff reads only the cycle, so each simple cycle
+    reachable from start is scored once.
+    """
+    if g.measure.prefix_independent:
+        reach = {path[-1] for path in _simple_paths(g, (start,), nodes)}
+        lassos = (Lasso(prefix=(), cycle=c) for c in _simple_cycles(g, reach))
+    else:
+        lassos = _lassos_from(g, start, nodes)
+    return max((payoff_of_lasso(g.measure, g, player, l) for l in lassos), default=None)
 
 
 def brute_cooperative(g: Game, player: int, bound: int | None = None) -> dict:
     """Best lasso payoff over exhaustive lasso enumeration, per vertex."""
     _check_bound(g, bound)
-    out = {}
-    for v in g.owner:
-        best = None
-        for lasso in _all_lassos_from(g, v, set(g.owner)):
-            pay = payoff_of_lasso(g.measure, g, player, lasso)
-            if best is None or pay > best:
-                best = pay
-        out[v] = best
-    return out
+    return {v: _best_payoff(g, player, v, g.owner.keys()) for v in g.owner}
 
 
 def brute_acval(
@@ -122,12 +131,7 @@ def brute_acval(
         _check_bound(g, bound)
         aval = brute_zero_sum(g, player, bound)
     nodes = {v for v in g.owner if aval[v] >= aval[vertex]}
-    best = None
-    for lasso in _all_lassos_from(g, vertex, nodes):
-        pay = payoff_of_lasso(g.measure, g, player, lasso)
-        if best is None or pay > best:
-            best = pay
-    return best
+    return _best_payoff(g, player, vertex, nodes)
 
 
 def brute_value_table(g: Game, player: int, bound: int | None = None) -> dict:

@@ -232,11 +232,38 @@ def test_player_out_of_range_exit_2(capsys, command, over):
     assert err.startswith("error: --player ") and err.count("\n") == 1
 
 
-def test_oracle_without_networkx_exit_2(monkeypatch, capsys):
-    monkeypatch.setitem(sys.modules, "networkx", None)  # import raises ImportError
-    assert run(["oracle", fx("fig3.game")]) == 2
+def test_oracle_runs_without_networkx(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "networkx", None)  # any import of it raises ImportError
+    assert run(["oracle", fx("fig3.game")]) == 0
+    assert "mismatches: 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", ["game", "strategy", "spec", "automaton"])
+def test_non_utf8_file_exit_2(tmp_path, capsys, kind):
+    trans = "".join(f"trans ok {u} {v} ok\n" for (u, v) in load_game("fig1.game").weights)
+    files = {
+        "game": ("g.game", fixture_text("fig1_liminf.game")),
+        "strategy": ("s.strat", fixture_text("fig1_p2_stay.strat")),
+        "spec": ("s.spec", 'automaton "all.aut"\n'),
+        "automaton": ("all.aut", "state ok\ninitial ok\npriority ok 0\n" + trans),
+    }
+    for name, (file, text) in files.items():
+        bad = b"# \xff\n" if name == kind else b""
+        (tmp_path / file).write_bytes(text.encode() + bad)
+    game, strat, spec = (str(tmp_path / files[k][0]) for k in ("game", "strategy", "spec"))
+    argv = ["check", game, strat] if kind == "strategy" else ["mc", game, "--spec", spec]
+    assert run(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "networkx" in err and err.count("\n") == 1
+    assert err.startswith(f"error: {tmp_path / files[kind][0]}: not UTF-8 text")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("count", ["\u00b2", "+", "1 2"], ids=["superscript-two", "sign", "two"])
+def test_bad_player_count_exit_2(tmp_path, capsys, count):
+    bad = tmp_path / "bad.game"
+    bad.write_text(f"players {count}\nmeasure liminf\ninit a\nvertex a 1\nedge a a 1\n", "utf-8")
+    assert run(["values", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: line 1: players expects one positive integer\n"
 
 
 def test_usage_error_exit_2():
@@ -245,12 +272,19 @@ def test_usage_error_exit_2():
     assert e.value.code == 2
 
 
-def test_cli_import_leaves_networkx_unloaded():
-    # networkx serves only the brute-force oracle's lasso enumeration
+def test_cli_oracle_imports_only_stdlib():
+    # compared with a snapshot: `site` may already have loaded third-party modules
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, admgames.cli; print('networkx' in sys.modules)"
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import admgames.cli\n"
+        f"assert admgames.cli.run(['oracle', {fx('fig3.game')!r}]) == 0\n"
+        "allowed = sys.stdlib_module_names | {'admgames'}\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] not in allowed))\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "[]"

@@ -1,10 +1,16 @@
 """Brute-force oracle self-checks and random game generation."""
 
+import random
+from itertools import product
+
 import pytest
 
-from admgames import PayoffKind, serialize_game, validate
+from admgames import Lasso, PayoffKind, payoff_of_lasso, serialize_game, validate
 from admgames.oracle import (
     OracleBoundError,
+    _best_payoff,
+    _lassos_from,
+    _simple_cycles,
     brute_acval,
     brute_cooperative,
     brute_zero_sum,
@@ -71,3 +77,41 @@ def test_bound_enforced():
     g = random_game(0, size=6)
     with pytest.raises(OracleBoundError):
         brute_zero_sum(g, 1, bound=4)
+
+
+def _naive_paths(g, nodes):
+    """Every simple path inside `nodes`, from all vertex tuples up to length |nodes|."""
+    return [
+        seq
+        for k in range(1, len(nodes) + 1)
+        for seq in product(sorted(nodes), repeat=k)
+        if len(set(seq)) == k and all(g.has_edge(u, v) for u, v in zip(seq, seq[1:]))
+    ]
+
+
+def test_lasso_enumeration_matches_naive_vertex_sequences():
+    rng = random.Random(0)
+    self_loops = 0
+    for seed in range(60):
+        for measure in PayoffKind:
+            g = random_game(seed, size=1 + seed % 4, measure=measure)
+            self_loops += sum(u == v for u, v in g.weights)
+            everything = _naive_paths(g, g.owner.keys())
+            least_first = [c for c in everything if g.has_edge(c[-1], c[0]) and c[0] == min(c)]
+            assert sorted(_simple_cycles(g, g.owner.keys())) == sorted(least_first)
+            for start in sorted(g.owner):
+                nodes = {v for v in g.owner if v == start or rng.random() < 0.75}
+                paths = _naive_paths(g, nodes)
+                cycles = [c for c in paths if g.has_edge(c[-1], c[0])]
+                naive = {
+                    Lasso(prefix=p[:-1], cycle=c)
+                    for p in paths
+                    if p[0] == start
+                    for c in cycles
+                    if c[0] == p[-1]
+                }
+                assert set(_lassos_from(g, start, nodes)) == naive, (seed, start, nodes)
+                for player in (1, 2):
+                    pays = [payoff_of_lasso(measure, g, player, lasso) for lasso in naive]
+                    assert _best_payoff(g, player, start, nodes) == max(pays, default=None)
+    assert self_loops
