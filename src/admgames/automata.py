@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .games import Game, GameFormatError, Lasso, run_until_repeat
+from .games import Game, GameFormatError, Lasso, parse_int, run_until_repeat
 from .solvers import explore
 
 __all__ = [
@@ -213,7 +213,7 @@ def parse_automaton(text: str) -> EdgeAutomaton:
             if args[0] in priority:
                 raise GameFormatError(f"duplicate priority for state {args[0]}", lineno)
             try:
-                priority[args[0]] = int(args[1])
+                priority[args[0]] = parse_int(args[1])
             except ValueError:
                 raise GameFormatError(f"bad priority {args[1]!r}", lineno) from None
         elif kind == "trans" and len(args) == 4:

@@ -25,6 +25,7 @@ __all__ = [
     "Lasso",
     "run_until_repeat",
     "GameFormatError",
+    "parse_int",
     "parse_rational",
     "format_rational",
     "parse_game",
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 VERTEX_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 class PayoffKind(Enum):
@@ -80,13 +82,25 @@ class GameFormatError(ValueError):
         super().__init__(message)
 
 
+def parse_int(text: str) -> int:
+    """Parse a plain ASCII decimal integer, `-?[0-9]+`.
+
+    Every integer field of the input formats goes through here: bare `int()`
+    also takes a leading `+`, underscores, surrounding whitespace and
+    non-ASCII digits.
+    """
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(f"bad integer {text!r}")
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse an integer or p/q literal into an exact rational."""
     try:
         if "/" in text:
             num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+            return Fraction(parse_int(num), parse_int(den))
+        return Fraction(parse_int(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational {text!r}") from exc
 
@@ -282,7 +296,7 @@ def parse_game(text: str) -> Game:
             declared.add(kind)
         if kind == "players":
             try:
-                (players,) = map(int, args)
+                (players,) = map(parse_int, args)
             except ValueError:
                 raise GameFormatError("players expects one positive integer", lineno) from None
             if players < 1:
@@ -306,7 +320,7 @@ def parse_game(text: str) -> Game:
             if vid in owner:
                 raise GameFormatError(f"duplicate vertex {vid}", lineno)
             try:
-                owner[vid] = int(own)
+                owner[vid] = parse_int(own)
             except ValueError:
                 raise GameFormatError(f"bad owner {own!r}", lineno) from None
         elif kind == "edge":

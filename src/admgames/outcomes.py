@@ -39,6 +39,7 @@ from .games import (
     GameFormatError,
     Lasso,
     PayoffKind,
+    parse_int,
     parse_rational,
     payoff_of_lasso,
     run_until_repeat,
@@ -249,7 +250,7 @@ class PayoffSpec:
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(payoff|automaton|true|false|&&|\|\||!|\(|\)|<=|>=|=|<|>|\"[^\"]*\"|-?\d+(?:/\d+)?)"
+    r"\s*(payoff|automaton|true|false|&&|\|\||!|\(|\)|<=|>=|=|<|>|\"[^\"]*\"|-?[0-9]+(?:/[0-9]+)?)"
 )
 
 
@@ -347,7 +348,7 @@ def parse_spec(text: str, automaton_loader=None) -> PayoffSpec:
             take("(")
             tok = take()
             try:
-                player = int(tok)
+                player = parse_int(tok)
             except ValueError:
                 raise GameFormatError(f"spec: bad player {tok!r}") from None
             take(")")

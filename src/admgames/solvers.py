@@ -5,24 +5,25 @@ players merged into a single minimizer.  For INF/SUP/LIMINF/LIMSUP the
 per-vertex game value always belongs to the finite set of edge weights, so
 values are computed by sweeping threshold games (safety, reachability,
 Buchi, coBuchi) over that set, each solved inside the winning region of the
-one below it, except for SUP.  The sweep runs on a dense integer copy of
-the game, built once per coalition game: states numbered in `_key` order,
-and each edge's weight replaced by its rank among the player's distinct
-weights, so an edge is heavy for the t-th threshold iff its rank is at
-least t.  All four games rest on one attractor, `_dense_attr`, the one
-Zielonka's algorithm uses too: reachability and Buchi use it directly, and
-the safety region and each stage of the coBuchi fixpoint are complements of
-the opponent's attractor to the edges the player must avoid.  Mean-payoff
-values are rationals with denominator at most the vertex count on
-integer-scaled weights; they are found by a divide-and-conquer search over
-these candidates that solves energy games (Brim et al.'s progress measure)
-for "mean payoff >= lam" and its dual "<= lam".  Every mean-payoff table is
-certified before it is returned: positional strategies for both sides, read
-off the energy games at each vertex's value, are evaluated exactly and must
-meet the table at every vertex.  Worst-case-optimal strategies come from
-the value solve itself, never from a second one: the threshold regions'
-moves for the extremum measures, the certificate's player strategy for mean
-payoff.
+one below it, except for SUP.  Every measure works on one dense integer
+copy of the coalition game, `_DenseThreshold`: states numbered in `_key`
+order, sharing the arena's successor and predecessor lists across its
+players, and each edge's weight scaled to an integer by the lcm of the
+player's denominators, so an edge is heavy for a threshold iff its scaled
+weight is at least the scaled threshold.  All four threshold games rest on
+one attractor, `_dense_attr`, the one Zielonka's algorithm uses too:
+reachability and Buchi use it directly, and the safety region and each
+stage of the coBuchi fixpoint are complements of the opponent's attractor
+to the edges the player must avoid.  Mean-payoff values are rationals with
+denominator at most the vertex count on the same scaled weights; they are
+found by a divide-and-conquer search over these candidates that solves
+energy games (Brim et al.'s progress measure) for "mean payoff >= lam" and
+its dual "<= lam".  Every mean-payoff table is certified before it is
+returned: positional strategies for both sides, read off the energy games
+at each vertex's value, are evaluated exactly and must meet the table at
+every vertex.  Worst-case-optimal strategies come from the value solve
+itself, never from a second one: the threshold regions' moves for the
+extremum measures, the certificate's player strategy for mean payoff.
 
 One-player optima (all players cooperating, or the coalition minimizing
 against a fixed strategy) reduce to cycle analysis: strongly connected
@@ -42,11 +43,10 @@ coincide because weight sequences are monotone along every play.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm
+from math import ceil, inf, lcm
 
 from .games import Game, Lasso, PayoffKind, payoff_of_lasso
 
@@ -329,12 +329,11 @@ class _DenseThreshold:
 
     It shares the numbering and the successor and predecessor lists of
     `arena`, the arena's `dense_arena` (built here if not given), and
-    derives only the owner bits and ranks of its player.  `levels` are the
-    player's distinct weights in increasing order, and `rank[i][k]` is the
-    index in `levels` of the weight of state i's k-th move.  The ranks are
-    found once, exactly, on the weights scaled to integers by the lcm of
-    their denominators; a move is heavy for the threshold `levels[t]` iff
-    its rank is at least t.
+    derives only the owner bits and weights of its player.  `weight[i][k]`
+    is the weight of state i's k-th move times `denom`, the lcm of the
+    player's weight denominators; `ints` are the distinct scaled weights in
+    increasing order and `levels` the weights they stand for.  A move is
+    heavy for the scaled threshold x iff its scaled weight is at least x.
     """
 
     def __init__(self, cg: CoalitionGame, arena: _DenseGraph | None = None):
@@ -343,23 +342,23 @@ class _DenseThreshold:
             arena = dense_arena(g)
         self.verts, self.idx, self.succ, self.pred = arena.verts, arena.idx, arena.succ, arena.pred
         self.owner = [int(o == cg.player) for o in arena.owner]
-        ws = {e: w[cg.player - 1] for e, w in g.weights.items()}
-        denom = lcm(*(w.denominator for w in ws.values()))
+        ws = g.player_weights(cg.player)
+        self.denom = denom = lcm(*(w.denominator for w in ws.values()))
         scaled = {e: w.numerator * (denom // w.denominator) for e, w in ws.items()}
-        ints = sorted(set(scaled.values()))
-        at = {x: r for r, x in enumerate(ints)}
-        self.levels = [Fraction(x, denom) for x in ints]
-        self.rank = [[at[scaled[(v, w)]] for w in g.succ[v]] for v in self.verts]
+        self.weight = [[scaled[(v, w)] for w in g.succ[v]] for v in self.verts]
+        self.ints = sorted(set(scaled.values()))
+        self.levels = [Fraction(x, denom) for x in self.ints]
 
-    def heavy(self, t):
-        """The target-edge lister, for `_dense_attr`, of the moves of rank >= t."""
-        succ, rank = self.succ, self.rank
-        return lambda v: [w for w, r in zip(succ[v], rank[v]) if r >= t]
+    def heavy(self, x):
+        """The target-edge lister, for `_dense_attr`, of the moves of scaled
+        weight >= x."""
+        succ, weight = self.succ, self.weight
+        return lambda v: [w for w, c in zip(succ[v], weight[v]) if c >= x]
 
-    def light(self, t):
-        """The target-edge lister of the moves of rank < t."""
-        succ, rank = self.succ, self.rank
-        return lambda v: [w for w, r in zip(succ[v], rank[v]) if r < t]
+    def light(self, x):
+        """The target-edge lister of the moves of scaled weight < x."""
+        succ, weight = self.succ, self.weight
+        return lambda v: [w for w, c in zip(succ[v], weight[v]) if c < x]
 
 
 def _avoid(dg, player, edges, within, inside):
@@ -394,9 +393,9 @@ def _buchi(dg, player, edges, within, inside):
     return [], inside, {}
 
 
-def _cobuchi(dt: _DenseThreshold, t, within, inside):
+def _cobuchi(dt: _DenseThreshold, x, within, inside):
     """Winning set and strategy of the max player for eventually crossing
-    only heavy moves, those of rank at least t.
+    only heavy moves, those of scaled weight at least x.
 
     Two-level fixpoint: the inner stage computes the largest set the player
     can hold using heavy moves or one-step drops into the already-won set,
@@ -404,54 +403,54 @@ def _cobuchi(dt: _DenseThreshold, t, within, inside):
     drops strictly decrease the inclusion level, so only finitely many
     light moves occur along any play following the recorded moves.
     """
-    owner, succ, rank = dt.owner, dt.succ, dt.rank
+    owner, succ, weight = dt.owner, dt.succ, dt.weight
     won, inwon = [], bytearray(len(owner))
     strat = {}
     while True:
         y, iny = _avoid(
-            dt, 1, lambda v: [w for w, r in zip(succ[v], rank[v]) if r < t and not inwon[w]],
+            dt, 1, lambda v: [w for w, c in zip(succ[v], weight[v]) if c < x and not inwon[w]],
             within, inside,
         )
         if y == won:
             break
         for v in y:
             if owner[v] and not inwon[v]:
-                good = [w for w, r in zip(succ[v], rank[v]) if r >= t and iny[w]]
+                good = [w for w, c in zip(succ[v], weight[v]) if c >= x and iny[w]]
                 strat[v] = min(good) if good else min(w for w in succ[v] if inwon[w])
         won, inwon = y, iny
 
-    lost = _buchi(dt, 0, dt.light(t), within, inside)[1]
+    lost = _buchi(dt, 0, dt.light(x), within, inside)[1]
     assert won == [v for v in within if not lost[v]], (
         "coBuchi region must complement the Buchi dual"
     )
     return won, inwon, strat
 
 
-def _threshold(dt: _DenseThreshold, measure: PayoffKind, t, within, inside):
-    """The max player's winning set and moves in "payoff >= levels[t]".
+def _threshold(dt: _DenseThreshold, measure: PayoffKind, x, within, inside):
+    """The max player's winning set and moves in "payoff >= x / denom".
 
     SUP is reachability of a heavy move, INF safety against light moves,
     LIMSUP a Buchi condition on heavy moves, LIMINF the dual coBuchi
     condition.
     """
-    owner, succ, rank = dt.owner, dt.succ, dt.rank
+    owner, succ, weight = dt.owner, dt.succ, dt.weight
     if measure is PayoffKind.SUP:
         strat = {}
         win = bytearray(len(owner))
-        for v in _dense_attr(dt, 1, (), inside, strat, within, dt.heavy(t)):
+        for v in _dense_attr(dt, 1, (), inside, strat, within, dt.heavy(x)):
             win[v] = 1
         return [v for v in within if win[v]], win, strat
     if measure is PayoffKind.INF:
-        safe, keep = _avoid(dt, 1, dt.light(t), within, inside)
+        safe, keep = _avoid(dt, 1, dt.light(x), within, inside)
         strat = {
-            v: min(w for w, r in zip(succ[v], rank[v]) if r >= t and keep[w])
+            v: min(w for w, c in zip(succ[v], weight[v]) if c >= x and keep[w])
             for v in safe
             if owner[v]
         }
         return safe, keep, strat
     if measure is PayoffKind.LIMSUP:
-        return _buchi(dt, 1, dt.heavy(t), within, inside)
-    return _cobuchi(dt, t, within, inside)
+        return _buchi(dt, 1, dt.heavy(x), within, inside)
+    return _cobuchi(dt, x, within, inside)
 
 
 def solve_threshold(cg: CoalitionGame, measure: PayoffKind, theta: Fraction) -> Region:
@@ -477,7 +476,7 @@ def _threshold_region(cg: CoalitionGame, measure: PayoffKind, theta, within) -> 
     for v in within:
         inside[dt.idx[v]] = 1
     states = [i for i, x in enumerate(inside) if x]
-    win, _, strat = _threshold(dt, measure, bisect_left(dt.levels, theta), states, inside)
+    win, _, strat = _threshold(dt, measure, ceil(theta * dt.denom), states, inside)
     verts = dt.verts
     return Region(
         frozenset(verts[v] for v in win), {verts[v]: verts[w] for v, w in strat.items()}
@@ -496,26 +495,24 @@ def zero_sum_value(
     certificate's sigma for mean payoff, otherwise each vertex's move in the
     highest threshold region it lies in, which is its own value.
 
-    The extremum values come from one sweep over the player's distinct
-    weights on a `_DenseThreshold` built once: the t-th game is solved on
-    integer ranks inside the region of the one below it (except for SUP),
-    and the sweep stops at the first empty region.  Callers that solve
-    every player's game on one arena pass its `dense_arena` as `arena`, so
-    it is built once; mean payoff does not use it."""
+    Both run on one `_DenseThreshold`.  The extremum values come from one
+    sweep over the player's distinct scaled weights: each game is solved
+    inside the region of the one below it (except for SUP), and the sweep
+    stops at the first empty region.  Callers that solve every player's
+    game on one arena pass its `dense_arena` as `arena`, so it is built
+    once."""
+    dt = _DenseThreshold(cg, arena)
     if measure.is_mean_payoff:
-        ar = _MpArena(cg)
-        val = _mp_search(ar)
-        sigma = _mp_certify(ar, val)
-        values = {v: x / ar.denom for v, x in zip(ar.verts, val)}
-        strat = {ar.verts[i]: ar.verts[j] for i, j in sigma.items()}
+        val = _mp_search(dt)
+        moves = _mp_certify(dt, val)
+        values = {v: x / dt.denom for v, x in zip(dt.verts, val)}
     else:
-        dt = _DenseThreshold(cg, arena)
         n = len(dt.verts)
         within, inside = list(range(n)), bytearray(b"\x01") * n
         level = [-1] * n
         moves = {}
-        for t in range(len(dt.levels)):
-            win, inwin, region_moves = _threshold(dt, measure, t, within, inside)
+        for t, x in enumerate(dt.ints):
+            win, inwin, region_moves = _threshold(dt, measure, x, within, inside)
             if not win:
                 break  # regions shrink as the threshold grows
             for v in win:
@@ -527,9 +524,9 @@ def zero_sum_value(
             if measure is not PayoffKind.SUP:
                 within, inside = win, inwin
         assert -1 not in level, "every play reaches the minimum weight"
-        verts = dt.verts
-        values = {v: dt.levels[t] for v, t in zip(verts, level)}
-        strat = {verts[v]: verts[w] for v, w in moves.items()}
+        values = {v: dt.levels[t] for v, t in zip(dt.verts, level)}
+    verts = dt.verts
+    strat = {verts[v]: verts[w] for v, w in moves.items()}
     assert set(strat) == set(filter(cg.is_max, cg.game.owner)), "a move at every max vertex"
     return values, strat
 
@@ -694,31 +691,7 @@ def fixed_strategy_extremes(prod, player: int) -> dict:
 # mean-payoff values: energy progress measures, threshold search, certificate
 
 
-class _MpArena:
-    """Integer view of a coalition game for the mean-payoff solvers.
-
-    Vertex i is the i-th vertex in sorted order.  Edge weights are the
-    player's weights times `denom`, the least common denominator, so every
-    game value is p / (q * denom) with integers p and 1 <= q <= n.
-    """
-
-    def __init__(self, cg: CoalitionGame):
-        g = cg.game
-        self.verts = sorted(g.owner)
-        idx = {v: i for i, v in enumerate(self.verts)}
-        ws = g.player_weights(cg.player)
-        self.denom = lcm(*(w.denominator for w in ws.values()))
-        self.maxer = [cg.is_max(v) for v in self.verts]
-        self.succ = [
-            [(idx[u], int(ws[(v, u)] * self.denom)) for u in g.succ[v]] for v in self.verts
-        ]
-        self.pred = [[] for _ in self.verts]
-        for i, edges in enumerate(self.succ):
-            for j, _ in edges:
-                self.pred[j].append(i)
-
-
-def _energy(ar: _MpArena, p: int, q: int, region, won, dual: bool = False):
+def _energy(dt: _DenseThreshold, p: int, q: int, region, won, dual: bool = False):
     """Least energy progress measure for "mean payoff >= p/q" on `region`.
 
     Brim, Chaloupka, Doyen, Gentilini and Raskin, "Faster algorithms for
@@ -736,8 +709,9 @@ def _energy(ar: _MpArena, p: int, q: int, region, won, dual: bool = False):
     """
     sign = -1 if dual else 1
     inside = set(region)
-    mine = {i: ar.maxer[i] != dual for i in inside}
-    adj = {i: [(j, sign * (q * w - p)) for j, w in ar.succ[i]] for i in inside}
+    owner, succ, weight = dt.owner, dt.succ, dt.weight
+    mine = {i: owner[i] != dual for i in inside}
+    adj = {i: [(j, sign * (q * w - p)) for j, w in zip(succ[i], weight[i])] for i in inside}
     cap = sum(max(0, -min(d for _, d in adj[i])) for i in inside)
     f = dict.fromkeys(inside, 0)
     for i in inside:
@@ -758,7 +732,7 @@ def _energy(ar: _MpArena, p: int, q: int, region, won, dual: bool = False):
             t = inf
         if t > f[i]:
             f[i] = t
-            for k in ar.pred[i]:
+            for k in dt.pred[i]:
                 if k in inside and k not in queued and f[k] < inf:
                     queued.add(k)
                     queue.append(k)
@@ -788,7 +762,7 @@ def _simplest(x: Fraction, y: Fraction) -> Fraction:
     return fl + 1 / _simplest(1 / (y - fl), 1 / (x - fl))
 
 
-def _mp_search(ar: _MpArena) -> list:
+def _mp_search(dt: _DenseThreshold) -> list:
     """Value of every vertex on the scaled weights, by divide and conquer.
 
     The candidates are the rationals with denominator at most n between the
@@ -800,9 +774,8 @@ def _mp_search(ar: _MpArena) -> list:
     the scaled weights, and so the lifting, small.  Every other vertex's
     range lies wholly above or below, and it is a won or a lost sink.
     """
-    n = len(ar.verts)
-    ws = [w for edges in ar.succ for _, w in edges]
-    lo = min(ws)
+    n = len(dt.verts)
+    lo = dt.ints[0]
     farey = _farey(n)
     width = len(farey) - 1
     pos = {ab: r for r, ab in enumerate(farey)}
@@ -814,14 +787,14 @@ def _mp_search(ar: _MpArena) -> list:
 
     low = [0] * n  # least candidate index still possible at each vertex
     val = [None] * n
-    tasks = [(range(n), 0, (max(ws) - lo) * width)]
+    tasks = [(range(n), 0, (dt.ints[-1] - lo) * width)]
     while tasks:
         region, a, b = tasks.pop()
         lam = _simplest(cand(a + (b - a) // 4), cand(b - (b - a) // 4))
         p, q = lam.numerator, lam.denominator
         k = (p // q - lo) * width + pos[(p % q, q)]
-        above, _ = _energy(ar, p, q, region, lambda j: low[j] > b)
-        below, _ = _energy(ar, p, q, region, lambda j: low[j] < a, dual=True)
+        above, _ = _energy(dt, p, q, region, lambda j: low[j] > b)
+        below, _ = _energy(dt, p, q, region, lambda j: low[j] < a, dual=True)
         up = [i for i in region if below[i] == inf]
         down = [i for i in region if above[i] == inf]
         for i in region:
@@ -837,7 +810,7 @@ def _mp_search(ar: _MpArena) -> list:
     return val
 
 
-def _mp_certify(ar: _MpArena, val: list) -> dict:
+def _mp_certify(dt: _DenseThreshold, val: list) -> dict:
     """Accept a value table only if positional strategies prove it exactly.
 
     Per value class lam, sigma takes the player's moves of the energy game
@@ -856,14 +829,15 @@ def _mp_certify(ar: _MpArena, val: list) -> dict:
     sigma, tau = {}, {}
     for lam, region in classes.items():
         p, q = lam.numerator, lam.denominator
-        sigma.update(_energy(ar, p, q, region, lambda j: val[j] > lam)[1])
-        tau.update(_energy(ar, p, q, region, lambda j: val[j] < lam, dual=True)[1])
+        sigma.update(_energy(dt, p, q, region, lambda j: val[j] > lam)[1])
+        tau.update(_energy(dt, p, q, region, lambda j: val[j] < lam, dual=True)[1])
 
-    weight = {(i, j): w for i, edges in enumerate(ar.succ) for j, w in edges}
+    succ = dt.succ
+    weight = {(i, j): w for i, js in enumerate(succ) for j, w in zip(js, dt.weight[i])}
     for strat, maximize in ((sigma, False), (tau, True)):
         got = one_player_values(
             range(len(val)),
-            lambda i: (strat[i],) if i in strat else [j for j, _ in ar.succ[i]],
+            lambda i: (strat[i],) if i in strat else succ[i],
             lambda i, j: weight[(i, j)],
             PayoffKind.MP_INF,
             maximize,
@@ -872,7 +846,7 @@ def _mp_certify(ar: _MpArena, val: list) -> dict:
             if got[i] != x:
                 side = "tau" if maximize else "sigma"
                 raise RuntimeError(
-                    f"mean-payoff certificate failed at vertex {ar.verts[i]!r}: "
+                    f"mean-payoff certificate failed at vertex {dt.verts[i]!r}: "
                     f"{side} gives {got[i]}, the search gave {x} (scaled weights)"
                 )
     return sigma

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .games import Game, GameFormatError, Lasso, PayoffKind, run_until_repeat
+from .games import Game, GameFormatError, Lasso, PayoffKind, parse_int, run_until_repeat
 from .solvers import explore
 
 __all__ = [
@@ -380,7 +380,7 @@ def parse_strategy(text: str) -> MooreStrategy:
 
     def need_int(tok: str, lineno: int) -> int:
         try:
-            return int(tok)
+            return parse_int(tok)
         except ValueError:
             raise GameFormatError(f"expected integer, got {tok!r}", lineno) from None
 

@@ -77,8 +77,8 @@ def compute_value_table(g: Game) -> ValueTable:
     acval = {}
     avalues = {}
     wcs = {}
-    # the players' threshold games share one dense graph of the arena
-    dense = None if arena.measure.is_mean_payoff else dense_arena(arena)
+    # the players' coalition games share one dense graph of the arena
+    dense = dense_arena(arena)
     for player in range(1, g.players + 1):
         pa, wcs[player] = zero_sum_value(CoalitionGame(arena, player), arena.measure, dense)
         pc = one_player_max_value(arena, player)

@@ -238,8 +238,10 @@ def test_oracle_runs_without_networkx(monkeypatch, capsys):
     assert "mismatches: 0" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("kind", ["game", "strategy", "spec", "automaton"])
-def test_non_utf8_file_exit_2(tmp_path, capsys, kind):
+def _inputs_with(tmp_path, kind, edit):
+    """Write a game, strategy, spec and automaton that all parse, the text of
+    `kind` passed through `edit` as bytes; return the command line that
+    reads `kind` and the path of its file."""
     trans = "".join(f"trans ok {u} {v} ok\n" for (u, v) in load_game("fig1.game").weights)
     files = {
         "game": ("g.game", fixture_text("fig1_liminf.game")),
@@ -248,22 +250,49 @@ def test_non_utf8_file_exit_2(tmp_path, capsys, kind):
         "automaton": ("all.aut", "state ok\ninitial ok\npriority ok 0\n" + trans),
     }
     for name, (file, text) in files.items():
-        bad = b"# \xff\n" if name == kind else b""
-        (tmp_path / file).write_bytes(text.encode() + bad)
+        data = text.encode()
+        (tmp_path / file).write_bytes(edit(data) if name == kind else data)
     game, strat, spec = (str(tmp_path / files[k][0]) for k in ("game", "strategy", "spec"))
     argv = ["check", game, strat] if kind == "strategy" else ["mc", game, "--spec", spec]
+    return argv, tmp_path / files[kind][0]
+
+
+@pytest.mark.parametrize("kind", ["game", "strategy", "spec", "automaton"])
+def test_non_utf8_file_exit_2(tmp_path, capsys, kind):
+    argv, path = _inputs_with(tmp_path, kind, lambda data: data + b"# \xff\n")
     assert run(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {tmp_path / files[kind][0]}: not UTF-8 text")
+    assert err.startswith(f"error: {path}: not UTF-8 text")
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("count", ["\u00b2", "+", "1 2"], ids=["superscript-two", "sign", "two"])
+@pytest.mark.parametrize("count", ["\u00b2", "\u0661", "+", "+1", "1 2"],
+                         ids=["superscript-two", "arabic-indic-one", "sign", "signed-one", "two"])
 def test_bad_player_count_exit_2(tmp_path, capsys, count):
     bad = tmp_path / "bad.game"
     bad.write_text(f"players {count}\nmeasure liminf\ninit a\nvertex a 1\nedge a a 1\n", "utf-8")
     assert run(["values", str(bad)]) == 2
     assert capsys.readouterr().err == "error: line 1: players expects one positive integer\n"
+
+
+# bare int() also takes a sign, underscores and every Unicode digit
+@pytest.mark.parametrize("kind, old, new, message", [
+    ("game", "vertex v1 1", "vertex v1 +1", "line 5: bad owner '+1'"),
+    ("game", "edge v1 v3 1 0", "edge v1 v3 0_1 0", "line 9: bad rational '0_1'"),
+    ("game", "edge v1 v3 1 0", "edge v1 v3 \u0661/\u0662 0", "line 9: bad rational"),
+    ("strategy", "memory 1", "memory +1", "line 2: expected integer, got '+1'"),
+    ("automaton", "priority ok 0", "priority ok \u0661", "line 3: bad priority"),
+    ("spec", "automaton", "payoff(\u0661) >= 2 && automaton", "bad spec syntax near '\u0661"),
+    ("spec", "automaton", "payoff(1) >= \u0661 && automaton", "bad spec syntax near '\u0661"),
+], ids=[
+    "game-owner-sign", "game-weight-underscore", "game-weight-arabic-indic",
+    "strategy-memory-sign", "automaton-priority", "spec-player", "spec-value",
+])
+def test_non_ascii_integer_exit_2(tmp_path, capsys, kind, old, new, message):
+    argv, _ = _inputs_with(tmp_path, kind, lambda data: data.replace(old.encode(), new.encode(), 1))
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 def test_usage_error_exit_2():

@@ -28,6 +28,7 @@ from admgames.solvers import (
     attractor,
     check_parity_solution,
     cooperative_witness_lasso,
+    dense_arena,
     explore,
     fixed_strategy_extremes,
     one_player_max_value,
@@ -47,6 +48,7 @@ from helpers import (
     mp_value_iteration,
     reference_attr,
     reference_solve_parity,
+    reference_threshold_region,
     reference_zero_sum_value,
     shortest_cycle_through,
     threshold_region_sweep,
@@ -280,14 +282,20 @@ def _mean_payoff_tables():
 
 
 def test_zero_sum_mean_payoff_matches_value_iteration():
+    # also on the arena's dense graph, which compute_value_table shares
+    # between the players: the same values and the same strategy
     for cg, aval in _mean_payoff_tables():
-        assert zero_sum_value(cg, cg.game.measure)[0] == aval
+        values, strat = zero_sum_value(cg, cg.game.measure)
+        assert values == aval
+        shared = zero_sum_value(cg, cg.game.measure, arena=dense_arena(cg.game))
+        assert shared[0] == values
+        assert list(shared[1].items()) == list(strat.items())
 
 
 def test_mp_threshold_win_set_is_the_value_upper_set():
     for cg, aval in _mean_payoff_tables():
-        ar = solvers._MpArena(cg)
-        n = len(ar.verts)
+        dt = solvers._DenseThreshold(cg)
+        n = len(dt.verts)
         levels = sorted(set(aval.values()))
         # every value, every midpoint between values, and both outsides
         lams = levels + [(x + y) / 2 for x, y in zip(levels, levels[1:])]
@@ -295,11 +303,11 @@ def test_mp_threshold_win_set_is_the_value_upper_set():
         for lam in lams:
             # the energy game on the whole arena, so no vertex is a sink
             f, moves = solvers._energy(
-                ar, lam.numerator * ar.denom, lam.denominator, range(n), None
+                dt, lam.numerator * dt.denom, lam.denominator, range(n), None
             )
-            win = {ar.verts[i] for i in range(n) if f[i] < inf}
+            win = {dt.verts[i] for i in range(n) if f[i] < inf}
             assert win == {v for v in aval if aval[v] >= lam}, (cg.player, lam)
-            assert {ar.verts[i] for i in moves} == {v for v in win if cg.is_max(v)}
+            assert {dt.verts[i] for i in moves} == {v for v in win if cg.is_max(v)}
 
 
 @pytest.mark.parametrize("step", [1, -1])
@@ -761,7 +769,9 @@ def test_safety_and_cobuchi_regions_match_the_sweep_reference(measure):
 def test_dense_threshold_sweep_matches_the_reference_sweep():
     # rebuilt arenas of every extremum measure, every player; a third carry
     # halved weights and a third weights over mixed denominators, so the
-    # ranks come from numerators scaled by a common denominator
+    # thresholds are numerators scaled by a common denominator.  Each single
+    # threshold game is also solved at a theta below the least weight,
+    # strictly between the two least and above the largest weight.
     measures = [PayoffKind.INF, PayoffKind.SUP, PayoffKind.LIMINF, PayoffKind.LIMSUP]
     fractional = 0
     for seed in range(520):
@@ -783,6 +793,12 @@ def test_dense_threshold_sweep_matches_the_reference_sweep():
             ref_values, ref_strat = reference_zero_sum_value(cg, g.measure)
             assert values == ref_values, (seed, player)
             assert list(strat.items()) == list(ref_strat.items()), (seed, player)
+            ws = sorted({w[player - 1] for w in arena.weights.values()})
+            between = [(ws[0] + ws[1]) / 2] if len(ws) > 1 else []
+            for theta in [ws[0] - F(1, 3), *between, ws[-1] + F(1, 7)]:
+                got = solve_threshold(cg, g.measure, theta)
+                want = reference_threshold_region(cg, g.measure, theta, set(arena.owner))
+                assert got == want, (seed, player, theta)
     assert fractional > 300
 
 
