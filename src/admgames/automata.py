@@ -1,26 +1,36 @@
 """Deterministic parity automata over the edges of an arena.
 
-States carry whatever bookkeeping a construction needs (they are opaque
-hashable values); transitions are keyed by arena edges, and each state has a
-max-parity priority: a run is accepted iff the highest priority visited
-infinitely often is even.
+A run reads the edges of a play; each state has a max-parity priority, and
+a run is accepted iff the highest priority visited infinitely often is
+even.  Automata come in two forms with the same reading interface (`step`,
+`priority`, `transitions`).  A named automaton (read from a file, or built
+over an arena's edge set) names its states freely and keeps its transitions
+in a dict keyed by (state, edge).  An explored automaton is explored along
+an arena from its initial vertex, with `solvers.explore`: its states are
+0..n-1 in breadth-first order from the initial state 0, and it keeps arrays
+of each state's arena vertex and priority and a table of each state's
+successors, one per arena edge leaving its vertex, in the arena's order.
+The tuples the states were explored as are kept only as names, which the
+text formats order the states by.
 
-Negation shifts priorities by one.  Intersection builds a synchronous
-product and converts the conjunction of parity conditions to a single one
-with an index appearance record over the components' Streett pairs: granted
-pairs migrate to the back of the record, and the emitted priority says how
-deep into the record the deepest grant or unanswered request reached.
+Negation shifts priorities by one.  Intersection explores a synchronous
+product of explored automata, so its states are tuples of integers, and
+converts the conjunction of parity conditions to a single one with an index
+appearance record over the components' Streett pairs: granted pairs migrate
+to the back of the record, and the emitted priority says how deep into the
+record the deepest grant or unanswered request reached.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .games import Game, GameFormatError, Lasso, parse_int, run_until_repeat
 from .solvers import explore
 
 __all__ = [
     "EdgeAutomaton",
+    "ExploredAutomaton",
     "negate",
     "intersect",
     "constant_automaton",
@@ -34,7 +44,7 @@ __all__ = [
 
 @dataclass
 class EdgeAutomaton:
-    """Deterministic, edge-labelled, max-parity automaton."""
+    """Deterministic, edge-labelled, max-parity automaton with named states."""
 
     initial: object
     delta: dict  # (state, (src, dst)) -> state
@@ -48,14 +58,88 @@ class EdgeAutomaton:
                 f"automaton has no transition from {state!r} on edge {edge}"
             ) from None
 
+    def transitions(self):
+        """((state, edge), next state) pairs."""
+        return self.delta.items()
 
-def negate(aut: EdgeAutomaton) -> EdgeAutomaton:
+    def states(self):
+        return self.priority.keys()
+
+    def label(self, state):
+        """The value the text formats order a state by: its name."""
+        return state
+
+    def negated(self) -> EdgeAutomaton:
+        return replace(self, priority={s: p + 1 for s, p in self.priority.items()})
+
+    def along(self, g: Game) -> ExploredAutomaton:
+        """The same automaton explored along the arena `g`; its states are
+        named (arena vertex, state, priority)."""
+        aut = self
+
+        def succ(state):
+            v, s, _ = state
+            for v2 in g.successors(v):
+                t = aut.step(s, (v, v2))
+                yield v2, t, aut.priority[t]
+
+        return _explored((g.init, self.initial, self.priority[self.initial]), succ)
+
+
+@dataclass
+class ExploredAutomaton:
+    """Edge automaton explored along an arena, on the states 0..n-1.
+
+    State 0 is initial and the states are numbered breadth first from it.
+    `vertex[s]` is the arena vertex a run is at in state s, `priority[s]`
+    its priority, and `succ[s]` the state reached along each arena edge
+    leaving `vertex[s]`, in the arena's successor order.  `names[s]` is the
+    tuple state s was explored as.
+    """
+
+    vertex: list
+    priority: list
+    succ: list
+    names: list
+    initial: int = 0
+
+    def step(self, state, edge):
+        u, v = edge
+        if self.vertex[state] == u:
+            for t in self.succ[state]:
+                if self.vertex[t] == v:
+                    return t
+        raise GameFormatError(
+            f"automaton has no transition from {self.names[state]!r} on edge {edge}"
+        )
+
+    def transitions(self):
+        """((state, edge), next state) pairs."""
+        vertex = self.vertex
+        return (
+            ((s, (vertex[s], vertex[t])), t)
+            for s, outs in enumerate(self.succ)
+            for t in outs
+        )
+
+    def states(self):
+        return range(len(self.priority))
+
+    def label(self, state):
+        """The value the text formats order a state by: its explored tuple."""
+        return self.names[state]
+
+    def negated(self) -> ExploredAutomaton:
+        return replace(self, priority=[p + 1 for p in self.priority])
+
+    def along(self, g: Game) -> ExploredAutomaton:
+        assert self.vertex[0] == g.init, "explored along another arena"
+        return self
+
+
+def negate(aut):
     """Complement: accept exactly the runs the input rejects."""
-    return EdgeAutomaton(
-        initial=aut.initial,
-        delta=dict(aut.delta),
-        priority={s: p + 1 for s, p in aut.priority.items()},
-    )
+    return aut.negated()
 
 
 def constant_automaton(g: Game, accept: bool) -> EdgeAutomaton:
@@ -67,7 +151,7 @@ def constant_automaton(g: Game, accept: bool) -> EdgeAutomaton:
     )
 
 
-def accepts_lasso(aut: EdgeAutomaton, lasso: Lasso) -> bool:
+def accepts_lasso(aut, lasso: Lasso) -> bool:
     """Run the ultimately periodic word; decide by the repeating segment."""
     state = aut.initial
     for e in lasso.prefix_edges():
@@ -83,28 +167,30 @@ def accepts_lasso(aut: EdgeAutomaton, lasso: Lasso) -> bool:
     return top % 2 == 0
 
 
-def intersect(g: Game, components: list[EdgeAutomaton]) -> EdgeAutomaton:
+def intersect(g: Game, components: list) -> ExploredAutomaton:
     """Deterministic parity automaton for the conjunction of the components.
 
     The product is explored along the arena's edges from its initial vertex,
     so every component must be complete over the arena paths that can occur.
+    Named components are first explored along the arena; a product state is
+    (the components' states, the record, the emitted priority).
     """
-    if len(components) == 1:
-        return components[0]
     pairs = []  # (component index, odd priority)
     for ci, aut in enumerate(components):
-        for o in sorted({p for p in aut.priority.values() if p % 2 == 1}):
-            pairs.append((ci, o))
+        for o in sorted({aut.priority[s] for s in aut.states()}):
+            if o % 2 == 1:
+                pairs.append((ci, o))
+    components = [a.along(g) for a in components]
+    if len(components) == 1:
+        return components[0]
     h = len(pairs)
+    tables = [a.succ for a in components]
+    prios = [a.priority for a in components]
 
     def succ(state):
-        v, comp_states, perm, _ = state
-        for v2 in g.successors(v):
-            e = (v, v2)
-            nxt_comp = tuple(
-                a.step(cs, e) for a, cs in zip(components, comp_states)
-            )
-            emitted = [a.priority[cs] for a, cs in zip(components, nxt_comp)]
+        comp_states, perm, _ = state
+        for nxt_comp in zip(*[t[cs] for t, cs in zip(tables, comp_states)]):
+            emitted = [p[cs] for p, cs in zip(prios, nxt_comp)]
             # positions are 1-based ranks in the current record
             gmin = bmin = None
             gset = set()
@@ -127,30 +213,33 @@ def intersect(g: Game, components: list[EdgeAutomaton]) -> EdgeAutomaton:
             perm2 = tuple(j for j in perm if j not in gset) + tuple(
                 j for j in perm if j in gset
             )
-            yield v2, nxt_comp, perm2, pr
+            yield nxt_comp, perm2, pr
 
-    init = (g.init, tuple(a.initial for a in components), tuple(range(h)), 0)
-    return _explored(init, succ)
+    vertex = components[0].vertex
+    init = (tuple(a.initial for a in components), tuple(range(h)), 0)
+    return _explored(init, succ, lambda state: vertex[state[0][0]])
 
 
-def _explored(init, succ) -> EdgeAutomaton:
+def _explored(init, succ, vertex_of=lambda state: state[0]) -> ExploredAutomaton:
     """Automaton on the states reachable from `init` along the arena's edges.
 
-    A state is (arena vertex, ..., priority): `succ(state)` lists one
-    successor per arena edge leaving its vertex, in the arena's order.
+    A state is a tuple whose last element is its priority: `succ(state)`
+    lists one successor per arena edge leaving its vertex `vertex_of(state)`,
+    in the arena's order.
     """
-    graph = explore(init, succ)
-    return EdgeAutomaton(
-        initial=init,
-        delta={(s, (s[0], t[0])): t for s, outs in graph.items() for t in outs},
-        priority={s: s[-1] for s in graph},
+    names, table = explore(init, succ)
+    return ExploredAutomaton(
+        vertex=[vertex_of(s) for s in names],
+        priority=[s[-1] for s in names],
+        succ=table,
+        names=names,
     )
 
 
 def reindex_edges(aut: EdgeAutomaton, edge_map: dict) -> EdgeAutomaton:
-    """Rekey transitions: edge_map maps new edges to the edges the automaton
-    was written against (used to run original-game automata on a rebuilt
-    arena)."""
+    """Rekey a named automaton's transitions: edge_map maps new edges to the
+    edges the automaton was written against (used to run original-game
+    automata on a rebuilt arena)."""
     delta = {}
     for new_edge, old_edge in edge_map.items():
         for s in aut.priority:
@@ -164,7 +253,13 @@ def reindex_edges(aut: EdgeAutomaton, edge_map: dict) -> EdgeAutomaton:
 # text formats
 
 
-def serialize_automaton(aut: EdgeAutomaton) -> str:
+def _sorted_transitions(aut) -> list:
+    """Transitions in order of their state's `repr` label, then edge."""
+    key = {s: repr(aut.label(s)) for s in aut.states()}
+    return sorted(aut.transitions(), key=lambda kv: (key[kv[0][0]], kv[0][1]))
+
+
+def serialize_automaton(aut) -> str:
     """Native text format with states renamed q0, q1, ... in exploration order."""
     names = {}
     order = []
@@ -176,11 +271,11 @@ def serialize_automaton(aut: EdgeAutomaton) -> str:
         return names[s]
 
     name(aut.initial)
-    edges = sorted(aut.delta.items(), key=lambda kv: (repr(kv[0][0]), kv[0][1]))
+    edges = _sorted_transitions(aut)
     for (s, _), t in edges:
         name(s)
         name(t)
-    for s in aut.priority:
+    for s in aut.states():
         name(s)
 
     lines = [f"state {names[s]}" for s in order]
@@ -216,6 +311,8 @@ def parse_automaton(text: str) -> EdgeAutomaton:
                 priority[args[0]] = parse_int(args[1])
             except ValueError:
                 raise GameFormatError(f"bad priority {args[1]!r}", lineno) from None
+            if priority[args[0]] < 0:
+                raise GameFormatError(f"negative priority {args[1]!r}", lineno)
         elif kind == "trans" and len(args) == 4:
             s, u, v, t = args
             key = (s, (u, v))
@@ -239,7 +336,7 @@ def parse_automaton(text: str) -> EdgeAutomaton:
     return EdgeAutomaton(initial=initial, delta=delta, priority=priority)
 
 
-def automaton_to_dot(aut: EdgeAutomaton) -> str:
+def automaton_to_dot(aut) -> str:
     names = {}
 
     def name(s):
@@ -249,16 +346,14 @@ def automaton_to_dot(aut: EdgeAutomaton) -> str:
 
     lines = ["digraph automaton {", "  rankdir=LR;"]
     name(aut.initial)
-    for s in sorted(aut.priority, key=repr):
+    for s in sorted(aut.states(), key=lambda s: repr(aut.label(s))):
         shape = "doublecircle" if aut.priority[s] % 2 == 0 else "circle"
         lines.append(
             f'  {name(s)} [label="{name(s)}:{aut.priority[s]}", shape={shape}];'
         )
     lines.append(f"  __init [shape=point];")
     lines.append(f"  __init -> {names[aut.initial]};")
-    for (s, (u, v)), t in sorted(
-        aut.delta.items(), key=lambda kv: (repr(kv[0][0]), kv[0][1])
-    ):
+    for (s, (u, v)), t in _sorted_transitions(aut):
         lines.append(f'  {name(s)} -> {name(t)} [label="{u}->{v}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -95,13 +95,17 @@ def parse_int(text: str) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse an integer or p/q literal into an exact rational."""
+    """Parse an integer or p/q literal, q a positive integer, into an exact
+    rational."""
     try:
         if "/" in text:
             num, den = text.split("/", 1)
-            return Fraction(parse_int(num), parse_int(den))
+            q = parse_int(den)
+            if q <= 0:
+                raise ValueError("denominator must be positive")
+            return Fraction(parse_int(num), q)
         return Fraction(parse_int(text))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad rational {text!r}") from exc
 
 

@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from .automata import (
     EdgeAutomaton,
+    ExploredAutomaton,
     _explored,
     accepts_lasso,
     constant_automaton,
@@ -210,8 +211,10 @@ def _step_priority(measure: PayoffKind, demand, reset: bool, weight: Fraction) -
     return 2 if good else 1
 
 
-def outcome_automaton(lg: LabeledGame, player: int) -> EdgeAutomaton:
-    """Deterministic parity automaton for the admissible-outcome condition."""
+def outcome_automaton(lg: LabeledGame, player: int) -> ExploredAutomaton:
+    """Deterministic parity automaton for the admissible-outcome condition,
+    explored along the arena; its states are named (arena vertex, demand,
+    priority)."""
     arena = lg.arena
     if arena.measure.is_mean_payoff:
         raise UnsupportedMeasure(
@@ -454,20 +457,18 @@ def _atom_automaton(arena: Game, player: int, op: str, value: Fraction) -> EdgeA
             base = 2 * (j + 1)  # highest region dominates
         return base + (0 if member[j] else 1)
 
+    edge_priority = {e: pr(region(arena.weight(*e, player))) for e in arena.weights}
     init = ("payoff", None)
     priority = {init: 0}
-    for (u, v) in arena.weights:
-        p = pr(region(arena.weight(u, v, player)))
+    for p in edge_priority.values():
         priority[("payoff", p)] = p
-    delta = {}
-    for s in priority:
-        for (u, v) in arena.weights:
-            p = pr(region(arena.weight(u, v, player)))
-            delta[(s, (u, v))] = ("payoff", p)
+    delta = {
+        (s, e): ("payoff", p) for s in priority for e, p in edge_priority.items()
+    }
     return EdgeAutomaton(initial=init, delta=delta, priority=priority)
 
 
-def _compile_spec(lg: LabeledGame, spec: PayoffSpec) -> EdgeAutomaton:
+def _compile_spec(lg: LabeledGame, spec: PayoffSpec):
     arena = lg.arena
     tg = lg.table.transformed
     edge_map = {
@@ -511,24 +512,21 @@ def _require_regular(g: Game, what: str):
         )
 
 
-def _parity_game(aut: EdgeAutomaton, arena: Game, owner_of) -> ParityGame:
-    """The automaton run along the arena's edges as a parity game; a state
-    (whose first component is its arena vertex v) belongs to owner_of(v)."""
-    graph = explore(
-        aut.initial, lambda s: [aut.step(s, (s[0], v2)) for v2 in arena.successors(s[0])]
-    )
+def _parity_game(aut: ExploredAutomaton, owner_of) -> ParityGame:
+    """The explored automaton as a parity game on its own states; a state
+    at arena vertex v belongs to owner_of(v)."""
     return ParityGame(
-        owner={s: owner_of(s[0]) for s in graph},
-        priority={s: aut.priority[s] for s in graph},
-        succ=graph,
-        init=aut.initial,
+        owner=dict(enumerate(map(owner_of, aut.vertex))),
+        priority=dict(enumerate(aut.priority)),
+        succ=dict(enumerate(aut.succ)),
     )
 
 
-def _automaton_lasso(aut: EdgeAutomaton, strategy: dict) -> Lasso:
+def _automaton_lasso(aut: ExploredAutomaton, strategy: dict) -> Lasso:
     """Follow a positional choice through the automaton graph into a lasso."""
     pre, loop = run_until_repeat(aut.initial, strategy.__getitem__)
-    return Lasso(prefix=tuple(s[0] for s in pre), cycle=tuple(s[0] for s in loop))
+    vertex = aut.vertex
+    return Lasso(prefix=tuple(vertex[s] for s in pre), cycle=tuple(vertex[s] for s in loop))
 
 
 def _project_lasso(lg: LabeledGame, lasso: Lasso) -> Lasso:
@@ -552,7 +550,7 @@ def model_check_admissible(g: Game, spec: PayoffSpec) -> McVerdict:
     parts.append(negate(_compile_spec(lg, spec)))
     product = intersect(arena, parts)
 
-    r0, _ = solve_parity(_parity_game(product, arena, lambda v: 0))
+    r0, _ = solve_parity(_parity_game(product, lambda v: 0))
     if product.initial not in r0.vertices:
         return McVerdict(holds=True)
     # solve_parity moves at every state of r0, and player 0 owns them all
@@ -570,7 +568,7 @@ class SynthResult:
     strategy: MooreStrategy | None = None
 
 
-def _objective_automaton(lg: LabeledGame, player: int, spec: PayoffSpec) -> EdgeAutomaton:
+def _objective_automaton(lg: LabeledGame, player: int, spec: PayoffSpec) -> ExploredAutomaton:
     arena = lg.arena
     own = outcome_automaton(lg, player)
     others = [
@@ -594,26 +592,25 @@ def verify_strategy_wins(g: Game, player: int, spec: PayoffSpec, s: MooreStrateg
     arena = lg.arena
     tg = table.transformed
     objective = _objective_automaton(lg, player, spec)
+    vertex = objective.vertex
 
     def succ(state):
         q, mem = state
-        v = q[0]
-        nexts = arena.successors(v)
+        v = vertex[q]
+        nexts = objective.succ[q]
         if arena.owner[v] == player:
             target = s.moves[(mem, tg.origin(v))]
-            nexts = [v2 for v2 in nexts if tg.origin(v2) == target]
-        return [(objective.step(q, (v, v2)), s.next_memory(mem, tg.origin(v2))) for v2 in nexts]
+            nexts = [t for t in nexts if tg.origin(vertex[t]) == target]
+        return [(t, s.next_memory(mem, tg.origin(vertex[t]))) for t in nexts]
 
-    start = (objective.initial, s.init_mem)
-    graph = explore(start, succ)
+    states, table = explore((objective.initial, s.init_mem), succ)
     pg = ParityGame(
-        owner=dict.fromkeys(graph, 1),
-        priority={st: objective.priority[st[0]] for st in graph},
-        succ=graph,
-        init=start,
+        owner=dict.fromkeys(range(len(states)), 1),
+        priority={i: objective.priority[q] for i, (q, _) in enumerate(states)},
+        succ=dict(enumerate(table)),
     )
     r0, _ = solve_parity(pg)
-    return start in r0.vertices
+    return 0 in r0.vertices
 
 
 def synthesize_assume_admissible(g: Game, player: int, spec: PayoffSpec) -> SynthResult:
@@ -627,18 +624,21 @@ def synthesize_assume_admissible(g: Game, player: int, spec: PayoffSpec) -> Synt
     tg = table.transformed
     objective = _objective_automaton(lg, player, spec)
 
-    pg = _parity_game(objective, arena, lambda v: 0 if arena.owner[v] == player else 1)
-    r0, _ = solve_parity(pg)
+    r0, _ = solve_parity(
+        _parity_game(objective, lambda v: 0 if arena.owner[v] == player else 1)
+    )
     if objective.initial not in r0.vertices:
         return SynthResult(realizable=False)
+    vertex = objective.vertex
 
     def expand(st):
         # the winning move at the player's states (solve_parity gives one at
         # every state of r0 the player owns), every move elsewhere
-        if arena.owner[st[0]] == player:
+        v = vertex[st]
+        if arena.owner[v] == player:
             t = r0.strategy[st]
-            return (st[0], t[0]), [(t[0], t)]
-        return None, [(t[0], t) for t in pg.succ[st]]
+            return (v, vertex[t]), [(vertex[t], t)]
+        return None, [(vertex[t], t) for t in objective.succ[st]]
 
     strat = moore_layout(g, player, tg.origin, objective.initial, expand)
     return SynthResult(realizable=True, strategy=strat)

@@ -29,12 +29,15 @@ One-player optima (all players cooperating, or the coalition minimizing
 against a fixed strategy) reduce to cycle analysis: strongly connected
 components, per-component cycle metrics, and propagation over the
 condensation.  `solve_parity` runs Zielonka's algorithm iteratively, with
-an explicit stack, over the same kind of dense copy (successor and
+an explicit stack, on a parity game's own states 0..n-1 (successor and
 predecessor lists built once, subgames as a membership array), and checks
-every solution before it returns it; model checking, synthesis and strategy
-verification hand it parity games built by `explore`, the one breadth-first
-explorer that every construction over a reachable state space (rebuilds,
-products, automata, strategy modes) goes through.
+every solution before it returns it.  Model checking, synthesis and
+strategy verification hand it the integer graphs that `explore` finds, in
+breadth-first order, so its ties break by exploration order; `explore` is
+the one breadth-first explorer, numbering states 0..n-1 in discovery
+order, that every construction over a reachable state space (rebuilds,
+products, automata, strategy modes) goes through.  Only coalition arenas
+are renumbered, in `_key` order, for the threshold games.
 
 INF (SUP) arenas are handled with LIMINF (LIMSUP) cycle semantics; callers
 pass prefix-independence rebuilds for those measures, on which the two
@@ -97,16 +100,17 @@ class Region:
 
 @dataclass(frozen=True)
 class ParityGame:
-    """Two-player arena with vertex priorities.
+    """Two-player game graph with vertex priorities, on the states 0..n-1.
 
     Player 0 wins a play iff the maximum priority seen infinitely often is
-    even.
+    even.  Games built by exploration number their states in breadth-first
+    order from the initial state 0, and the solver breaks ties by that
+    number.
     """
 
-    owner: dict  # vertex -> 0 | 1
-    priority: dict  # vertex -> int >= 0
-    succ: dict  # vertex -> tuple of successors
-    init: object = None
+    owner: dict  # state -> 0 | 1, for every state 0..n-1
+    priority: dict  # state -> int >= 0
+    succ: dict  # state -> tuple of successor states
 
 
 # ---------------------------------------------------------------------------
@@ -163,20 +167,25 @@ def tarjan_sccs(nodes, succ):
 
 
 def explore(init, succ):
-    """The states reachable from `init`, in breadth-first discovery order,
-    each mapped to the tuple of its successors in `succ`'s order."""
-    # `succ` runs as soon as a state is discovered, in the order a queue
-    # would expand the states, so the graph doubles as the visited set:
-    # states often carry `Fraction`s, which are costly to hash.
-    outs = tuple(succ(init))
-    graph = {init: outs}
-    pending = [outs]
-    for outs in pending:
-        for nxt in outs:
-            if nxt not in graph:
-                graph[nxt] = found = tuple(succ(nxt))
-                pending.append(found)
-    return graph
+    """The states reachable from `init`, numbered 0..n-1 in breadth-first
+    discovery order, and each state's successors in `succ`'s order, as a
+    table of tuples of state numbers.
+
+    Returns (states, table).  `succ` is called once per state, in number
+    order, and each successor is hashed once, on lookup.
+    """
+    states = [init]
+    index = {init: 0}
+    table = []
+    for state in states:
+        row = []
+        for nxt in succ(state):
+            i = index.setdefault(nxt, len(states))
+            if i == len(states):
+                states.append(nxt)
+            row.append(i)
+        table.append(tuple(row))
+    return states, table
 
 
 def bfs_path(start, goal_pred, succ):
@@ -227,10 +236,16 @@ class _DenseGraph:
         self.idx = idx = {v: i for i, v in enumerate(verts)}
         self.owner = [owner(v) for v in verts]
         self.succ = [[idx[w] for w in succ[v]] for v in verts]
-        self.pred = [[] for _ in verts]
-        for i, outs in enumerate(self.succ):
-            for j in outs:
-                self.pred[j].append(i)
+        self.pred = _predecessors(self.succ)
+
+
+def _predecessors(succ):
+    """Predecessor lists of a dense successor table, in increasing order."""
+    pred = [[] for _ in succ]
+    for i, outs in enumerate(succ):
+        for j in outs:
+            pred[j].append(i)
+    return pred
 
 
 def _dense_attr(dg, player, targets, inside, strat, within=(), edges=None):
@@ -856,13 +871,16 @@ def _mp_certify(dt: _DenseThreshold, val: list) -> dict:
 # parity games
 
 
-class _DenseParity(_DenseGraph):
-    """The dense graph of a parity game, with its priorities, for the solver
-    and its check."""
+class _DenseParity:
+    """A parity game as lists indexed by its states, with predecessor
+    lists, for the solver and its check."""
 
     def __init__(self, pg: ParityGame):
-        super().__init__(pg.owner, pg.owner.__getitem__, pg.succ)
-        self.prio = [pg.priority[v] for v in self.verts]
+        states = range(len(pg.owner))
+        self.owner = [pg.owner[v] for v in states]
+        self.prio = [pg.priority[v] for v in states]
+        self.succ = [pg.succ[v] for v in states]
+        self.pred = _predecessors(self.succ)
 
 
 def _zielonka(dp: _DenseParity):
@@ -941,12 +959,12 @@ def _check_parity(dp: _DenseParity, regions, strategies):
         for v in regions[i]:
             if region_of[v] != -1:
                 raise RuntimeError(
-                    f"parity solution check failed: {dp.verts[v]!r} is in both regions"
+                    f"parity solution check failed: state {v} is in both regions"
                 )
             region_of[v] = i
     if -1 in region_of:
         v = region_of.index(-1)
-        raise RuntimeError(f"parity solution check failed: {dp.verts[v]!r} is in no region")
+        raise RuntimeError(f"parity solution check failed: state {v} is in no region")
 
     graph = [None] * n
     for i in (0, 1):
@@ -957,21 +975,21 @@ def _check_parity(dp: _DenseParity, regions, strategies):
                 if w is None or w not in succ[v] or region_of[w] != i:
                     raise RuntimeError(
                         f"parity solution check failed: player {i}'s move at "
-                        f"{dp.verts[v]!r} does not stay in its region along an edge"
+                        f"state {v} does not stay in its region along an edge"
                     )
                 graph[v] = (w,)
             else:
                 if any(region_of[w] != i for w in succ[v]):
                     raise RuntimeError(
                         f"parity solution check failed: player {1 - i} can leave "
-                        f"player {i}'s region at {dp.verts[v]!r}"
+                        f"player {i}'s region at state {v}"
                     )
                 graph[v] = succ[v]
         for v in moves:
             if region_of[v] != i or owner[v] != i:
                 raise RuntimeError(
                     f"parity solution check failed: player {i} has a move at "
-                    f"{dp.verts[v]!r}, which it does not own in its region"
+                    f"state {v}, which it does not own in its region"
                 )
 
     # every vertex sits in one group; a component with a cycle is re-split
@@ -990,7 +1008,7 @@ def _check_parity(dp: _DenseParity, regions, strategies):
                 at = min(u for u in comp if prio[u] == d)
                 raise RuntimeError(
                     f"parity solution check failed: player {d % 2} can close a cycle "
-                    f"of top priority {d} through {dp.verts[at]!r} in player "
+                    f"of top priority {d} through state {at} in player "
                     f"{region_of[v]}'s region"
                 )
             rest = [u for u in comp if prio[u] != d]
@@ -1004,8 +1022,8 @@ def _check_parity(dp: _DenseParity, regions, strategies):
 def solve_parity(pg: ParityGame) -> tuple[Region, Region]:
     """Winning regions and positional strategies of players 0 and 1.
 
-    Zielonka's algorithm (TCS 1998), iterative, on the dense integer view of
-    the game; every solution is checked before it is returned (see
+    Zielonka's algorithm (TCS 1998), iterative, on the game's own state
+    numbering; every solution is checked before it is returned (see
     `_check_parity`), and a failed check raises RuntimeError.
     """
     dp = _DenseParity(pg)
@@ -1017,24 +1035,15 @@ def solve_parity(pg: ParityGame) -> tuple[Region, Region]:
         if strat[v] >= 0:
             strategies[i][v] = strat[v]
     _check_parity(dp, regions, strategies)
-    verts = dp.verts
-    return tuple(
-        Region(
-            frozenset(verts[v] for v in regions[i]),
-            {verts[v]: verts[w] for v, w in strategies[i].items()},
-        )
-        for i in (0, 1)
-    )
+    return tuple(Region(frozenset(regions[i]), strategies[i]) for i in (0, 1))
 
 
 def check_parity_solution(pg: ParityGame, r0: Region, r1: Region) -> None:
-    """`solve_parity`'s solution check on regions given by state."""
-    dp = _DenseParity(pg)
-    idx = dp.idx
+    """`solve_parity`'s solution check on given regions and strategies."""
     _check_parity(
-        dp,
-        tuple([idx[v] for v in r.vertices] for r in (r0, r1)),
-        tuple({idx[v]: idx[w] for v, w in r.strategy.items()} for r in (r0, r1)),
+        _DenseParity(pg),
+        tuple(list(r.vertices) for r in (r0, r1)),
+        tuple(r.strategy for r in (r0, r1)),
     )
 
 
@@ -1121,7 +1130,7 @@ class _WitnessLassos:
             )
             shared = self._shared[key] = (edges, {})
         edges, cycles = shared
-        reach = explore(start, succ.__getitem__)
+        reach = set(explore(start, succ.__getitem__)[0])
         target = next((e for e in edges if e[0] in reach), None)
         assert target is not None, "cooperative value must be realizable"
         entry = target[0]
@@ -1136,7 +1145,7 @@ class _WitnessLassos:
 
     def _mean_payoff(self, start, value, succ):
         w, sub_succ = self.w, succ.__getitem__
-        for comp in tarjan_sccs(sorted(explore(start, sub_succ)), sub_succ):
+        for comp in tarjan_sccs(sorted(explore(start, sub_succ)[0]), sub_succ):
             cs = set(comp)
             internal = [
                 (u, v, w[(u, v)]) for u in comp for v in succ[u]

@@ -107,18 +107,17 @@ def make_prefix_independent(g: Game) -> TransformedGame:
             yield v2, tuple(fold1(r, w) for r, w in zip(recs, g.weights[(v, v2)]))
 
     init_state = (g.init, (None,) * g.players)
-    graph = explore(init_state, succ)
-    names = {state: name(*state) for state in graph}
+    states, table = explore(init_state, succ)
+    names = [name(*state) for state in states]
     owner: dict[str, int] = {}
     weights: dict[tuple[str, str], tuple[Fraction, ...]] = {}
     back: dict[str, tuple[str, tuple[Fraction | None, ...]]] = {}
     step: dict[tuple[str, str], str] = {}
-    for state, outs in graph.items():
-        tv = names[state]
+    for tv, state, outs in zip(names, states, table):
         owner[tv] = g.owner[state[0]]
         back[tv] = state
-        for state2 in outs:
-            tv2 = names[state2]
+        for j in outs:
+            tv2, state2 = names[j], states[j]
             weights[(tv, tv2)] = state2[1]
             step[(tv, state2[0])] = tv2
 
@@ -126,7 +125,7 @@ def make_prefix_independent(g: Game) -> TransformedGame:
         players=g.players,
         owner=owner,
         weights=weights,
-        init=names[init_state],
+        init=names[0],
         measure=g.measure,
     )
     return TransformedGame(game=tg, back=back, step=step, identity=False)
@@ -201,24 +200,22 @@ def moore_layout(g: Game, player: int, origin, start, expand) -> MooreStrategy:
     indices.  The move table is total: where a class never moves at one of
     the player's vertices, it takes that vertex's first successor.
     """
-    expanded = {}
+    expanded = []  # per mode, in number order: expand's answer
 
     def succ(mode):
-        _, outs = expanded[mode] = expand(mode)
-        return [nxt for _, nxt in outs]
+        expanded.append(expand(mode))
+        return [nxt for _, nxt in expanded[-1][1]]
 
-    graph = explore(start, succ)
-    index = {mode: i for i, mode in enumerate(graph)}
+    _, table = explore(start, succ)
     default = {v: g.successors(v)[0] for v in g.owner if g.owner[v] == player}
     row, outs = [], []  # per mode: its non-default move, its sorted entries
-    for mode in graph:
-        move, pairs = expanded[mode]
+    for (move, pairs), targets in zip(expanded, table):
         if move is not None:
             move = (origin(move[0]), origin(move[1]))
             if default[move[0]] == move[1]:
                 move = None
         row.append(move)
-        entries = {origin(tv2): index[nxt] for tv2, nxt in pairs}
+        entries = {origin(tv2): j for (tv2, _), j in zip(pairs, targets)}
         outs.append(sorted(entries.items()))
 
     by_row = {}
@@ -362,9 +359,10 @@ def product_with_strategy(
         return [(v2, s.next_memory(m, obs(v2))) for v2 in nexts]
 
     init = (g.init, s.init_mem)
-    graph = explore(init, succ)
+    states, table = explore(init, succ)
+    graph = {state: tuple(map(states.__getitem__, outs)) for state, outs in zip(states, table)}
     return ProductGame(
-        arena=g, player=s.player, init=init, states=tuple(sorted(graph)), succ=graph
+        arena=g, player=s.player, init=init, states=tuple(sorted(states)), succ=graph
     )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from math import lcm
@@ -21,6 +22,7 @@ from admgames.solvers import (
     bfs_path,
     cooperative_witness_lasso,
     explore,
+    solve_parity,
     solve_threshold,
     tarjan_sccs,
 )
@@ -324,12 +326,49 @@ def reference_zero_sum_value(cg: CoalitionGame, measure: PayoffKind) -> tuple[di
     return values, strat
 
 
-def reference_solve_parity(pg: ParityGame) -> tuple[Region, Region]:
+@dataclass(frozen=True)
+class NamedParityGame:
+    """A parity game on states with any hashable names, as tests write them."""
+
+    owner: dict  # state -> 0 | 1
+    priority: dict  # state -> int >= 0
+    succ: dict  # state -> tuple of successors
+
+
+def numbered_parity_game(named: NamedParityGame) -> tuple[ParityGame, list]:
+    """The game on the states 0..n-1, numbered in `repr` order of their
+    names, and the names by number."""
+    names = sorted(named.owner, key=_key)
+    idx = {v: i for i, v in enumerate(names)}
+    pg = ParityGame(
+        owner={i: named.owner[v] for i, v in enumerate(names)},
+        priority={i: named.priority[v] for i, v in enumerate(names)},
+        succ={i: tuple(idx[w] for w in named.succ[v]) for i, v in enumerate(names)},
+    )
+    return pg, names
+
+
+def solve_named_parity(named: NamedParityGame) -> tuple[Region, Region]:
+    """`solve_parity` on the game numbered in `repr` order, with its regions
+    and strategies named back."""
+    pg, names = numbered_parity_game(named)
+    return tuple(
+        Region(
+            frozenset(names[v] for v in r.vertices),
+            {names[v]: names[w] for v, w in r.strategy.items()},
+        )
+        for r in solve_parity(pg)
+    )
+
+
+def reference_solve_parity(pg: NamedParityGame) -> tuple[Region, Region]:
     """Reference parity solver: recursive Zielonka over `reference_attr`.
 
     The solver `solve_parity` replaced, kept to pin its regions and
-    strategies.  Every level rebuilds its attractor lists from the states
-    themselves, and deep games raise the recursion limit for the call.
+    strategies, which it gives on states named in any way: its ties break
+    by `repr`, as `solve_parity`'s do on the game numbered in `repr` order.
+    Every level rebuilds its attractor lists from the states themselves,
+    and deep games raise the recursion limit for the call.
     """
     succ = pg.succ
     owner = pg.owner
@@ -494,7 +533,7 @@ def mode_layout(g: Game, player: int, origin, start, expand) -> MooreStrategy:
         _, outs = expanded[mode] = expand(mode)
         return [nxt for _, nxt in outs]
 
-    ids = {mode: m for m, mode in enumerate(explore(start, succ))}
+    ids = {mode: m for m, mode in enumerate(explore(start, succ)[0])}
     update, moves = {}, {}
     for mode, m in ids.items():
         move, outs = expanded[mode]

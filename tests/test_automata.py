@@ -48,6 +48,29 @@ def test_intersection_is_conjunction():
             assert accepts_lasso(both, lasso) == want, (seed, lasso)
 
 
+def test_nested_products_are_conjunctions():
+    # products of products, and a negated product, as components: all of
+    # them explored automata with integer states
+    rng = random.Random(7)
+    for seed in range(10):
+        g = random_game(seed, size=3 + seed % 3)
+        base = [random_automaton(g, rng) for _ in range(5)]
+        comps = [
+            intersect(g, base[:2]),
+            intersect(g, base[2:4]),
+            negate(intersect(g, [base[4], base[0]])),
+        ]
+        nested = intersect(g, comps)
+        for _ in range(150):
+            lasso = random_lasso(g, rng)
+            want = all(accepts_lasso(c, lasso) for c in comps)
+            assert want == (
+                all(accepts_lasso(a, lasso) for a in base[:4])
+                and not accepts_lasso(base[4], lasso)
+            ), (seed, lasso)
+            assert accepts_lasso(nested, lasso) == want, (seed, lasso)
+
+
 def test_union_via_negation():
     rng = random.Random(4)
     for seed in range(8):

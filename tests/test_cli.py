@@ -295,6 +295,19 @@ def test_non_ascii_integer_exit_2(tmp_path, capsys, kind, old, new, message):
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
+# a negative priority would quietly count as odd (-1 % 2 == 1), and a
+# negative denominator would take the sign off the numerator
+@pytest.mark.parametrize("kind, old, new, message", [
+    ("automaton", "priority ok 0", "priority ok -1", "line 3: negative priority '-1'"),
+    ("game", "edge v1 v3 1 0", "edge v1 v3 1/-2 0", "line 9: bad rational '1/-2'"),
+], ids=["automaton-priority", "game-weight-denominator"])
+def test_negative_priority_or_denominator_exit_2(tmp_path, capsys, kind, old, new, message):
+    argv, _ = _inputs_with(tmp_path, kind, lambda data: data.replace(old.encode(), new.encode(), 1))
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as e:
         run(["values"])  # missing game argument

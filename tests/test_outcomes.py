@@ -169,6 +169,32 @@ def test_automaton_round_trip_and_dot():
     assert dot.startswith("digraph") and "->" in dot
 
 
+def test_outcome_automaton_states_are_numbered_breadth_first():
+    for seed in range(8):
+        g = random_game(seed, size=4, measure=REGULAR[seed % 4])
+        t = compute_value_table(g)
+        lg = label_edges(g, t)
+        for player in (1, 2):
+            aut = outcome_automaton(lg, player)
+            n = len(aut.names)
+            assert list(aut.states()) == list(range(n)) and aut.initial == 0
+            assert aut.vertex[0] == t.arena.init
+            assert aut.vertex == [name[0] for name in aut.names]
+            assert aut.priority == [name[-1] for name in aut.names]
+            # numbered in the order a breadth-first search from 0 finds them
+            order, seen = [0], {0}
+            for s in order:
+                for nxt in aut.succ[s]:
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        order.append(nxt)
+            assert order == list(range(n)), (seed, player)
+            # one successor per arena edge, in the arena's order
+            for s in range(n):
+                succ = [aut.vertex[nxt] for nxt in aut.succ[s]]
+                assert succ == list(t.arena.successors(aut.vertex[s])), (seed, player, s)
+
+
 def test_automaton_rejected_for_mean_payoff():
     g, t, lg = labeled("fig1.game")
     with pytest.raises(UnsupportedMeasure):

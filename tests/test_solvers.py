@@ -42,6 +42,7 @@ from admgames.transform import make_prefix_independent
 from admgames.values import compute_value_table
 
 from helpers import (
+    NamedParityGame,
     load_game,
     load_strategy,
     memoryless,
@@ -51,6 +52,7 @@ from helpers import (
     reference_threshold_region,
     reference_zero_sum_value,
     shortest_cycle_through,
+    solve_named_parity,
     threshold_region_sweep,
     witness_lasso_per_call,
     worst_case_strategy_per_level,
@@ -64,10 +66,10 @@ DIAMOND = {"a": ("c", "b"), "b": ("d",), "c": ("c", "d"), "d": ("e",), "e": ("a"
 
 
 def test_explore_lists_states_breadth_first_with_successors_in_order():
-    graph = explore("a", DIAMOND.__getitem__)
-    assert list(graph) == ["a", "c", "b", "d", "e"]
-    assert graph == DIAMOND
-    assert list(explore("d", DIAMOND.__getitem__)) == ["d", "e", "a", "c", "b"]
+    states, table = explore("a", DIAMOND.__getitem__)
+    assert states == ["a", "c", "b", "d", "e"]
+    assert {v: tuple(states[j] for j in outs) for v, outs in zip(states, table)} == DIAMOND
+    assert explore("d", DIAMOND.__getitem__)[0] == ["d", "e", "a", "c", "b"]
 
 
 def test_explore_raises_at_the_first_bad_state_breadth_first():
@@ -368,21 +370,17 @@ def test_one_player_zero_loop_graph():
 
 
 def test_parity_all_even_and_odd_loop():
-    pg = ParityGame(
-        owner={"a": 0, "b": 1},
-        priority={"a": 0, "b": 2},
-        succ={"a": ("b",), "b": ("a",)},
-    )
+    pg = ParityGame(owner={0: 0, 1: 1}, priority={0: 0, 1: 2}, succ={0: (1,), 1: (0,)})
     r0, r1 = solve_parity(pg)
-    assert r0.vertices == frozenset({"a", "b"}) and not r1.vertices
+    assert r0.vertices == frozenset({0, 1}) and not r1.vertices
 
-    pg2 = ParityGame(owner={"a": 0}, priority={"a": 1}, succ={"a": ("a",)})
+    pg2 = ParityGame(owner={0: 0}, priority={0: 1}, succ={0: (0,)})
     r0, r1 = solve_parity(pg2)
-    assert r1.vertices == frozenset({"a"}) and not r0.vertices
+    assert r1.vertices == frozenset({0}) and not r0.vertices
 
 
 def _random_parity_game(rng, n, priorities=4, degree=2):
-    verts = [f"p{i}" for i in range(n)]
+    verts = range(n)
     return ParityGame(
         owner={v: rng.randint(0, 1) for v in verts},
         priority={v: rng.randint(0, priorities - 1) for v in verts},
@@ -511,7 +509,7 @@ def _named_parity_game(rng):
     names = list(names)
     rng.shuffle(names)
     priorities = rng.randint(1, 8)
-    return ParityGame(
+    return NamedParityGame(
         owner={v: rng.randint(0, 1) for v in names},
         priority={v: rng.randint(0, priorities - 1) for v in names},
         succ={v: tuple(rng.sample(names, rng.randint(1, min(3, n)))) for v in names},
@@ -522,7 +520,7 @@ def test_parity_matches_reference_solver_on_named_games():
     rng = random.Random(2024)
     for seed in range(500):
         pg = _named_parity_game(rng)
-        got, want = solve_parity(pg), reference_solve_parity(pg)
+        got, want = solve_named_parity(pg), reference_solve_parity(pg)
         for player in (0, 1):
             assert got[player].vertices == want[player].vertices, (seed, player)
             assert got[player].strategy == want[player].strategy, (seed, player)
@@ -538,7 +536,7 @@ def _stack_depth():
 def test_parity_deep_game_needs_no_recursion(monkeypatch):
     # a cycle of distinct priorities: Zielonka nests one subgame per vertex
     n = 300
-    pg = ParityGame(
+    pg = NamedParityGame(
         owner={("c", i): i % 2 for i in range(n)},
         priority={("c", i): i for i in range(n)},
         succ={("c", i): (("c", i), ("c", (i + 1) % n)) for i in range(n)},
@@ -551,65 +549,67 @@ def test_parity_deep_game_needs_no_recursion(monkeypatch):
     set_limit(_stack_depth() + 100)
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     try:
-        got = solve_parity(pg)
+        got = solve_named_parity(pg)
     finally:
         monkeypatch.undo()
         set_limit(old)
     assert got == reference_solve_parity(pg)
 
 
-# a solved game for the tampering tests: player 0 wins {a, b} by a -> b -> a
-# (top priority 2); player 1 wins {c, d} by looping at d (priority 1), and c
-# can only go to d
+# a solved game for the tampering tests, on the states a, b, c, d = 0, 1, 2, 3:
+# player 0 wins {a, b} by a -> b -> a (top priority 2); player 1 wins {c, d}
+# by looping at d (priority 1), and c can only go to d
+A, B, C, D = range(4)
 TAMPER = ParityGame(
-    owner={"a": 0, "b": 1, "c": 0, "d": 1},
-    priority={"a": 2, "b": 0, "c": 0, "d": 1},
-    succ={"a": ("b", "c"), "b": ("a",), "c": ("d",), "d": ("d",)},
+    owner={A: 0, B: 1, C: 0, D: 1},
+    priority={A: 2, B: 0, C: 0, D: 1},
+    succ={A: (B, C), B: (A,), C: (D,), D: (D,)},
 )
 
 
 def test_parity_check_accepts_the_solution():
     r0, r1 = solve_parity(TAMPER)
-    assert r0.vertices == {"a", "b"} and r0.strategy == {"a": "b"}
-    assert r1.vertices == {"c", "d"} and r1.strategy == {"d": "d"}
+    assert r0.vertices == {A, B} and r0.strategy == {A: B}
+    assert r1.vertices == {C, D} and r1.strategy == {D: D}
     check_parity_solution(TAMPER, r0, r1)
 
 
 def test_parity_check_rejects_a_move_out_of_the_region():
     r0, r1 = solve_parity(TAMPER)
-    bad = Region(r0.vertices, {"a": "c"})
-    with pytest.raises(RuntimeError, match="move at 'a' does not stay in its region"):
+    bad = Region(r0.vertices, {A: C})
+    with pytest.raises(RuntimeError, match="move at state 0 does not stay in its region"):
         check_parity_solution(TAMPER, bad, r1)
 
 
 def test_parity_check_rejects_a_loser_edge_out_of_the_region():
     # an edge b -> d lets player 1 leave player 0's region at b
-    game = replace(TAMPER, succ={**TAMPER.succ, "b": ("a", "d")})
-    r0 = Region(frozenset({"a", "b"}), {"a": "b"})
-    r1 = Region(frozenset({"c", "d"}), {"d": "d"})
-    with pytest.raises(RuntimeError, match="player 1 can leave player 0's region at 'b'"):
+    game = replace(TAMPER, succ={**TAMPER.succ, B: (A, D)})
+    r0 = Region(frozenset({A, B}), {A: B})
+    r1 = Region(frozenset({C, D}), {D: D})
+    with pytest.raises(RuntimeError, match="player 1 can leave player 0's region at state 1"):
         check_parity_solution(game, r0, r1)
 
 
 def test_parity_check_rejects_overlapping_regions():
     r0, r1 = solve_parity(TAMPER)
-    both = Region(r1.vertices | {"b"}, r1.strategy)
-    with pytest.raises(RuntimeError, match="'b' is in both regions"):
+    both = Region(r1.vertices | {B}, r1.strategy)
+    with pytest.raises(RuntimeError, match="state 1 is in both regions"):
         check_parity_solution(TAMPER, r0, both)
 
 
 def test_parity_check_rejects_an_odd_cycle_under_an_even_top():
-    # player 1 owns x (priority 2) and y (priority 1): the component {x, y}
-    # has the even top 2, but player 1 wins by looping at y
+    # player 1 owns x = 0 (priority 2) and y = 1 (priority 1): the component
+    # {x, y} has the even top 2, but player 1 wins by looping at y
+    x, y = 0, 1
     game = ParityGame(
-        owner={"x": 1, "y": 1},
-        priority={"x": 2, "y": 1},
-        succ={"x": ("y",), "y": ("x", "y")},
+        owner={x: 1, y: 1},
+        priority={x: 2, y: 1},
+        succ={x: (y,), y: (x, y)},
     )
     r0, r1 = solve_parity(game)
-    assert not r0.vertices and r1.vertices == {"x", "y"}
-    claimed = Region(frozenset({"x", "y"}), {})
-    with pytest.raises(RuntimeError, match="cycle of top priority 1 through 'y'"):
+    assert not r0.vertices and r1.vertices == {x, y}
+    claimed = Region(frozenset({x, y}), {})
+    with pytest.raises(RuntimeError, match="cycle of top priority 1 through state 1"):
         check_parity_solution(game, claimed, Region(frozenset(), {}))
 
 
