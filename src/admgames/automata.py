@@ -44,7 +44,12 @@ __all__ = [
 
 @dataclass
 class EdgeAutomaton:
-    """Deterministic, edge-labelled, max-parity automaton with named states."""
+    """Deterministic, edge-labelled, max-parity automaton with named states,
+    as read from a file or built over an arena's edge set.
+
+    `along(g)` gives the same automaton explored along the arena `g`, which
+    is the form products and the parity solver work on.
+    """
 
     initial: object
     delta: dict  # (state, (src, dst)) -> state
@@ -75,13 +80,12 @@ class EdgeAutomaton:
     def along(self, g: Game) -> ExploredAutomaton:
         """The same automaton explored along the arena `g`; its states are
         named (arena vertex, state, priority)."""
-        aut = self
 
         def succ(state):
             v, s, _ = state
             for v2 in g.successors(v):
-                t = aut.step(s, (v, v2))
-                yield v2, t, aut.priority[t]
+                t = self.step(s, (v, v2))
+                yield v2, t, self.priority[t]
 
         return _explored((g.init, self.initial, self.priority[self.initial]), succ)
 
@@ -133,6 +137,7 @@ class ExploredAutomaton:
         return replace(self, priority=[p + 1 for p in self.priority])
 
     def along(self, g: Game) -> ExploredAutomaton:
+        """The automaton itself: it was explored along `g`."""
         assert self.vertex[0] == g.init, "explored along another arena"
         return self
 

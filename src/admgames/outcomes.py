@@ -603,11 +603,11 @@ def verify_strategy_wins(g: Game, player: int, spec: PayoffSpec, s: MooreStrateg
             nexts = [t for t in nexts if tg.origin(vertex[t]) == target]
         return [(t, s.next_memory(mem, tg.origin(vertex[t]))) for t in nexts]
 
-    states, table = explore((objective.initial, s.init_mem), succ)
+    states, graph = explore((objective.initial, s.init_mem), succ)
     pg = ParityGame(
         owner=dict.fromkeys(range(len(states)), 1),
         priority={i: objective.priority[q] for i, (q, _) in enumerate(states)},
-        succ=dict(enumerate(table)),
+        succ=dict(enumerate(graph)),
     )
     r0, _ = solve_parity(pg)
     return 0 in r0.vertices
