@@ -29,7 +29,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .games import Game, GameFormatError
-from .solvers import _WitnessLassos, fixed_strategy_extremes, one_player_values
+from .solvers import (
+    CoalitionGame,
+    _DenseThreshold,
+    _one_player,
+    _unscaled,
+    _WitnessLassos,
+    fixed_strategy_extremes,
+)
 from .transform import MooreStrategy, moore_layout, product_with_strategy, validate_strategy
 from .values import ValueTable, compute_value_table
 
@@ -191,25 +198,29 @@ def construct_wco_candidate(
         table = compute_value_table(g)
     arena = table.arena
     aval = {v: table.aval[(player, v)] for v in arena.owner}
-    w = arena.player_weights(player)
-    per_level = {}
-    for level in table.avalues[player]:
-        exact = frozenset(u for u in arena.owner if aval[u] == level)
-        wide = frozenset(u for u in arena.owner if aval[u] >= level)
-        flat = one_player_values(
-            exact,
-            lambda x: tuple(t for t in arena.succ[x] if t in exact),
-            lambda a, b: w[(a, b)],
-            arena.measure,
-            True,
-        )
-        per_level[level] = (exact, wide, flat)
+    dt = _DenseThreshold(CoalitionGame(arena, player))
+    rank_of = {x: r for r, x in enumerate(table.avalues[player])}
+    rank = [rank_of[aval[v]] for v in dt.verts]
+    flat = [None] * len(rank)  # the cooperative optimum inside the vertex's own level
+    per_level = []
+    for r in range(len(rank_of)):
+        exact = bytearray(x == r for x in rank)
+        coop = _one_player(dt.succ, dt.weight, exact, arena.measure, True)
+        for i, x in enumerate(rank):
+            if x == r:
+                flat[i] = coop[i]
+        per_level.append((
+            frozenset(v for v, x in zip(dt.verts, rank) if x == r),
+            frozenset(v for v, x in zip(dt.verts, rank) if x >= r),
+        ))
+    flat = _unscaled(flat, dt.denom)
     witnesses = _WitnessLassos(arena, player)
     lassos = {}
     for v in arena.owner:
+        i = dt.idx[v]
         target = table.acval[(player, v)]
-        exact, wide, flat = per_level[aval[v]]
-        lassos[v] = witnesses.lasso(v, target, exact if flat.get(v) == target else wide)
+        exact, wide = per_level[rank[i]]
+        lassos[v] = witnesses.lasso(v, target, exact if flat[i] == target else wide)
     s = _pursue(table, player, lassos, lambda a, tv: aval[tv] == aval[a])
     prod = _checked_product(g, s, table)
     extremes = fixed_strategy_extremes(prod, player)

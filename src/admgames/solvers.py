@@ -118,64 +118,23 @@ class ParityGame:
 
 
 def tarjan_sccs(nodes, succ):
-    """Iterative Tarjan; components are emitted in reverse topological order."""
-    index = {}
-    low = {}
-    onstack = set()
-    stack = []
-    comps = []
-    counter = [0]
-
-    for root in nodes:
-        if root in index:
-            continue
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        onstack.add(root)
-        work = [(root, iter(succ(root)))]
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(succ(w))))
-                    advanced = True
-                    break
-                if w in onstack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.remove(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-    return comps
+    """Tarjan's strongly connected components of the states reachable from
+    `nodes`, searched from them in order: `_dense_sccs` on their numbering.
+    Components are emitted in reverse topological order."""
+    roots = list(dict.fromkeys(nodes))
+    states, table = _numbered(roots, succ)
+    comps = _dense_sccs(table, range(len(roots)), bytearray(b"\x01") * len(states))
+    return [[states[i] for i in comp] for comp in comps]
 
 
-def explore(init, succ):
-    """The states reachable from `init`, numbered 0..n-1 in breadth-first
-    discovery order, and each state's successors in `succ`'s order, as a
-    table of tuples of state numbers.
-
-    Returns (states, table).  `succ` is called once per state, in number
-    order, and each successor is hashed once, on lookup.
-    """
-    states = [init]
-    index = {init: 0}
+def _numbered(roots, succ):
+    """The states reachable from the distinct `roots`, numbered 0..n-1: the
+    roots in order, then the others in breadth-first discovery order; and each
+    state's successors in `succ`'s order, as a table of tuples of state
+    numbers.  `succ` is called once per state, in number order, and each
+    successor is hashed once, on lookup."""
+    states = list(roots)
+    index = {s: i for i, s in enumerate(states)}
     table = []
     for state in states:
         row = []
@@ -186,6 +145,17 @@ def explore(init, succ):
             row.append(i)
         table.append(tuple(row))
     return states, table
+
+
+def explore(init, succ):
+    """The states reachable from `init`, numbered 0..n-1 in breadth-first
+    discovery order, and each state's successors in `succ`'s order, as a
+    table of tuples of state numbers.
+
+    Returns (states, table).  `succ` is called once per state, in number
+    order, and each successor is hashed once, on lookup.
+    """
+    return _numbered([init], succ)
 
 
 def bfs_path(start, goal_pred, succ):
@@ -357,12 +327,10 @@ class _DenseThreshold:
             arena = dense_arena(g)
         self.verts, self.idx, self.succ, self.pred = arena.verts, arena.idx, arena.succ, arena.pred
         self.owner = [int(o == cg.player) for o in arena.owner]
-        ws = g.player_weights(cg.player)
-        self.denom = denom = lcm(*(w.denominator for w in ws.values()))
-        scaled = {e: w.numerator * (denom // w.denominator) for e, w in ws.items()}
+        self.denom, scaled = _scaled_weights(g, cg.player)
         self.weight = [[scaled[(v, w)] for w in g.succ[v]] for v in self.verts]
         self.ints = sorted(set(scaled.values()))
-        self.levels = [Fraction(x, denom) for x in self.ints]
+        self.levels = [Fraction(x, self.denom) for x in self.ints]
 
     def heavy(self, x):
         """The target-edge lister, for `_dense_attr`, of the moves of scaled
@@ -503,7 +471,10 @@ def _threshold_region(cg: CoalitionGame, measure: PayoffKind, theta, within) -> 
 
 
 def zero_sum_value(
-    cg: CoalitionGame, measure: PayoffKind, arena: _DenseGraph | None = None
+    cg: CoalitionGame,
+    measure: PayoffKind,
+    arena: _DenseGraph | None = None,
+    dt: _DenseThreshold | None = None,
 ) -> tuple[dict, dict]:
     """Per-vertex value of the max player against the merged coalition, and
     one memoryless strategy of that player achieving every value at once: the
@@ -515,8 +486,9 @@ def zero_sum_value(
     inside the region of the one below it (except for SUP), and the sweep
     stops at the first empty region.  Callers that solve every player's
     game on one arena pass its `dense_arena` as `arena`, so it is built
-    once."""
-    dt = _DenseThreshold(cg, arena)
+    once, or the player's `_DenseThreshold` as `dt`, to use it again."""
+    if dt is None:
+        dt = _DenseThreshold(cg, arena)
     if measure.is_mean_payoff:
         val = _mp_search(dt)
         moves = _mp_certify(dt, val)
@@ -569,20 +541,83 @@ def _effective(measure: PayoffKind) -> PayoffKind:
     return measure
 
 
-def _has_cycle(nodes, edges):
-    nodeset = set(nodes)
-    adj = {v: [] for v in nodeset}
-    for (u, v) in edges:
-        if u in nodeset and v in nodeset:
-            adj[u].append(v)
-    for comp in tarjan_sccs(sorted(nodeset), lambda v: adj[v]):
-        if len(comp) > 1 or comp[0] in adj[comp[0]]:
-            return True
-    return False
+def _dense_sccs(succ, roots, inside):
+    """Tarjan's strongly connected components (SIAM J. Comput. 1972) of the
+    subgraph of a successor table on the states that `inside` marks, searched
+    from `roots` in order, iteratively.  Components are emitted in reverse
+    topological order, each as its states in the order they leave the stack.
+    """
+    index = [-1] * len(succ)
+    low = index[:]
+    onstack = bytearray(len(succ))
+    stack = []
+    comps = []
+    counter = 0
+    for root in roots:
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        onstack[root] = 1
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if not inside[w]:
+                    continue
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    onstack[w] = 1
+                    work.append((w, iter(succ[w])))
+                    break
+                if onstack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    at = len(stack) - 1
+                    while stack[at] != v:
+                        at -= 1
+                    comp = stack[at:]
+                    del stack[at:]
+                    for w in comp:
+                        onstack[w] = 0
+                    comp.reverse()
+                    comps.append(comp)
+    return comps
+
+
+def _cyclic(k, edges):
+    """Whether the edges (a, b) on the states 0..k-1 close a cycle: Kahn's
+    peel of the states without incoming edges leaves some state behind."""
+    indeg = [0] * k
+    adj = [[] for _ in range(k)]
+    for a, b in edges:
+        adj[a].append(b)
+        indeg[b] += 1
+    peeled = [a for a in range(k) if not indeg[a]]
+    for a in peeled:
+        for b in adj[a]:
+            indeg[b] -= 1
+            if not indeg[b]:
+                peeled.append(b)
+    return len(peeled) < k
 
 
 def _karp_min_mean(comp, edges):
-    """Karp's minimum cycle mean inside one strongly connected component."""
+    """Karp's minimum cycle mean (Discrete Math. 1978) inside one strongly
+    connected component, from `edges` (u, v, w) between its states.
+
+    Integer weights stay integers: means are compared as (sum, length)
+    pairs by cross-multiplication, and only the result is a Fraction.
+    """
     comp = sorted(comp)
     n = len(comp)
     idx = {v: i for i, v in enumerate(comp)}
@@ -590,7 +625,7 @@ def _karp_min_mean(comp, edges):
     for (u, v, w) in edges:
         inc[idx[v]].append((idx[u], w))
     d = [[None] * n for _ in range(n + 1)]
-    d[0][0] = 0  # root = comp[0]; integer weights stay in int
+    d[0][0] = 0  # root = comp[0]
     for k in range(1, n + 1):
         for v in range(n):
             best = None
@@ -600,7 +635,7 @@ def _karp_min_mean(comp, edges):
                     if best is None or cand < best:
                         best = cand
             d[k][v] = best
-    mu = None
+    mu = None  # (sum, length) of the least mean so far
     for v in range(n):
         if d[n][v] is None:
             continue
@@ -608,98 +643,147 @@ def _karp_min_mean(comp, edges):
         for k in range(n):
             if d[k][v] is None:
                 continue
-            cand = Fraction(d[n][v] - d[k][v], n - k)
-            if worst is None or cand > worst:
+            cand = (d[n][v] - d[k][v], n - k)
+            if worst is None or cand[0] * worst[1] > worst[0] * cand[1]:
                 worst = cand
-        if worst is not None and (mu is None or worst < mu):
+        if worst is not None and (mu is None or worst[0] * mu[1] < mu[0] * worst[1]):
             mu = worst
-    return mu
+    return None if mu is None else Fraction(*mu)
 
 
-def _scc_metric(comp, internal_edges, measure: PayoffKind, maximize: bool):
-    """Best (or worst) cycle payoff inside one SCC, None if it has no cycle."""
-    if not internal_edges:
-        return None
-    ws = sorted({w for (_, _, w) in internal_edges})
-    if measure is PayoffKind.LIMINF:
+def _cycle_metric(k, edges, measure: PayoffKind, maximize: bool):
+    """Best (or worst) cycle payoff among the edges (a, b, w) of one strongly
+    connected component on the states 0..k-1, which has at least one edge.
+
+    For a LIMINF maximum it is the largest weight whose "weight >= it"
+    subgraph keeps a cycle.  Whether it does is monotone in the weight, and
+    the least weight always does, so a binary search over the distinct
+    weights finds it.  A LIMSUP minimum, like a mean-payoff maximum, is the
+    opposite of the other optimum on the negated weights.
+    """
+    if measure is PayoffKind.MP_INF:
         if maximize:
-            for theta in reversed(ws):
-                sub = [(u, v) for (u, v, w) in internal_edges if w >= theta]
-                if _has_cycle(comp, sub):
-                    return theta
-            return None
-        return min(ws)  # every internal edge of an SCC lies on a cycle
-    if measure is PayoffKind.LIMSUP:
-        if maximize:
-            return max(ws)
-        for theta in ws:
-            sub = [(u, v) for (u, v, w) in internal_edges if w <= theta]
-            if _has_cycle(comp, sub):
-                return theta
-        return None
-    if maximize:
-        neg = [(u, v, -w) for (u, v, w) in internal_edges]
-        mu = _karp_min_mean(comp, neg)
-        return None if mu is None else -mu
-    return _karp_min_mean(comp, internal_edges)
+            return -_karp_min_mean(range(k), [(a, b, -w) for a, b, w in edges])
+        return _karp_min_mean(range(k), edges)
+    if measure is PayoffKind.LIMSUP and not maximize:
+        return -_cycle_metric(k, [(a, b, -w) for a, b, w in edges], PayoffKind.LIMINF, True)
+    ws = sorted({w for _, _, w in edges})
+    if measure is PayoffKind.LIMSUP or not maximize:
+        # every edge of a component lies on a cycle
+        return ws[-1] if maximize else ws[0]
+    lo, hi = 0, len(ws) - 1  # the answer's index lies in lo..hi
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _cyclic(k, [(a, b) for a, b, w in edges if w >= ws[mid]]):
+            lo = mid
+        else:
+            hi = mid - 1
+    return ws[lo]
+
+
+def _one_player(succ, weight, inside, measure: PayoffKind, maximize: bool) -> list:
+    """Optimal payoff from every state of a one-player graph on scaled
+    integer weights: the best (or worst) cycle metric it can reach.
+
+    `succ[i]` lists state i's successors and `weight[i][k]` the scaled
+    weight of its k-th move; only the states that the membership array
+    `inside` marks, and the moves between them, take part.  Components come
+    from `_dense_sccs` and are combined over the condensation, sinks first.
+    Returns one entry per state: a scaled value (an int, or for mean payoff
+    a Fraction of the scaled weights), or None for a state outside or one
+    that reaches no cycle.
+    """
+    measure = _effective(measure)
+    n = len(succ)
+    comp_of = [-1] * n
+    local = [0] * n  # a state's position in its component
+    best = []
+    for ci, comp in enumerate(_dense_sccs(succ, [i for i in range(n) if inside[i]], inside)):
+        for a, u in enumerate(comp):
+            comp_of[u] = ci
+            local[u] = a
+        internal = []
+        value = None  # the best value of a later component
+        for u in comp:
+            for v, w in zip(succ[u], weight[u]):
+                if not inside[v]:
+                    continue
+                cj = comp_of[v]
+                if cj == ci:
+                    internal.append((local[u], local[v], w))
+                    continue
+                x = best[cj]
+                if x is not None and (value is None or (x > value if maximize else x < value)):
+                    value = x
+        if internal:
+            x = _cycle_metric(len(comp), internal, measure, maximize)
+            if value is None or (x > value if maximize else x < value):
+                value = x
+        best.append(value)
+    return [None if c < 0 else best[c] for c in comp_of]
+
+
+def _unscaled(values, denom) -> list:
+    """Scaled one-player values as Fractions, None kept; one Fraction is
+    made per distinct value."""
+    made = {None: None}
+    out = []
+    for x in values:
+        f = made.get(x, made)
+        if f is made:
+            f = made[x] = Fraction(x, denom)
+        out.append(f)
+    return out
+
+
+def _scaled_weights(g: Game, player: int):
+    """The lcm of the player's weight denominators, and each edge's weight
+    times it, an int."""
+    ws = g.player_weights(player)
+    denom = lcm(*(w.denominator for w in ws.values()))
+    return denom, {e: w.numerator * (denom // w.denominator) for e, w in ws.items()}
 
 
 def one_player_values(nodes, succ, wfun, measure: PayoffKind, maximize: bool) -> dict:
     """Optimal payoff from every node when a single controller picks all moves.
 
     For prefix-independent cycle measures this is the best (worst) reachable
-    cycle metric; nodes that reach no cycle get None.
+    cycle metric; nodes that reach no cycle get None.  The nodes, and any
+    successor outside them, are numbered and the weights scaled to integers
+    for `_one_player`.
     """
-    measure = _effective(measure)
-    nodes = sorted(nodes, key=_key)
-    comps = tarjan_sccs(nodes, succ)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-
-    best = {}
-    for ci, comp in enumerate(comps):
-        cs = set(comp)
-        internal = [
-            (u, v, wfun(u, v)) for u in comp for v in succ(u)
-            if v in cs and (len(comp) > 1 or u == v)
-        ]
-        value = _scc_metric(comp, internal, measure, maximize)
-        for u in comp:
-            for v in succ(u):
-                cj = comp_of[v]
-                if cj != ci and best[cj] is not None:
-                    if value is None:
-                        value = best[cj]
-                    else:
-                        value = max(value, best[cj]) if maximize else min(value, best[cj])
-        best[ci] = value
-    return {v: best[comp_of[v]] for v in nodes}
+    nodes = list(dict.fromkeys(sorted(nodes, key=_key)))
+    order, table = _numbered(nodes, succ)
+    raw = [[wfun(v, order[j]) for j in row] for v, row in zip(order, table)]
+    denom = lcm(*(w.denominator for row in raw for w in row))
+    weight = [[w.numerator * (denom // w.denominator) for w in row] for row in raw]
+    values = _one_player(table, weight, bytearray(b"\x01") * len(order), measure, maximize)
+    return dict(zip(nodes, _unscaled(values[: len(nodes)], denom)))
 
 
 def one_player_max_value(g: Game, player: int) -> dict:
     """Cooperative optimum per vertex: all players maximize player's payoff."""
-    w = g.player_weights(player)
-    return one_player_values(
-        g.owner, lambda v: g.succ[v], lambda u, v: w[(u, v)], g.measure, True
-    )
+    dt = _DenseThreshold(CoalitionGame(g, player))
+    values = _one_player(dt.succ, dt.weight, bytearray(b"\x01") * len(dt.verts), g.measure, True)
+    return dict(zip(dt.verts, _unscaled(values, dt.denom)))
 
 
 def fixed_strategy_extremes(prod, player: int) -> dict:
     """Adversary-minimized and -maximized payoff per product state.
 
     Under a fixed strategy the product is a one-player arena of the
-    coalition, so both extremes are plain cycle optimizations.
+    coalition, so both extremes are plain cycle optimizations, run on the
+    product's states in the order `explore` numbered them.
     """
     arena = prod.arena
-
-    def wfun(s, t):
-        return arena.weight(s[0], t[0], player)
-
-    lo = one_player_values(prod.states, lambda s: prod.succ[s], wfun, arena.measure, False)
-    hi = one_player_values(prod.states, lambda s: prod.succ[s], wfun, arena.measure, True)
-    return {s: (lo[s], hi[s]) for s in prod.states}
+    denom, scaled = _scaled_weights(arena, player)
+    idx = {s: i for i, s in enumerate(prod.succ)}
+    succ = [[idx[t] for t in outs] for outs in prod.succ.values()]
+    weight = [[scaled[(s[0], t[0])] for t in outs] for s, outs in prod.succ.items()]
+    inside = bytearray(b"\x01") * len(succ)
+    lo = _unscaled(_one_player(succ, weight, inside, arena.measure, False), denom)
+    hi = _unscaled(_one_player(succ, weight, inside, arena.measure, True), denom)
+    return {s: (lo[idx[s]], hi[idx[s]]) for s in prod.states}
 
 
 # ---------------------------------------------------------------------------
@@ -847,16 +931,13 @@ def _mp_certify(dt: _DenseThreshold, val: list) -> dict:
         sigma.update(_energy(dt, p, q, region, lambda j: val[j] > lam)[1])
         tau.update(_energy(dt, p, q, region, lambda j: val[j] < lam, dual=True)[1])
 
-    succ = dt.succ
-    weight = {(i, j): w for i, js in enumerate(succ) for j, w in zip(js, dt.weight[i])}
+    succ, weight = dt.succ, dt.weight
+    inside = bytearray(b"\x01") * len(val)
     for strat, maximize in ((sigma, False), (tau, True)):
-        got = one_player_values(
-            range(len(val)),
-            lambda i: (strat[i],) if i in strat else succ[i],
-            lambda i, j: weight[(i, j)],
-            PayoffKind.MP_INF,
-            maximize,
-        )
+        moves, ws = succ[:], weight[:]
+        for i, j in strat.items():
+            moves[i], ws[i] = (j,), (weight[i][succ[i].index(j)],)
+        got = _one_player(moves, ws, inside, PayoffKind.MP_INF, maximize)
         for i, x in enumerate(val):
             if got[i] != x:
                 side = "tau" if maximize else "sigma"
@@ -992,14 +1073,19 @@ def _check_parity(dp: _DenseParity, regions, strategies):
                     f"state {v}, which it does not own in its region"
                 )
 
-    # every vertex sits in one group; a component with a cycle is re-split
-    # without its top priority under a fresh group number
-    group = region_of[:]
-    work = [(i, sorted(regions[i])) for i in (0, 1)]
-    fresh = 2
+    # each work item is a set of states marked in `member` while its
+    # components are found; a component with a cycle is split again without
+    # its top priority
+    member = bytearray(n)
+    work = [sorted(regions[i]) for i in (0, 1)]
     while work:
-        g, nodes = work.pop()
-        for comp in tarjan_sccs(nodes, lambda v: [w for w in graph[v] if group[w] == g]):
+        nodes = work.pop()
+        for v in nodes:
+            member[v] = 1
+        comps = _dense_sccs(graph, nodes, member)
+        for v in nodes:
+            member[v] = 0
+        for comp in comps:
             v = comp[0]
             if len(comp) == 1 and v not in graph[v]:
                 continue
@@ -1012,11 +1098,8 @@ def _check_parity(dp: _DenseParity, regions, strategies):
                     f"{region_of[v]}'s region"
                 )
             rest = [u for u in comp if prio[u] != d]
-            for u in comp:
-                group[u] = fresh if prio[u] != d else -1
             if rest:
-                work.append((fresh, rest))
-            fresh += 1
+                work.append(rest)
 
 
 def solve_parity(pg: ParityGame) -> tuple[Region, Region]:
@@ -1057,10 +1140,12 @@ class _WitnessLassos:
     The successor lists inside an allowed set are built once per set, and
     the part of the search that does not depend on the start once per
     (value, allowed set).  LIMINF keeps the cyclic set of the "weight >=
-    value" subgraph and the cycle through each entry vertex.  LIMSUP keeps
-    the sorted in-component edges of weight `value` and the way back along
-    each; a reach set is closed under successors, so its components are
-    those of the allowed subgraph.  Mean payoff keeps its search per start:
+    value" subgraph and the cycle through each entry vertex.  LIMSUP takes
+    the sorted in-component edges of weight `value` (a reach set is closed
+    under successors, so its components are those of the allowed subgraph)
+    and gives every vertex the first of them whose source it reaches, by
+    one backward breadth-first sweep per edge in order; the way back along
+    each edge is kept too.  Mean payoff keeps its search per start:
     which component it settles on follows the order in which Tarjan emits
     the start's reach set.
     """
@@ -1093,7 +1178,8 @@ class _WitnessLassos:
         assert cycle and cycle[0] == path[-1]
         lasso = Lasso(prefix=tuple(path[:-1]), cycle=tuple(cycle))
         got = payoff_of_lasso(g.measure, g, self.player, lasso)
-        assert got == value, f"witness payoff {got} != {value}"
+        if got != value:
+            raise RuntimeError(f"witness payoff {got} != {value}")
         return lasso
 
     def _liminf(self, start, key, nodes, succ):
@@ -1128,10 +1214,26 @@ class _WitnessLassos:
                 if comp_of[u] == comp_of[v] and (comp_of[u][1] > 1 or u == v)
                 and w[(u, v)] == value
             )
-            shared = self._shared[key] = (edges, {})
-        edges, cycles = shared
-        reach = set(explore(start, succ.__getitem__)[0])
-        target = next((e for e in edges if e[0] in reach), None)
+            pred = {v: [] for v in succ}
+            for v, outs in succ.items():
+                for t in outs:
+                    pred[t].append(v)
+            # A vertex marked by an earlier edge is not passed: whatever
+            # reaches it reaches that edge's source too, and is marked by it.
+            first = {}
+            for e in edges:
+                if e[0] in first:
+                    continue
+                first[e[0]] = e
+                todo = [e[0]]
+                for v in todo:
+                    for u in pred[v]:
+                        if u not in first:
+                            first[u] = e
+                            todo.append(u)
+            shared = self._shared[key] = (first, {})
+        first, cycles = shared
+        target = first.get(start)
         assert target is not None, "cooperative value must be realizable"
         entry = target[0]
         path = bfs_path(start, lambda v: v == entry, succ.__getitem__)
@@ -1151,7 +1253,8 @@ class _WitnessLassos:
                 (u, v, w[(u, v)]) for u in comp for v in succ[u]
                 if v in cs and (len(comp) > 1 or u == v)
             ]
-            if _scc_metric(comp, internal, PayoffKind.MP_INF, True) == value:
+            neg = [(u, v, -x) for u, v, x in internal]
+            if internal and -_karp_min_mean(comp, neg) == value:
                 cycle = _critical_cycle(comp, internal, value)
                 return bfs_path(start, lambda v: v == cycle[0], sub_succ), cycle
         raise AssertionError("cooperative value must be realizable")

@@ -21,9 +21,10 @@ from fractions import Fraction
 from .games import Game, check_history
 from .solvers import (
     CoalitionGame,
+    _DenseThreshold,
+    _one_player,
+    _unscaled,
     dense_arena,
-    one_player_max_value,
-    one_player_values,
     zero_sum_value,
 )
 from .transform import TransformedGame, make_prefix_independent
@@ -52,24 +53,14 @@ class ValueTable:
         return self.aval[key], self.cval[key], self.acval[key]
 
 
-def _restricted_cooperative(g: Game, player: int, aval: dict, level: Fraction) -> dict:
-    """Cooperative optimum inside the vertices whose aval is >= level.
-
-    Adversary vertices keep all their edges in the restriction, and every
-    vertex reachable from a level vertex keeps at least one edge, so the
-    values below are defined wherever they are read.
-    """
-    nodes = {v for v in g.owner if aval[v] >= level}
-    w = g.player_weights(player)
-
-    def succ(v):
-        return tuple(t for t in g.succ[v] if t in nodes)
-
-    return one_player_values(nodes, succ, lambda u, v: w[(u, v)], g.measure, True)
-
-
 def compute_value_table(g: Game) -> ValueTable:
-    """Compute the full value table, rebuilding INF/SUP arenas first."""
+    """Compute the full value table, rebuilding INF/SUP arenas first.
+
+    Each player's values come from one `_DenseThreshold` of the arena:
+    `zero_sum_value` solves aval on it, and the one-player solver gives cval
+    on the whole arena and acval for each aval level on the states whose
+    aval rank is at least the level's, all on the scaled integer weights.
+    """
     tg = make_prefix_independent(g)
     arena = tg.game
     aval = {}
@@ -79,29 +70,40 @@ def compute_value_table(g: Game) -> ValueTable:
     wcs = {}
     # the players' coalition games share one dense graph of the arena
     dense = dense_arena(arena)
+    n = len(dense.verts)
     for player in range(1, g.players + 1):
-        pa, wcs[player] = zero_sum_value(CoalitionGame(arena, player), arena.measure, dense)
-        pc = one_player_max_value(arena, player)
-        for v in arena.owner:
-            aval[(player, v)] = pa[v]
-            cval[(player, v)] = pc[v]
+        cg = CoalitionGame(arena, player)
+        dt = _DenseThreshold(cg, dense)
+        pa, wcs[player] = zero_sum_value(cg, arena.measure, dt=dt)
         levels = sorted(set(pa.values()))
         avalues[player] = tuple(levels)
-        for level in levels:
-            # the lowest level keeps every vertex and edge: cval itself
-            coop = pc if level == levels[0] else _restricted_cooperative(arena, player, pa, level)
-            for v in arena.owner:
-                if pa[v] == level:
-                    assert coop[v] is not None, (
-                        f"level-{level} subgraph must keep a cycle reachable from {v}"
-                    )
-                    acval[(player, v)] = coop[v]
-        for v in arena.owner:
-            k = (player, v)
-            assert aval[k] <= acval[k] <= cval[k], (
-                f"value sandwich violated at player {player}, vertex {v}: "
-                f"{aval[k]} <= {acval[k]} <= {cval[k]}"
+        rank_of = {x: r for r, x in enumerate(levels)}
+        rank = [rank_of[pa[v]] for v in dt.verts]
+        # the lowest level keeps every vertex and edge: cval itself
+        pc = _one_player(dt.succ, dt.weight, bytearray(b"\x01") * n, arena.measure, True)
+        coop = pc[:]
+        for r in range(1, len(levels)):
+            level = _one_player(
+                dt.succ, dt.weight, bytearray(x >= r for x in rank), arena.measure, True
             )
+            for i, x in enumerate(rank):
+                if x == r:
+                    coop[i] = level[i]
+        # the checks compare scaled values: an extremum level is an int there
+        floor = [x * dt.denom for x in levels]
+        floor = [x.numerator if x.denominator == 1 else x for x in floor]
+        for i, v in enumerate(dt.verts):
+            if coop[i] is None:
+                raise RuntimeError(
+                    f"level-{pa[v]} subgraph must keep a cycle reachable from {v}"
+                )
+            if not floor[rank[i]] <= coop[i] <= pc[i]:
+                raise RuntimeError(
+                    f"value sandwich violated at player {player}, vertex {v}: "
+                    f"{pa[v]} <= {Fraction(coop[i], dt.denom)} <= {Fraction(pc[i], dt.denom)}"
+                )
+        for v, c, ac in zip(dt.verts, _unscaled(pc, dt.denom), _unscaled(coop, dt.denom)):
+            aval[(player, v)], cval[(player, v)], acval[(player, v)] = pa[v], c, ac
     return ValueTable(
         source=g, transformed=tg, aval=aval, cval=cval, acval=acval, avalues=avalues, wcs=wcs
     )

@@ -18,13 +18,11 @@ from admgames.solvers import (
     _critical_cycle,
     _effective,
     _key,
-    _scc_metric,
     bfs_path,
     cooperative_witness_lasso,
     explore,
     solve_parity,
     solve_threshold,
-    tarjan_sccs,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -455,6 +453,168 @@ def shortest_cycle_through(u, succ):
     return None
 
 
+def reference_tarjan_sccs(nodes, succ):
+    """Reference for `solvers.tarjan_sccs`: iterative Tarjan over hashed
+    states, with dicts and sets; components in reverse topological order."""
+    index = {}
+    low = {}
+    onstack = set()
+    stack = []
+    comps = []
+    counter = [0]
+
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        onstack.add(root)
+        work = [(root, iter(succ(root)))]
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    onstack.add(w)
+                    work.append((w, iter(succ(w))))
+                    advanced = True
+                    break
+                if w in onstack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    onstack.remove(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(comp)
+    return comps
+
+
+def _has_cycle(nodes, edges):
+    nodeset = set(nodes)
+    adj = {v: [] for v in nodeset}
+    for (u, v) in edges:
+        if u in nodeset and v in nodeset:
+            adj[u].append(v)
+    for comp in reference_tarjan_sccs(sorted(nodeset), lambda v: adj[v]):
+        if len(comp) > 1 or comp[0] in adj[comp[0]]:
+            return True
+    return False
+
+
+def _karp_min_mean(comp, edges):
+    """Karp's minimum cycle mean inside one strongly connected component,
+    comparing the candidate means as Fractions."""
+    comp = sorted(comp)
+    n = len(comp)
+    idx = {v: i for i, v in enumerate(comp)}
+    inc = [[] for _ in comp]  # incoming: (src index, weight)
+    for (u, v, w) in edges:
+        inc[idx[v]].append((idx[u], w))
+    d = [[None] * n for _ in range(n + 1)]
+    d[0][0] = 0
+    for k in range(1, n + 1):
+        for v in range(n):
+            best = None
+            for (u, w) in inc[v]:
+                if d[k - 1][u] is not None:
+                    cand = d[k - 1][u] + w
+                    if best is None or cand < best:
+                        best = cand
+            d[k][v] = best
+    mu = None
+    for v in range(n):
+        if d[n][v] is None:
+            continue
+        worst = None
+        for k in range(n):
+            if d[k][v] is None:
+                continue
+            cand = Fraction(d[n][v] - d[k][v], n - k)
+            if worst is None or cand > worst:
+                worst = cand
+        if worst is not None and (mu is None or worst < mu):
+            mu = worst
+    return mu
+
+
+def _scc_metric(comp, internal_edges, measure: PayoffKind, maximize: bool):
+    """Best (or worst) cycle payoff inside one SCC, None if it has no cycle:
+    every distinct weight is tried in turn, with a fresh cycle search."""
+    if not internal_edges:
+        return None
+    ws = sorted({w for (_, _, w) in internal_edges})
+    if measure is PayoffKind.LIMINF:
+        if maximize:
+            for theta in reversed(ws):
+                sub = [(u, v) for (u, v, w) in internal_edges if w >= theta]
+                if _has_cycle(comp, sub):
+                    return theta
+            return None
+        return min(ws)  # every internal edge of an SCC lies on a cycle
+    if measure is PayoffKind.LIMSUP:
+        if maximize:
+            return max(ws)
+        for theta in ws:
+            sub = [(u, v) for (u, v, w) in internal_edges if w <= theta]
+            if _has_cycle(comp, sub):
+                return theta
+        return None
+    if maximize:
+        neg = [(u, v, -w) for (u, v, w) in internal_edges]
+        mu = _karp_min_mean(comp, neg)
+        return None if mu is None else -mu
+    return _karp_min_mean(comp, internal_edges)
+
+
+def reference_one_player_values(nodes, succ, wfun, measure: PayoffKind, maximize: bool) -> dict:
+    """Reference for `solvers.one_player_values`: Tarjan over hashed names,
+    `Fraction` weights, and a linear scan of the thresholds per component.
+
+    Optimal payoff from every node when a single controller picks all moves,
+    None where no cycle is reachable.
+    """
+    measure = _effective(measure)
+    nodes = sorted(nodes, key=_key)
+    comps = reference_tarjan_sccs(nodes, succ)
+    comp_of = {}
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = ci
+
+    best = {}
+    for ci, comp in enumerate(comps):
+        cs = set(comp)
+        internal = [
+            (u, v, wfun(u, v)) for u in comp for v in succ(u)
+            if v in cs and (len(comp) > 1 or u == v)
+        ]
+        value = _scc_metric(comp, internal, measure, maximize)
+        for u in comp:
+            for v in succ(u):
+                cj = comp_of[v]
+                if cj != ci and best[cj] is not None:
+                    if value is None:
+                        value = best[cj]
+                    else:
+                        value = max(value, best[cj]) if maximize else min(value, best[cj])
+        best[ci] = value
+    return {v: best[comp_of[v]] for v in nodes}
+
+
 def witness_lasso_per_call(g: Game, player: int, start, value, allowed=None) -> Lasso:
     """Reference cooperative witness lasso that analyses the arena afresh.
 
@@ -474,7 +634,7 @@ def witness_lasso_per_call(g: Game, player: int, start, value, allowed=None) -> 
             return tuple(t for t in sub_succ(v) if w[(v, t)] >= value)
 
         cyclic = set()
-        for comp in tarjan_sccs(sorted(allowed), good_succ):
+        for comp in reference_tarjan_sccs(sorted(allowed), good_succ):
             if len(comp) > 1 or comp[0] in good_succ(comp[0]):
                 cyclic |= set(comp)
         path = bfs_path(start, lambda v: v in cyclic, sub_succ)
@@ -486,7 +646,7 @@ def witness_lasso_per_call(g: Game, player: int, start, value, allowed=None) -> 
     elif measure is PayoffKind.LIMSUP:
         reach = reachable_from(start, sub_succ)
         target = None
-        for comp in tarjan_sccs(sorted(allowed & reach), sub_succ):
+        for comp in reference_tarjan_sccs(sorted(allowed & reach), sub_succ):
             cs = set(comp)
             for u in sorted(cs & reach):
                 for v in sorted(sub_succ(u)):
@@ -503,7 +663,7 @@ def witness_lasso_per_call(g: Game, player: int, start, value, allowed=None) -> 
             cycle = [entry] + back[:-1]
     else:
         cycle = None
-        for comp in tarjan_sccs(sorted(reachable_from(start, sub_succ)), sub_succ):
+        for comp in reference_tarjan_sccs(sorted(reachable_from(start, sub_succ)), sub_succ):
             cs = set(comp)
             internal = [
                 (u, v, w[(u, v)]) for u in comp for v in sub_succ(u)

@@ -330,3 +330,19 @@ def test_cli_oracle_imports_only_stdlib():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_values_under_python_O_match_a_normal_run():
+    # the run-time checks raise RuntimeError, so `python -O` keeps them and
+    # gives the same output
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["-m", "admgames.cli", "--json", "values", fx("fig1.game")]
+    plain, optimized = (
+        subprocess.run(
+            [sys.executable, *flags, *argv], capture_output=True, text=True, env=env, check=True
+        ).stdout
+        for flags in ([], ["-O"])
+    )
+    assert optimized == plain
+    assert json.loads(plain)["command"] == "values"

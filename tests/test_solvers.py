@@ -35,6 +35,7 @@ from admgames.solvers import (
     one_player_values,
     solve_parity,
     solve_threshold,
+    tarjan_sccs,
     worst_case_strategy,
     zero_sum_value,
 )
@@ -48,6 +49,8 @@ from helpers import (
     memoryless,
     mp_value_iteration,
     reference_attr,
+    reference_one_player_values,
+    reference_tarjan_sccs,
     reference_solve_parity,
     reference_threshold_region,
     reference_zero_sum_value,
@@ -871,3 +874,139 @@ def test_cycle_means_match_brute_force(rational):
             lone = replace(g, owner={v: 3 - player for v in g.owner})
             assert low == brute_zero_sum(lone, player), (seed, player)
             assert one_player_max_value(g, player) == brute_cooperative(g, player)
+
+
+def test_witness_payoff_check_raises(monkeypatch):
+    # a lasso whose re-evaluated payoff misses its value is refused
+    g = load_game("fig1.game")
+    monkeypatch.setattr(solvers, "payoff_of_lasso", lambda *args: F(99))
+    with pytest.raises(RuntimeError, match="witness payoff 99 != 2"):
+        cooperative_witness_lasso(g, 1, "v1", F(2))
+
+
+def test_sccs_match_the_hashed_reference_on_random_digraphs():
+    # same components in the same order, members in the same order, both
+    # on the dense arrays and on named states
+    rng = random.Random(14)
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        succ = [rng.sample(range(n), rng.randint(0, min(3, n))) for _ in range(n)]
+        inside = bytearray(rng.random() < 0.8 for _ in range(n))
+        roots = [v for v in rng.sample(range(n), n) if inside[v]]
+        want = reference_tarjan_sccs(roots, lambda v: [w for w in succ[v] if inside[w]])
+        assert solvers._dense_sccs(succ, roots, inside) == want, (succ, inside, roots)
+        named = {f"s{v}": [f"s{w}" for w in succ[v] if inside[w]] for v in range(n)}
+        starts = [f"s{v}" for v in roots[: n // 2]]  # the others are reached
+        got = tarjan_sccs(starts, named.__getitem__)
+        assert got == reference_tarjan_sccs(starts, named.__getitem__), (succ, inside, roots)
+
+
+def _rational(g, rng):
+    return replace(g, weights={
+        e: tuple(x / rng.randint(1, 4) for x in w) for e, w in g.weights.items()
+    })
+
+
+@pytest.mark.parametrize("measure", list(PayoffKind))
+def test_dense_one_player_values_match_the_reference(measure):
+    # random members, the empty set and single vertices with and without a
+    # self-loop, both directions, integer and rational weights
+    singles = {True: 0, False: 0}
+    for seed in range(16):
+        rng = random.Random(seed)
+        g = random_game(seed, size=5 + seed % 5, weight_range=(-4, 4), measure=measure)
+        if seed % 2:
+            g = _rational(g, rng)
+        for player in (1, 2):
+            dt = solvers._DenseThreshold(CoalitionGame(g, player))
+            w = g.player_weights(player)
+            n = len(dt.verts)
+            members = [set(), set(dt.verts), {dt.verts[rng.randrange(n)]}]
+            members += [{v for v in dt.verts if rng.random() < 0.6} for _ in range(3)]
+            for member in members:
+                if len(member) == 1:
+                    (v,) = member
+                    singles[v in g.succ[v]] += 1
+                inside = bytearray(v in member for v in dt.verts)
+                for maximize in (False, True):
+                    got = solvers._unscaled(
+                        solvers._one_player(dt.succ, dt.weight, inside, measure, maximize),
+                        dt.denom,
+                    )
+                    want = reference_one_player_values(
+                        member,
+                        lambda x, member=member: [t for t in g.succ[x] if t in member],
+                        lambda a, b: w[(a, b)],
+                        measure,
+                        maximize,
+                    )
+                    assert dict(zip(dt.verts, got)) == {
+                        v: want.get(v) for v in dt.verts
+                    }, (seed, player, member, maximize)
+                    adapter = one_player_values(
+                        member,
+                        lambda x, member=member: [t for t in g.succ[x] if t in member],
+                        lambda a, b: w[(a, b)],
+                        measure,
+                        maximize,
+                    )
+                    assert adapter == want, (seed, player, member, maximize)
+    assert singles[True] and singles[False]
+
+
+@pytest.mark.parametrize("count", range(1, 7))
+def test_one_player_threshold_search_finds_every_position(count):
+    # one component: a self-loop at 0 of weight ws[t] and a cycle through
+    # every state carrying each weight once, so the best LIMINF cycle keeps
+    # ws[t], whichever position t has among the sorted weights; with the
+    # weights negated the least LIMSUP cycle keeps -ws[t]
+    ws = [10 * (i + 1) for i in range(count)]
+    for t in range(count):
+        ring = list(range(count))  # state i -> i + 1 carries ws[i]
+        succ = [[(i + 1) % count] for i in ring]
+        weight = [[ws[i]] for i in ring]
+        if count == 1:
+            succ, weight = [[0]], [[ws[t]]]
+        else:
+            succ[0].append(0)
+            weight[0].append(ws[t])
+        inside = bytearray(b"\x01") * count
+        best = solvers._one_player(succ, weight, inside, PayoffKind.LIMINF, True)
+        assert best == [ws[t]] * count, (count, t)
+        negated = [[-x for x in row] for row in weight]
+        least = solvers._one_player(succ, negated, inside, PayoffKind.LIMSUP, False)
+        assert least == [-ws[t]] * count, (count, t)
+        for measure, table, maximize in (
+            (PayoffKind.LIMINF, weight, True), (PayoffKind.LIMSUP, negated, False)
+        ):
+            want = reference_one_player_values(
+                range(count), succ.__getitem__,
+                lambda a, b, table=table: table[a][succ[a].index(b)], measure, maximize,
+            )
+            got = solvers._one_player(succ, table, inside, measure, maximize)
+            assert got == [want[i] for i in range(count)], (count, t, measure)
+
+
+@pytest.mark.parametrize("measure", list(PayoffKind))
+def test_fixed_strategy_extremes_match_the_reference(measure):
+    # products of random memoryless strategies, integer and rational weights
+    for seed in range(12):
+        rng = random.Random(seed)
+        g = random_game(seed, size=6 + seed % 4, weight_range=(-3, 3), measure=measure)
+        if seed % 2:
+            g = _rational(g, rng)
+        for player in (1, 2):
+            moves = {v: rng.choice(g.succ[v]) for v in sorted(g.owner) if g.owner[v] == player}
+            prod = product_with_strategy(g, memoryless(player, moves))
+
+            def wfun(s, t):
+                return g.weight(s[0], t[0], player)
+
+            lo, hi = (
+                reference_one_player_values(
+                    prod.states, prod.succ.__getitem__, wfun, measure, maximize
+                )
+                for maximize in (False, True)
+            )
+            want = {s: (lo[s], hi[s]) for s in prod.states}
+            assert fixed_strategy_extremes(prod, player) == want, (seed, player)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from admgames import PayoffKind, compute_value_table, parse_game, value_at_history
+from admgames import values
 from admgames.oracle import random_game
 
 from helpers import load_game
@@ -93,3 +94,23 @@ def test_value_at_history_rejects_bad_history():
         value_at_history(g, ("v2", "v1"), 1)
     with pytest.raises(ValueError, match="non-edge"):
         value_at_history(g, ("v1", "v4"), 1)
+
+
+def test_value_sandwich_check_raises(monkeypatch):
+    # an aval above every cooperative value breaks aval <= acval <= cval
+    real = values.zero_sum_value
+
+    def raised(*args, **kwargs):
+        aval, moves = real(*args, **kwargs)
+        return {v: x + 100 for v, x in aval.items()}, moves
+
+    monkeypatch.setattr(values, "zero_sum_value", raised)
+    with pytest.raises(RuntimeError, match="value sandwich violated at player 1, vertex v1"):
+        compute_value_table(load_game("fig1.game"))
+
+
+def test_level_cycle_check_raises(monkeypatch):
+    # a one-player solve that finds no cycle leaves a vertex without acval
+    monkeypatch.setattr(values, "_one_player", lambda succ, *args: [None] * len(succ))
+    with pytest.raises(RuntimeError, match="subgraph must keep a cycle reachable from v1"):
+        compute_value_table(load_game("fig1.game"))
