@@ -28,7 +28,10 @@ extremum measures, the certificate's player strategy for mean payoff.
 One-player optima (all players cooperating, or the coalition minimizing
 against a fixed strategy) reduce to cycle analysis: strongly connected
 components, per-component cycle metrics, and propagation over the
-condensation.  `solve_parity` runs Zielonka's algorithm iteratively, with
+condensation.  `_one_player` does it on integer arrays, a successor table,
+scaled weights and a membership array, with one Tarjan, `_dense_sccs`, and
+a binary search over each component's weights for the threshold measures.
+`solve_parity` runs Zielonka's algorithm iteratively, with
 an explicit stack, on a parity game's own states 0..n-1 (successor and
 predecessor lists built once, subgames as a membership array), and checks
 every solution before it returns it.  Model checking, synthesis and
