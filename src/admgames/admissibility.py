@@ -29,14 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .games import Game, GameFormatError
-from .solvers import (
-    CoalitionGame,
-    _DenseThreshold,
-    _one_player,
-    _unscaled,
-    _WitnessLassos,
-    fixed_strategy_extremes,
-)
+from .solvers import _unscaled, _WitnessLassos, fixed_strategy_extremes
 from .transform import MooreStrategy, moore_layout, product_with_strategy, validate_strategy
 from .values import ValueTable, compute_value_table
 
@@ -198,22 +191,17 @@ def construct_wco_candidate(
         table = compute_value_table(g)
     arena = table.arena
     aval = {v: table.aval[(player, v)] for v in arena.owner}
-    dt = _DenseThreshold(CoalitionGame(arena, player))
-    rank_of = {x: r for r, x in enumerate(table.avalues[player])}
-    rank = [rank_of[aval[v]] for v in dt.verts]
-    flat = [None] * len(rank)  # the cooperative optimum inside the vertex's own level
-    per_level = []
-    for r in range(len(rank_of)):
-        exact = bytearray(x == r for x in rank)
-        coop = _one_player(dt.succ, dt.weight, exact, arena.measure, True)
-        for i, x in enumerate(rank):
-            if x == r:
-                flat[i] = coop[i]
-        per_level.append((
+    levels = table.levels[player]
+    dt, rank = levels.dt, levels.rank
+    # the cooperative optimum inside the vertex's own level
+    flat = _unscaled(levels.per_level(True), dt.denom)
+    per_level = [
+        (
             frozenset(v for v, x in zip(dt.verts, rank) if x == r),
             frozenset(v for v, x in zip(dt.verts, rank) if x >= r),
-        ))
-    flat = _unscaled(flat, dt.denom)
+        )
+        for r in range(levels.count)
+    ]
     witnesses = _WitnessLassos(arena, player)
     lassos = {}
     for v in arena.owner:

@@ -476,7 +476,6 @@ def _threshold_region(cg: CoalitionGame, measure: PayoffKind, theta, within) -> 
 def zero_sum_value(
     cg: CoalitionGame,
     measure: PayoffKind,
-    arena: _DenseGraph | None = None,
     dt: _DenseThreshold | None = None,
 ) -> tuple[dict, dict]:
     """Per-vertex value of the max player against the merged coalition, and
@@ -487,11 +486,10 @@ def zero_sum_value(
     Both run on one `_DenseThreshold`.  The extremum values come from one
     sweep over the player's distinct scaled weights: each game is solved
     inside the region of the one below it (except for SUP), and the sweep
-    stops at the first empty region.  Callers that solve every player's
-    game on one arena pass its `dense_arena` as `arena`, so it is built
-    once, or the player's `_DenseThreshold` as `dt`, to use it again."""
+    stops at the first empty region.  A caller that already holds the
+    player's `_DenseThreshold` passes it as `dt`, so it is not built again."""
     if dt is None:
-        dt = _DenseThreshold(cg, arena)
+        dt = _DenseThreshold(cg)
     if measure.is_mean_payoff:
         val = _mp_search(dt)
         moves = _mp_certify(dt, val)
@@ -776,17 +774,18 @@ def fixed_strategy_extremes(prod, player: int) -> dict:
 
     Under a fixed strategy the product is a one-player arena of the
     coalition, so both extremes are plain cycle optimizations, run on the
-    product's states in the order `explore` numbered them.
+    product's `table`, the state numbers `explore` gave.
     """
     arena = prod.arena
     denom, scaled = _scaled_weights(arena, player)
-    idx = {s: i for i, s in enumerate(prod.succ)}
-    succ = [[idx[t] for t in outs] for outs in prod.succ.values()]
-    weight = [[scaled[(s[0], t[0])] for t in outs] for s, outs in prod.succ.items()]
-    inside = bytearray(b"\x01") * len(succ)
-    lo = _unscaled(_one_player(succ, weight, inside, arena.measure, False), denom)
-    hi = _unscaled(_one_player(succ, weight, inside, arena.measure, True), denom)
-    return {s: (lo[idx[s]], hi[idx[s]]) for s in prod.states}
+    states = list(prod.succ)
+    weight = [
+        [scaled[(s[0], states[j][0])] for j in outs] for s, outs in zip(states, prod.table)
+    ]
+    inside = bytearray(b"\x01") * len(states)
+    lo = _unscaled(_one_player(prod.table, weight, inside, arena.measure, False), denom)
+    hi = _unscaled(_one_player(prod.table, weight, inside, arena.measure, True), denom)
+    return dict(zip(states, zip(lo, hi)))
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,8 @@ class ProductGame:
     owner controls there is exactly one outgoing edge (the strategy's move);
     everywhere else all arena moves remain.  `succ` lists the states breadth
     first from `init`, as `solvers.explore` found them; `states` is sorted.
+    `table` holds the same successors as `explore`'s state numbers, the
+    positions in `succ`.
     """
 
     arena: Game
@@ -319,6 +321,7 @@ class ProductGame:
     init: tuple[str, int]
     states: tuple[tuple[str, int], ...]
     succ: dict[tuple[str, int], tuple[tuple[str, int], ...]]
+    table: list[tuple[int, ...]]
 
 
 def product_with_strategy(
@@ -362,7 +365,12 @@ def product_with_strategy(
     states, table = explore(init, succ)
     graph = {state: tuple(map(states.__getitem__, outs)) for state, outs in zip(states, table)}
     return ProductGame(
-        arena=g, player=s.player, init=init, states=tuple(sorted(states)), succ=graph
+        arena=g,
+        player=s.player,
+        init=init,
+        states=tuple(sorted(states)),
+        succ=graph,
+        table=table,
     )
 
 

@@ -15,7 +15,7 @@ never handle rebuilt vertex names when asking for history values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .games import Game, check_history
@@ -32,6 +32,38 @@ from .transform import TransformedGame, make_prefix_independent
 __all__ = ["ValueTable", "compute_value_table", "value_at_history"]
 
 
+class _AvalLevels:
+    """One player's coalition game on the dense arena, `dt`, with each
+    state's `rank` among the player's distinct aval values, so that the
+    cooperative optima of the aval levels are one-player solves on
+    membership arrays that compare ranks as ints."""
+
+    def __init__(self, dt: _DenseThreshold, rank: list, count: int, measure):
+        self.dt, self.rank, self.count, self.measure = dt, rank, count, measure
+
+    def optimum(self, inside: bytearray) -> list:
+        """Scaled cooperative optimum of every state that `inside` marks."""
+        return _one_player(self.dt.succ, self.dt.weight, inside, self.measure, True)
+
+    def per_level(self, exact: bool, lowest: list | None = None) -> list:
+        """Each state's scaled cooperative optimum among the states whose
+        rank equals its own (`exact`) or is at least its own.  `lowest` is
+        the optimum on rank 0's array when the caller has already solved it."""
+        rank = self.rank
+        out = [None] * len(rank)
+        for r in range(self.count):
+            if r == 0 and lowest is not None:
+                vals = lowest
+            elif exact:
+                vals = self.optimum(bytearray(x == r for x in rank))
+            else:
+                vals = self.optimum(bytearray(x >= r for x in rank))
+            for i, x in enumerate(rank):
+                if x == r:
+                    out[i] = vals[i]
+        return out
+
+
 @dataclass(frozen=True)
 class ValueTable:
     """aval/cval/acval per (player, rebuilt vertex), plus the aval level sets."""
@@ -43,6 +75,7 @@ class ValueTable:
     acval: dict
     avalues: dict  # player -> sorted tuple of distinct aval entries
     wcs: dict  # player -> {vertex: move}, one worst-case-optimal strategy
+    levels: dict = field(compare=False, repr=False)  # player -> _AvalLevels
 
     @property
     def arena(self) -> Game:
@@ -60,6 +93,7 @@ def compute_value_table(g: Game) -> ValueTable:
     `zero_sum_value` solves aval on it, and the one-player solver gives cval
     on the whole arena and acval for each aval level on the states whose
     aval rank is at least the level's, all on the scaled integer weights.
+    The table keeps the player's `_AvalLevels` for the wco construction.
     """
     tg = make_prefix_independent(g)
     arena = tg.game
@@ -68,6 +102,7 @@ def compute_value_table(g: Game) -> ValueTable:
     acval = {}
     avalues = {}
     wcs = {}
+    levels = {}
     # the players' coalition games share one dense graph of the arena
     dense = dense_arena(arena)
     n = len(dense.verts)
@@ -75,22 +110,15 @@ def compute_value_table(g: Game) -> ValueTable:
         cg = CoalitionGame(arena, player)
         dt = _DenseThreshold(cg, dense)
         pa, wcs[player] = zero_sum_value(cg, arena.measure, dt=dt)
-        levels = sorted(set(pa.values()))
-        avalues[player] = tuple(levels)
-        rank_of = {x: r for r, x in enumerate(levels)}
+        avalues[player] = tuple(sorted(set(pa.values())))
+        rank_of = {x: r for r, x in enumerate(avalues[player])}
         rank = [rank_of[pa[v]] for v in dt.verts]
+        levels[player] = lv = _AvalLevels(dt, rank, len(rank_of), arena.measure)
         # the lowest level keeps every vertex and edge: cval itself
-        pc = _one_player(dt.succ, dt.weight, bytearray(b"\x01") * n, arena.measure, True)
-        coop = pc[:]
-        for r in range(1, len(levels)):
-            level = _one_player(
-                dt.succ, dt.weight, bytearray(x >= r for x in rank), arena.measure, True
-            )
-            for i, x in enumerate(rank):
-                if x == r:
-                    coop[i] = level[i]
+        pc = lv.optimum(bytearray(b"\x01") * n)
+        coop = lv.per_level(False, lowest=pc)
         # the checks compare scaled values: an extremum level is an int there
-        floor = [x * dt.denom for x in levels]
+        floor = [x * dt.denom for x in avalues[player]]
         floor = [x.numerator if x.denominator == 1 else x for x in floor]
         for i, v in enumerate(dt.verts):
             if coop[i] is None:
@@ -105,7 +133,8 @@ def compute_value_table(g: Game) -> ValueTable:
         for v, c, ac in zip(dt.verts, _unscaled(pc, dt.denom), _unscaled(coop, dt.denom)):
             aval[(player, v)], cval[(player, v)], acval[(player, v)] = pa[v], c, ac
     return ValueTable(
-        source=g, transformed=tg, aval=aval, cval=cval, acval=acval, avalues=avalues, wcs=wcs
+        source=g, transformed=tg, aval=aval, cval=cval, acval=acval, avalues=avalues, wcs=wcs,
+        levels=levels,
     )
 
 

@@ -314,10 +314,13 @@ def test_usage_error_exit_2():
     assert e.value.code == 2
 
 
+def _src_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_cli_oracle_imports_only_stdlib():
     # compared with a snapshot: `site` may already have loaded third-party modules
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -327,22 +330,69 @@ def test_cli_oracle_imports_only_stdlib():
         "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] not in allowed))\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), check=True
     )
     assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_values_under_python_O_match_a_normal_run():
-    # the run-time checks raise RuntimeError, so `python -O` keeps them and
-    # gives the same output
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     argv = ["-m", "admgames.cli", "--json", "values", fx("fig1.game")]
     plain, optimized = (
         subprocess.run(
-            [sys.executable, *flags, *argv], capture_output=True, text=True, env=env, check=True
+            [sys.executable, *flags, *argv],
+            capture_output=True, text=True, env=_src_env(), check=True,
         ).stdout
         for flags in ([], ["-O"])
     )
     assert optimized == plain
     assert json.loads(plain)["command"] == "values"
+
+
+# Each script breaks one solver result, as the monkeypatching tests in
+# test_values.py and test_solvers.py do, and makes the call its check guards.
+_BROKEN_UNDER_O = {
+    "value-sandwich": (
+        "real = values.zero_sum_value\n"
+        "def raised(*args, **kwargs):\n"
+        "    aval, moves = real(*args, **kwargs)\n"
+        "    return {v: x + 100 for v, x in aval.items()}, moves\n"
+        "values.zero_sum_value = raised\n"
+        "call = lambda: values.compute_value_table(g)\n",
+        "value sandwich violated at player 1, vertex v1",
+    ),
+    "level-cycle": (
+        "values._one_player = lambda succ, *args: [None] * len(succ)\n"
+        "call = lambda: values.compute_value_table(g)\n",
+        "subgraph must keep a cycle reachable from v1",
+    ),
+    "witness-payoff": (
+        "solvers.payoff_of_lasso = lambda *args: Fraction(99)\n"
+        "call = lambda: solvers.cooperative_witness_lasso(g, 1, 'v1', Fraction(2))\n",
+        "witness payoff 99 != 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_BROKEN_UNDER_O))
+def test_run_time_checks_raise_under_python_O(check):
+    # `python -O` strips asserts, so a check that is a bare assert lets the
+    # broken result through; each of these raises RuntimeError instead
+    patch, message = _BROKEN_UNDER_O[check]
+    code = (
+        "from fractions import Fraction\n"
+        "from pathlib import Path\n"
+        "from admgames import parse_game, solvers, values\n"
+        f"g = parse_game(Path({fx('fig1.game')!r}).read_text())\n"
+        + patch
+        + "try:\n"
+        "    call()\n"
+        "except RuntimeError as err:\n"
+        "    print('RuntimeError:', err)\n"
+        "else:\n"
+        "    print('no error')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=_src_env(), check=True,
+    )
+    assert out.stdout.startswith("RuntimeError:") and message in out.stdout, out.stdout

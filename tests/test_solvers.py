@@ -292,7 +292,9 @@ def test_zero_sum_mean_payoff_matches_value_iteration():
     for cg, aval in _mean_payoff_tables():
         values, strat = zero_sum_value(cg, cg.game.measure)
         assert values == aval
-        shared = zero_sum_value(cg, cg.game.measure, arena=dense_arena(cg.game))
+        shared = zero_sum_value(
+            cg, cg.game.measure, dt=solvers._DenseThreshold(cg, dense_arena(cg.game))
+        )
         assert shared[0] == values
         assert list(shared[1].items()) == list(strat.items())
 
