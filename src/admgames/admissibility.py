@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .games import Game, GameFormatError
-from .solvers import _unscaled, _WitnessLassos, fixed_strategy_extremes
+from .solvers import _WitnessLassos, fixed_strategy_extremes
 from .transform import MooreStrategy, moore_layout, product_with_strategy, validate_strategy
 from .values import ValueTable, compute_value_table
 
@@ -158,10 +158,13 @@ def _pursue(table: ValueTable, player: int, lassos: dict, keep, init=None) -> Mo
 
 def _sco_lassos(table: ValueTable, player: int) -> dict:
     """A cooperative-optimal lasso from every vertex where cval > aval."""
-    witnesses = _WitnessLassos(table.arena, player)
-    cval = {v: table.cval[(player, v)] for v in table.arena.owner}
+    levels = table.levels[player]
+    dt = levels.dt
+    witnesses = _WitnessLassos(dt, table.arena.measure)
     return {
-        v: witnesses.lasso(v, c) for v, c in cval.items() if c > table.aval[(player, v)]
+        v: witnesses.lasso(i, levels.cval[i])
+        for i, v in enumerate(dt.verts)
+        if table.cval[(player, v)] > table.aval[(player, v)]
     }
 
 
@@ -192,23 +195,14 @@ def construct_wco_candidate(
     arena = table.arena
     aval = {v: table.aval[(player, v)] for v in arena.owner}
     levels = table.levels[player]
-    dt, rank = levels.dt, levels.rank
+    dt, rank, acval = levels.dt, levels.rank, levels.acval
     # the cooperative optimum inside the vertex's own level
-    flat = _unscaled(levels.per_level(True), dt.denom)
-    per_level = [
-        (
-            frozenset(v for v, x in zip(dt.verts, rank) if x == r),
-            frozenset(v for v, x in zip(dt.verts, rank) if x >= r),
-        )
-        for r in range(levels.count)
-    ]
-    witnesses = _WitnessLassos(arena, player)
+    flat = levels.per_level(True)
+    witnesses = _WitnessLassos(dt, arena.measure)
     lassos = {}
     for v in arena.owner:
         i = dt.idx[v]
-        target = table.acval[(player, v)]
-        exact, wide = per_level[rank[i]]
-        lassos[v] = witnesses.lasso(v, target, exact if flat[i] == target else wide)
+        lassos[v] = witnesses.lasso(i, acval[i], levels.member(rank[i], flat[i] == acval[i]))
     s = _pursue(table, player, lassos, lambda a, tv: aval[tv] == aval[a])
     prod = _checked_product(g, s, table)
     extremes = fixed_strategy_extremes(prod, player)

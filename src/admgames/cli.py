@@ -9,6 +9,7 @@ stable machine-readable schema.  Rationals are always printed as p/q.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -330,9 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves no state in it."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (GameFormatError, UnsupportedMeasure, OracleBoundError, OSError) as exc:

@@ -229,18 +229,22 @@ def payoff_of_lasso(measure: PayoffKind, g: Game, player: int, lasso: Lasso) -> 
     and both mean-payoff variants equal the average cycle weight.
     """
     lasso.check(g)
-    cyc = [g.weight(u, v, player) for (u, v) in lasso.cycle_edges()]
-    if measure is PayoffKind.INF:
-        pre = [g.weight(u, v, player) for (u, v) in lasso.prefix_edges()]
-        return min(pre + cyc)
-    if measure is PayoffKind.SUP:
-        pre = [g.weight(u, v, player) for (u, v) in lasso.prefix_edges()]
-        return max(pre + cyc)
-    if measure is PayoffKind.LIMINF:
-        return min(cyc)
-    if measure is PayoffKind.LIMSUP:
-        return max(cyc)
-    return sum(cyc, Fraction(0)) / len(cyc)
+    prefix = [] if measure.prefix_independent else lasso.prefix_edges()
+    return _payoff_of_weights(
+        measure,
+        [g.weight(u, v, player) for (u, v) in prefix],
+        [g.weight(u, v, player) for (u, v) in lasso.cycle_edges()],
+    )
+
+
+def _payoff_of_weights(measure: PayoffKind, prefix: list, cycle: list):
+    """Payoff of a lasso from the weights along its prefix and its cycle,
+    of any number type: INF/SUP range over both, LIMINF/LIMSUP over the
+    cycle, and mean payoff is the cycle's average."""
+    if measure.is_mean_payoff:
+        return Fraction(sum(cycle), len(cycle))
+    seen = cycle if measure.prefix_independent else prefix + cycle
+    return min(seen) if measure in (PayoffKind.INF, PayoffKind.LIMINF) else max(seen)
 
 
 def validate(g: Game) -> list[str]:

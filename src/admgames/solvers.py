@@ -31,6 +31,10 @@ components, per-component cycle metrics, and propagation over the
 condensation.  `_one_player` does it on integer arrays, a successor table,
 scaled weights and a membership array, with one Tarjan, `_dense_sccs`, and
 a binary search over each component's weights for the threshold measures.
+The cooperative witness lassos run on the same arrays, states and scaled
+values: components from that Tarjan, paths from one breadth-first search
+over sorted integer successor rows, `_shortest_path`, and each lasso's
+payoff re-checked on the scaled weights.
 `solve_parity` runs Zielonka's algorithm iteratively, with
 an explicit stack, on a parity game's own states 0..n-1 (successor and
 predecessor lists built once, subgames as a membership array), and checks
@@ -54,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, inf, lcm
 
-from .games import Game, Lasso, PayoffKind, payoff_of_lasso
+from .games import Game, Lasso, PayoffKind, _payoff_of_weights
 
 __all__ = [
     "CoalitionGame",
@@ -89,9 +93,6 @@ class CoalitionGame:
     def is_max(self, v) -> bool:
         return self.game.owner[v] == self.player
 
-    def weight(self, u, v) -> Fraction:
-        return self.game.weight(u, v, self.player)
-
 
 @dataclass(frozen=True)
 class Region:
@@ -118,16 +119,6 @@ class ParityGame:
 
 # ---------------------------------------------------------------------------
 # basic graph machinery
-
-
-def tarjan_sccs(nodes, succ):
-    """Tarjan's strongly connected components of the states reachable from
-    `nodes`, searched from them in order: `_dense_sccs` on their numbering.
-    Components are emitted in reverse topological order."""
-    roots = list(dict.fromkeys(nodes))
-    states, table = _numbered(roots, succ)
-    comps = _dense_sccs(table, range(len(roots)), bytearray(b"\x01") * len(states))
-    return [[states[i] for i in comp] for comp in comps]
 
 
 def _numbered(roots, succ):
@@ -161,35 +152,34 @@ def explore(init, succ):
     return _numbered([init], succ)
 
 
-def bfs_path(start, goal_pred, succ):
-    """Canonical shortest path (successors explored in sorted order)."""
-    if goal_pred(start):
+def _shortest_path(start, goal, rows):
+    """Shortest path from `start` to a state that `goal` accepts, as a list
+    of states, or None if there is none: a breadth-first search that takes
+    each state's successors in the order of its row, so sorted rows give
+    the canonical path."""
+    if goal(start):
         return [start]
     parent = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in sorted(succ(v), key=_key):
-                if w in parent:
-                    continue
-                parent[w] = v
-                if goal_pred(w):
-                    path = [w]
-                    cur = v
-                    while cur is not None:
-                        path.append(cur)
-                        cur = parent[cur]
-                    path.reverse()
-                    return path
-                nxt.append(w)
-        frontier = nxt
+    queue = [start]
+    for v in queue:
+        for w in rows[v]:
+            if w in parent:
+                continue
+            parent[w] = v
+            if goal(w):
+                path = [w]
+                while v is not None:
+                    path.append(v)
+                    v = parent[v]
+                path.reverse()
+                return path
+            queue.append(w)
     return None
 
 
-def _shortest_cycle_through(u, succ):
-    """Canonical shortest cycle through u, as a vertex list starting at u."""
-    return bfs_path(u, lambda v: u in succ(v), succ)
+def _shortest_cycle(u, rows):
+    """Canonical shortest cycle through u, as a state list starting at u."""
+    return _shortest_path(u, lambda v: u in rows[v], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +396,8 @@ def _cobuchi(dt: _DenseThreshold, x, within, inside):
         won, inwon = y, iny
 
     lost = _buchi(dt, 0, dt.light(x), within, inside)[1]
-    assert won == [v for v in within if not lost[v]], (
-        "coBuchi region must complement the Buchi dual"
-    )
+    if won != [v for v in within if not lost[v]]:
+        raise RuntimeError("coBuchi region must complement the Buchi dual")
     return won, inwon, strat
 
 
@@ -511,11 +500,13 @@ def zero_sum_value(
             # SUP: a play that wins takes a heavy edge, which may leave it.
             if measure is not PayoffKind.SUP:
                 within, inside = win, inwin
-        assert -1 not in level, "every play reaches the minimum weight"
+        if -1 in level:
+            raise RuntimeError("every play reaches the minimum weight")
         values = {v: dt.levels[t] for v, t in zip(dt.verts, level)}
     verts = dt.verts
     strat = {verts[v]: verts[w] for v, w in moves.items()}
-    assert set(strat) == set(filter(cg.is_max, cg.game.owner)), "a move at every max vertex"
+    if set(strat) != set(filter(cg.is_max, cg.game.owner)):
+        raise RuntimeError("a move at every max vertex")
     return values, strat
 
 
@@ -1137,178 +1128,175 @@ def check_parity_solution(pg: ParityGame, r0: Region, r1: Region) -> None:
 
 
 class _WitnessLassos:
-    """Cooperative witness lassos of one player, sharing work across starts.
+    """Cooperative witness lassos of one player on its `_DenseThreshold`
+    `dt`, sharing work across starts.
 
-    The successor lists inside an allowed set are built once per set, and
-    the part of the search that does not depend on the start once per
-    (value, allowed set).  LIMINF keeps the cyclic set of the "weight >=
-    value" subgraph and the cycle through each entry vertex.  LIMSUP takes
-    the sorted in-component edges of weight `value` (a reach set is closed
+    States are `dt`'s numbers, which follow `_key` order, values are scaled
+    like `dt.weight`, and an allowed set is a membership array.  The sorted
+    successor rows inside an allowed set are built once per set, and the
+    part of the search that does not depend on the start once per (value,
+    allowed set).  LIMINF keeps the cyclic set of the "weight >= value"
+    subgraph and the cycle through each entry state.  LIMSUP takes the
+    sorted in-component edges of weight `value` (a reach set is closed
     under successors, so its components are those of the allowed subgraph)
-    and gives every vertex the first of them whose source it reaches, by
-    one backward breadth-first sweep per edge in order; the way back along
-    each edge is kept too.  Mean payoff keeps its search per start:
-    which component it settles on follows the order in which Tarjan emits
-    the start's reach set.
+    and gives every state the first of them whose source it reaches, by one
+    backward breadth-first sweep per edge in order; the way back along each
+    edge is kept too.  Mean payoff keeps its search per start: which
+    component it settles on follows the order in which Tarjan emits the
+    start's reach set.  Every lasso's payoff under `measure` is checked
+    against its value on the scaled weights.
     """
 
-    def __init__(self, g: Game, player: int):
-        self.g = g
-        self.player = player
-        self.w = g.player_weights(player)
-        self.measure = _effective(g.measure)
-        self._succ = {}  # allowed set (None: all) -> its sorted vertices, successors in it
-        self._shared = {}  # (value, allowed set) -> start-independent analysis
+    def __init__(self, dt: _DenseThreshold, measure: PayoffKind):
+        self.dt, self.measure = dt, measure
+        self._search = {PayoffKind.LIMINF: self._liminf, PayoffKind.LIMSUP: self._limsup}.get(
+            _effective(measure), self._mean_payoff
+        )
+        self._weight = [dict(zip(row, ws)) for row, ws in zip(dt.succ, dt.weight)]
+        self._everything = bytearray(b"\x01") * len(dt.verts)
+        self._rows = {}  # allowed array's bytes -> sorted successor rows in it
+        self._shared = {}  # (value, allowed array's bytes) -> start-independent analysis
 
-    def lasso(self, start, value: Fraction, allowed=None) -> Lasso:
-        """Lasso from `start` with cooperative payoff `value` inside `allowed`."""
-        g = self.g
-        allowed = None if allowed is None else frozenset(allowed)
-        if allowed not in self._succ:
-            inside = g.owner if allowed is None else allowed
-            self._succ[allowed] = sorted(inside), {
-                v: tuple(t for t in g.succ[v] if t in inside) for v in g.owner
-            }
-        nodes, succ = self._succ[allowed]
-        key = (value, allowed)
-        if self.measure is PayoffKind.LIMINF:
-            path, cycle = self._liminf(start, key, nodes, succ)
-        elif self.measure is PayoffKind.LIMSUP:
-            path, cycle = self._limsup(start, key, nodes, succ)
-        else:
-            path, cycle = self._mean_payoff(start, value, succ)
-        assert cycle and cycle[0] == path[-1]
-        lasso = Lasso(prefix=tuple(path[:-1]), cycle=tuple(cycle))
-        got = payoff_of_lasso(g.measure, g, self.player, lasso)
+    def lasso(self, start: int, value, inside: bytearray | None = None) -> Lasso:
+        """Lasso from state `start` with scaled cooperative payoff `value`
+        whose steps stay in the states `inside` marks (all if None)."""
+        dt, weight = self.dt, self._weight
+        inside = self._everything if inside is None else inside
+        key = bytes(inside)
+        rows = self._rows.get(key)
+        if rows is None:
+            rows = self._rows[key] = [sorted(w for w in row if inside[w]) for row in dt.succ]
+        path, cycle = self._search(start, (value, key), inside, rows)
+        got = _payoff_of_weights(
+            self.measure,
+            [weight[u][v] for u, v in zip(path, path[1:])],
+            [weight[u][v] for u, v in zip(cycle, cycle[1:] + cycle[:1])],
+        )
         if got != value:
-            raise RuntimeError(f"witness payoff {got} != {value}")
-        return lasso
+            raise RuntimeError(
+                f"witness payoff {Fraction(got, dt.denom)} != {Fraction(value, dt.denom)}"
+            )
+        return Lasso(tuple(dt.verts[v] for v in path[:-1]), tuple(dt.verts[v] for v in cycle))
 
-    def _liminf(self, start, key, nodes, succ):
-        shared = self._shared.get(key)
-        if shared is None:
-            w, value = self.w, key[0]
-            good = {v: tuple(t for t in succ[v] if w[(v, t)] >= value) for v in nodes}
-            cyclic = set()
-            for comp in tarjan_sccs(nodes, good.__getitem__):
+    def _liminf(self, start, key, inside, rows):
+        if key not in self._shared:
+            good = [
+                [w for w, c in zip(row, ws) if c >= key[0] and inside[w]]
+                for row, ws in zip(self.dt.succ, self.dt.weight)
+            ]
+            cyclic = bytearray(len(good))
+            for comp in _dense_sccs(good, [v for v, x in enumerate(inside) if x], inside):
                 if len(comp) > 1 or comp[0] in good[comp[0]]:
-                    cyclic.update(comp)
-            inner = {v: tuple(t for t in good[v] if t in cyclic) for v in cyclic}
-            shared = self._shared[key] = (cyclic, inner, {})
-        cyclic, inner, cycles = shared
-        path = bfs_path(start, cyclic.__contains__, succ.__getitem__)
-        assert path is not None, "cooperative value must be realizable"
-        entry = path[-1]
-        if entry not in cycles:
-            cycles[entry] = _shortest_cycle_through(entry, inner.__getitem__)
-        return path, cycles[entry]
+                    for v in comp:
+                        cyclic[v] = 1
+            inner = [sorted(w for w in row if cyclic[w]) for row in good]
+            self._shared[key] = (cyclic, inner, {})
+        cyclic, inner, cycles = self._shared[key]
+        path = _shortest_path(start, cyclic.__getitem__, rows)
+        if path is None:
+            raise RuntimeError("cooperative value must be realizable")
+        if path[-1] not in cycles:
+            cycles[path[-1]] = _shortest_cycle(path[-1], inner)
+        return path, cycles[path[-1]]
 
-    def _limsup(self, start, key, nodes, succ):
-        shared = self._shared.get(key)
-        if shared is None:
-            w, value = self.w, key[0]
-            comp_of = {}
-            for ci, comp in enumerate(tarjan_sccs(nodes, succ.__getitem__)):
+    def _limsup(self, start, key, inside, rows):
+        if key not in self._shared:
+            succ, weight = self.dt.succ, self.dt.weight
+            nodes = [v for v, x in enumerate(inside) if x]
+            comp_of = [None] * len(inside)
+            for ci, comp in enumerate(_dense_sccs(succ, nodes, inside)):
                 for v in comp:
                     comp_of[v] = (ci, len(comp))
             edges = sorted(
-                (u, v) for u in nodes for v in succ[u]
-                if comp_of[u] == comp_of[v] and (comp_of[u][1] > 1 or u == v)
-                and w[(u, v)] == value
+                (u, v) for u in nodes for v, c in zip(succ[u], weight[u])
+                if comp_of[u] == comp_of[v] and (comp_of[u][1] > 1 or u == v) and c == key[0]
             )
-            pred = {v: [] for v in succ}
-            for v, outs in succ.items():
-                for t in outs:
-                    pred[t].append(v)
-            # A vertex marked by an earlier edge is not passed: whatever
+            pred = _predecessors(rows)
+            # A state marked by an earlier edge is not passed: whatever
             # reaches it reaches that edge's source too, and is marked by it.
-            first = {}
+            first = [None] * len(inside)
             for e in edges:
-                if e[0] in first:
+                if first[e[0]] is not None:
                     continue
                 first[e[0]] = e
                 todo = [e[0]]
                 for v in todo:
                     for u in pred[v]:
-                        if u not in first:
+                        if first[u] is None:
                             first[u] = e
                             todo.append(u)
-            shared = self._shared[key] = (first, {})
-        first, cycles = shared
-        target = first.get(start)
-        assert target is not None, "cooperative value must be realizable"
-        entry = target[0]
-        path = bfs_path(start, lambda v: v == entry, succ.__getitem__)
+            self._shared[key] = (first, {})
+        first, cycles = self._shared[key]
+        target = first[start]
+        if target is None:
+            raise RuntimeError("cooperative value must be realizable")
+        entry, head = target
         if target not in cycles:
-            if target[0] == target[1]:
-                cycles[target] = [entry]
-            else:
-                back = bfs_path(target[1], lambda v: v == entry, succ.__getitem__)
-                cycles[target] = [entry] + back[:-1]
-        return path, cycles[target]
+            back = [entry] if head == entry else _shortest_path(head, entry.__eq__, rows)
+            cycles[target] = [entry] + back[:-1]
+        return _shortest_path(start, entry.__eq__, rows), cycles[target]
 
-    def _mean_payoff(self, start, value, succ):
-        w, sub_succ = self.w, succ.__getitem__
-        for comp in tarjan_sccs(sorted(explore(start, sub_succ)[0]), sub_succ):
-            cs = set(comp)
+    def _mean_payoff(self, start, key, inside, rows):
+        succ, weight = self.dt.succ, self.dt.weight
+        for comp in _dense_sccs(succ, sorted(explore(start, rows.__getitem__)[0]), inside):
+            comp.sort()
+            local = {u: a for a, u in enumerate(comp)}
             internal = [
-                (u, v, w[(u, v)]) for u in comp for v in succ[u]
-                if v in cs and (len(comp) > 1 or u == v)
+                (local[u], local[v], c) for u in comp for v, c in zip(succ[u], weight[u])
+                if v in local and inside[v] and (len(comp) > 1 or u == v)
             ]
-            neg = [(u, v, -x) for u, v, x in internal]
-            if internal and -_karp_min_mean(comp, neg) == value:
-                cycle = _critical_cycle(comp, internal, value)
-                return bfs_path(start, lambda v: v == cycle[0], sub_succ), cycle
-        raise AssertionError("cooperative value must be realizable")
+            if not internal:
+                continue
+            mean = -_karp_min_mean(range(len(comp)), [(a, b, -c) for a, b, c in internal])
+            if mean == key[0]:
+                cycle = [comp[a] for a in _critical_cycle(len(comp), internal, mean)]
+                return _shortest_path(start, cycle[0].__eq__, rows), cycle
+        raise RuntimeError("cooperative value must be realizable")
 
 
-def cooperative_witness_lasso(
-    g: Game, player: int, start, value: Fraction, allowed=None
-) -> Lasso:
+def _critical_cycle(k, edges, mu: Fraction):
+    """A cycle of mean exactly mu among the edges (a, b, w) of a strongly
+    connected component on the states 0..k-1 whose largest cycle mean is mu.
+
+    Bellman-Ford finds the longest distances from state 0 on the integer
+    weights q*w - p, mu being p/q.  The first component of tight edges with
+    a cycle, searched from the states in increasing order, gives the
+    shortest cycle through its least state."""
+    p, q = mu.numerator, mu.denominator
+    adj = [[] for _ in range(k)]
+    for a, b, w in edges:
+        adj[a].append((b, q * w - p))
+    dist = [None] * k
+    dist[0] = 0
+    for _ in range(k + 2):
+        changed = False
+        for a in range(k):
+            if dist[a] is None:
+                continue
+            for b, d in adj[a]:
+                if dist[b] is None or dist[a] + d > dist[b]:
+                    dist[b] = dist[a] + d
+                    changed = True
+        if not changed:
+            break
+    else:
+        raise RuntimeError("no positive cycles exist after shifting by the mean")
+    tight = [[b for b, d in adj[a] if dist[b] == dist[a] + d] for a in range(k)]
+    for comp in _dense_sccs(tight, range(k), bytearray(b"\x01") * k):
+        if len(comp) > 1 or comp[0] in tight[comp[0]]:
+            member = set(comp)
+            rows = [sorted(b for b in row if b in member) for row in tight]
+            return _shortest_cycle(min(comp), rows)
+    raise RuntimeError("critical cycle must exist")
+
+
+def cooperative_witness_lasso(g: Game, player: int, start, value: Fraction, allowed=None) -> Lasso:
     """Deterministic lasso from `start` with the given cooperative payoff.
 
     The whole lasso stays inside `allowed` (default: all vertices).  Prefers
     the shortest canonical prefix and cycle found by breadth-first search.
     Callers that need lassos from many starts share one `_WitnessLassos`.
     """
-    return _WitnessLassos(g, player).lasso(start, value, allowed)
-
-
-def _critical_cycle(comp, internal_edges, mu: Fraction):
-    """A cycle of mean exactly mu inside an SCC whose max cycle mean is mu."""
-    comp = sorted(comp)
-    root = comp[0]
-    adj = {v: [] for v in comp}
-    for (u, v, w) in internal_edges:
-        adj[u].append((v, w - mu))
-    dist = {v: None for v in comp}
-    dist[root] = Fraction(0)
-    changed = True
-    for _ in range(len(comp) + 2):
-        if not changed:
-            break
-        changed = False
-        for u in comp:
-            if dist[u] is None:
-                continue
-            for (v, dw) in adj[u]:
-                cand = dist[u] + dw
-                if dist[v] is None or cand > dist[v]:
-                    dist[v] = cand
-                    changed = True
-    assert not changed, "no positive cycles exist after shifting by the mean"
-    tight = {v: [] for v in comp}
-    for u in comp:
-        if dist[u] is None:
-            continue
-        for (v, dw) in adj[u]:
-            if dist[v] == dist[u] + dw:
-                tight[u].append(v)
-    for c in tarjan_sccs(comp, lambda v: tight[v]):
-        cs = set(c)
-        if len(c) > 1 or c[0] in tight[c[0]]:
-            entry = min(c)
-            return _shortest_cycle_through(
-                entry, lambda v: tuple(t for t in tight[v] if t in cs)
-            )
-    raise AssertionError("critical cycle must exist")
+    dt = _DenseThreshold(CoalitionGame(g, player))
+    inside = None if allowed is None else bytearray(v in allowed for v in dt.verts)
+    return _WitnessLassos(dt, g.measure).lasso(dt.idx[start], value * dt.denom, inside)

@@ -36,10 +36,23 @@ class _AvalLevels:
     """One player's coalition game on the dense arena, `dt`, with each
     state's `rank` among the player's distinct aval values, so that the
     cooperative optima of the aval levels are one-player solves on
-    membership arrays that compare ranks as ints."""
+    membership arrays that compare ranks as ints.  `cval` and `acval` hold
+    every state's scaled cooperative optimum on the whole arena and on the
+    states of aval rank at least its own."""
 
     def __init__(self, dt: _DenseThreshold, rank: list, count: int, measure):
         self.dt, self.rank, self.count, self.measure = dt, rank, count, measure
+        self._member = {}
+        # the lowest level keeps every vertex and edge: cval itself
+        self.cval = self.optimum(self.member(0, False))
+        self.acval = self.per_level(False, lowest=self.cval)
+
+    def member(self, r: int, exact: bool) -> bytearray:
+        """The membership array of the states whose rank equals r (`exact`)
+        or is at least r, built once."""
+        if (r, exact) not in self._member:
+            self._member[(r, exact)] = bytearray(x == r if exact else x >= r for x in self.rank)
+        return self._member[(r, exact)]
 
     def optimum(self, inside: bytearray) -> list:
         """Scaled cooperative optimum of every state that `inside` marks."""
@@ -52,12 +65,7 @@ class _AvalLevels:
         rank = self.rank
         out = [None] * len(rank)
         for r in range(self.count):
-            if r == 0 and lowest is not None:
-                vals = lowest
-            elif exact:
-                vals = self.optimum(bytearray(x == r for x in rank))
-            else:
-                vals = self.optimum(bytearray(x >= r for x in rank))
+            vals = lowest if r == 0 and lowest is not None else self.optimum(self.member(r, exact))
             for i, x in enumerate(rank):
                 if x == r:
                     out[i] = vals[i]
@@ -93,7 +101,8 @@ def compute_value_table(g: Game) -> ValueTable:
     `zero_sum_value` solves aval on it, and the one-player solver gives cval
     on the whole arena and acval for each aval level on the states whose
     aval rank is at least the level's, all on the scaled integer weights.
-    The table keeps the player's `_AvalLevels` for the wco construction.
+    The table keeps the player's `_AvalLevels` for the sco and wco
+    witness lassos.
     """
     tg = make_prefix_independent(g)
     arena = tg.game
@@ -105,7 +114,6 @@ def compute_value_table(g: Game) -> ValueTable:
     levels = {}
     # the players' coalition games share one dense graph of the arena
     dense = dense_arena(arena)
-    n = len(dense.verts)
     for player in range(1, g.players + 1):
         cg = CoalitionGame(arena, player)
         dt = _DenseThreshold(cg, dense)
@@ -114,9 +122,7 @@ def compute_value_table(g: Game) -> ValueTable:
         rank_of = {x: r for r, x in enumerate(avalues[player])}
         rank = [rank_of[pa[v]] for v in dt.verts]
         levels[player] = lv = _AvalLevels(dt, rank, len(rank_of), arena.measure)
-        # the lowest level keeps every vertex and edge: cval itself
-        pc = lv.optimum(bytearray(b"\x01") * n)
-        coop = lv.per_level(False, lowest=pc)
+        pc, coop = lv.cval, lv.acval
         # the checks compare scaled values: an extremum level is an int there
         floor = [x * dt.denom for x in avalues[player]]
         floor = [x.numerator if x.denominator == 1 else x for x in floor]

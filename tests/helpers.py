@@ -15,10 +15,8 @@ from admgames.solvers import (
     CoalitionGame,
     ParityGame,
     Region,
-    _critical_cycle,
     _effective,
     _key,
-    bfs_path,
     cooperative_witness_lasso,
     explore,
     solve_parity,
@@ -427,7 +425,7 @@ def reachable_from(start, succ) -> set:
 def shortest_cycle_through(u, succ):
     """Canonical shortest cycle through u, starting at u: a breadth-first
     search from u's successors in `repr` order, kept apart from the
-    `bfs_path`-based search it checks."""
+    breadth-first searches it checks."""
     if u in succ(u):
         return [u]
     parent = {}
@@ -454,7 +452,7 @@ def shortest_cycle_through(u, succ):
 
 
 def reference_tarjan_sccs(nodes, succ):
-    """Reference for `solvers.tarjan_sccs`: iterative Tarjan over hashed
+    """Reference for `solvers._dense_sccs`: iterative Tarjan over hashed
     states, with dicts and sets; components in reverse topological order."""
     index = {}
     low = {}
@@ -613,6 +611,72 @@ def reference_one_player_values(nodes, succ, wfun, measure: PayoffKind, maximize
                         value = max(value, best[cj]) if maximize else min(value, best[cj])
         best[ci] = value
     return {v: best[comp_of[v]] for v in nodes}
+
+
+def bfs_path(start, goal_pred, succ):
+    """Canonical shortest path (successors explored in sorted order)."""
+    if goal_pred(start):
+        return [start]
+    parent = {start: None}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in sorted(succ(v), key=_key):
+                if w in parent:
+                    continue
+                parent[w] = v
+                if goal_pred(w):
+                    path = [w]
+                    cur = v
+                    while cur is not None:
+                        path.append(cur)
+                        cur = parent[cur]
+                    path.reverse()
+                    return path
+                nxt.append(w)
+        frontier = nxt
+    return None
+
+
+def _critical_cycle(comp, internal_edges, mu: Fraction):
+    """A cycle of mean exactly mu inside an SCC whose max cycle mean is mu,
+    by Bellman-Ford over hashed states with `Fraction` distances."""
+    comp = sorted(comp)
+    root = comp[0]
+    adj = {v: [] for v in comp}
+    for (u, v, w) in internal_edges:
+        adj[u].append((v, w - mu))
+    dist = {v: None for v in comp}
+    dist[root] = Fraction(0)
+    changed = True
+    for _ in range(len(comp) + 2):
+        if not changed:
+            break
+        changed = False
+        for u in comp:
+            if dist[u] is None:
+                continue
+            for (v, dw) in adj[u]:
+                cand = dist[u] + dw
+                if dist[v] is None or cand > dist[v]:
+                    dist[v] = cand
+                    changed = True
+    assert not changed, "no positive cycles exist after shifting by the mean"
+    tight = {v: [] for v in comp}
+    for u in comp:
+        if dist[u] is None:
+            continue
+        for (v, dw) in adj[u]:
+            if dist[v] == dist[u] + dw:
+                tight[u].append(v)
+    for c in reference_tarjan_sccs(comp, lambda v: tight[v]):
+        cs = set(c)
+        if len(c) > 1 or c[0] in tight[c[0]]:
+            entry = min(c)
+            inner = {v: tuple(t for t in tight[v] if t in cs) for v in comp}
+            return bfs_path(entry, lambda v: entry in inner[v], inner.__getitem__)
+    raise AssertionError("critical cycle must exist")
 
 
 def witness_lasso_per_call(g: Game, player: int, start, value, allowed=None) -> Lasso:

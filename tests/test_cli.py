@@ -348,6 +348,25 @@ def test_values_under_python_O_match_a_normal_run():
     assert json.loads(plain)["command"] == "values"
 
 
+def test_two_runs_in_one_process_match_fresh_processes(capsys):
+    # the parser is built once per process: the second run must see nothing
+    # of the first one's arguments
+    runs = [["--json", "values", fx("fig1.game")], ["values", fx("fig1.game")]]
+    together = []
+    for argv in runs:
+        assert run(argv) == 0
+        together.append(capsys.readouterr().out)
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-m", "admgames.cli", *argv],
+            capture_output=True, text=True, env=_src_env(), check=True,
+        ).stdout
+        for argv in runs
+    ]
+    assert together == fresh
+    assert together[0] != together[1]
+
+
 # Each script breaks one solver result, as the monkeypatching tests in
 # test_values.py and test_solvers.py do, and makes the call its check guards.
 _BROKEN_UNDER_O = {
@@ -366,9 +385,22 @@ _BROKEN_UNDER_O = {
         "subgraph must keep a cycle reachable from v1",
     ),
     "witness-payoff": (
-        "solvers.payoff_of_lasso = lambda *args: Fraction(99)\n"
+        "solvers._payoff_of_weights = lambda *args: Fraction(99)\n"
         "call = lambda: solvers.cooperative_witness_lasso(g, 1, 'v1', Fraction(2))\n",
         "witness payoff 99 != 2",
+    ),
+    "cobuchi-dual": (
+        "solvers._buchi = lambda *args: ([], bytearray(len(args[4])), {})\n"
+        "cg = solvers.CoalitionGame(g, 1)\n"
+        "call = lambda: solvers.zero_sum_value(cg, solvers.PayoffKind.LIMINF)\n",
+        "coBuchi region must complement the Buchi dual",
+    ),
+    "max-moves": (
+        "real = solvers._threshold\n"
+        "solvers._threshold = lambda *args: real(*args)[:2] + ({},)\n"
+        "cg = solvers.CoalitionGame(g, 1)\n"
+        "call = lambda: solvers.zero_sum_value(cg, solvers.PayoffKind.LIMINF)\n",
+        "a move at every max vertex",
     ),
 }
 
