@@ -272,8 +272,9 @@ def validate(g: Game) -> list[str]:
             problems.append(
                 f"edge ({u}, {v}): {len(w)} weights for {g.players} players"
             )
+    sources = {u for (u, _) in g.weights}
     for v in sorted(g.owner):
-        if not any(u == v for (u, _) in g.weights):
+        if v not in sources:
             problems.append(f"vertex {v} has no outgoing edge")
     return problems
 

@@ -101,7 +101,8 @@ class LabeledGame:
 
 def label_edges(g: Game, table: ValueTable) -> LabeledGame:
     """Attach per-player value labels to every edge of the rebuilt arena."""
-    assert table.source is g, "table must belong to the labelled game"
+    if table.source is not g:
+        raise ValueError("table must belong to the labelled game")
     arena = table.arena
     labels = {}
     for player in range(1, g.players + 1):

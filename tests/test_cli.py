@@ -369,19 +369,29 @@ def test_two_runs_in_one_process_match_fresh_processes(capsys):
 
 # Each script breaks one solver result, as the monkeypatching tests in
 # test_values.py and test_solvers.py do, and makes the call its check guards.
+# A value table solves a player on the first read of its entries, so the
+# value-table cases read player 1.
+_AVAL_PLUS_100 = (
+    "real = values.zero_sum_value\n"
+    "def raised(*args, **kwargs):\n"
+    "    aval, moves = real(*args, **kwargs)\n"
+    "    return {v: x + 100 for v, x in aval.items()}, moves\n"
+    "values.zero_sum_value = raised\n"
+)
 _BROKEN_UNDER_O = {
     "value-sandwich": (
-        "real = values.zero_sum_value\n"
-        "def raised(*args, **kwargs):\n"
-        "    aval, moves = real(*args, **kwargs)\n"
-        "    return {v: x + 100 for v, x in aval.items()}, moves\n"
-        "values.zero_sum_value = raised\n"
-        "call = lambda: values.compute_value_table(g)\n",
+        _AVAL_PLUS_100
+        + "call = lambda: values.compute_value_table(g).at(1, 'v1')\n",
+        "value sandwich violated at player 1, vertex v1",
+    ),
+    "value-sandwich-sco": (
+        _AVAL_PLUS_100
+        + "call = lambda: cli.run(['sco', '--player', '1', path])\n",
         "value sandwich violated at player 1, vertex v1",
     ),
     "level-cycle": (
         "values._one_player = lambda succ, *args: [None] * len(succ)\n"
-        "call = lambda: values.compute_value_table(g)\n",
+        "call = lambda: values.compute_value_table(g).at(1, 'v1')\n",
         "subgraph must keep a cycle reachable from v1",
     ),
     "witness-payoff": (
@@ -413,8 +423,9 @@ def test_run_time_checks_raise_under_python_O(check):
     code = (
         "from fractions import Fraction\n"
         "from pathlib import Path\n"
-        "from admgames import parse_game, solvers, values\n"
-        f"g = parse_game(Path({fx('fig1.game')!r}).read_text())\n"
+        "from admgames import cli, parse_game, solvers, values\n"
+        f"path = {fx('fig1.game')!r}\n"
+        "g = parse_game(Path(path).read_text())\n"
         + patch
         + "try:\n"
         "    call()\n"

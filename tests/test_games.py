@@ -105,6 +105,26 @@ def test_validate_reports_sink_and_owner():
     assert any("owner 3" in p for p in problems)
 
 
+def test_validate_lists_every_problem_in_order():
+    # several vertices without out-edges, an undeclared endpoint and an
+    # undeclared init: one line each, owners first, sinks last in name order
+    g = Game(
+        players=2,
+        owner={"d": 1, "a": 2, "c": 1, "b": 3},
+        weights={("a", "x"): (F(0), F(0)), ("c", "a"): (F(1),), ("a", "b"): (F(0), F(0))},
+        init="z",
+        measure=PayoffKind.INF,
+    )
+    assert validate(g) == [
+        "vertex b: owner 3 not in 1..2",
+        "init vertex z is not declared",
+        "edge (a, x): undeclared vertex x",
+        "edge (c, a): 1 weights for 2 players",
+        "vertex b has no outgoing edge",
+        "vertex d has no outgoing edge",
+    ]
+
+
 def test_validate_fixtures_clean():
     for name in ["fig1.game", "fig2.game", "fig3.game"]:
         assert validate(load_game(name)) == []

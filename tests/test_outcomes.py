@@ -52,6 +52,13 @@ def labeled(name):
     return g, t, label_edges(g, t)
 
 
+def test_label_edges_rejects_another_games_table():
+    # a table of an equal game parsed twice is still another game's table
+    g = load_game("fig1.game")
+    with pytest.raises(ValueError, match="table must belong to the labelled game"):
+        label_edges(g, compute_value_table(load_game("fig1.game")))
+
+
 def test_fig1_labels():
     g, t, lg = labeled("fig1.game")
     labs = lg.labels[1]

@@ -1,10 +1,12 @@
 """Value table assembly and history-level values."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from admgames import PayoffKind, compute_value_table, parse_game, value_at_history
+from admgames import PayoffKind, cli, compute_value_table, parse_game, serialize_game, value_at_history
 from admgames import values
 from admgames.oracle import random_game
 
@@ -106,11 +108,102 @@ def test_value_sandwich_check_raises(monkeypatch):
 
     monkeypatch.setattr(values, "zero_sum_value", raised)
     with pytest.raises(RuntimeError, match="value sandwich violated at player 1, vertex v1"):
-        compute_value_table(load_game("fig1.game"))
+        compute_value_table(load_game("fig1.game")).at(1, "v1")
 
 
 def test_level_cycle_check_raises(monkeypatch):
     # a one-player solve that finds no cycle leaves a vertex without acval
     monkeypatch.setattr(values, "_one_player", lambda succ, *args: [None] * len(succ))
     with pytest.raises(RuntimeError, match="subgraph must keep a cycle reachable from v1"):
-        compute_value_table(load_game("fig1.game"))
+        compute_value_table(load_game("fig1.game")).at(1, "v1")
+
+
+def _count_solves(monkeypatch) -> list:
+    """The coalition player of every `zero_sum_value` call from here on."""
+    solved = []
+    real = values.zero_sum_value
+
+    def counted(cg, *args, **kwargs):
+        solved.append(cg.player)
+        return real(cg, *args, **kwargs)
+
+    monkeypatch.setattr(values, "zero_sum_value", counted)
+    return solved
+
+
+def test_commands_solve_only_the_players_they_read(tmp_path, monkeypatch, capsys):
+    g = random_game(3, size=6, players=3, measure=PayoffKind.LIMINF)
+    game, spec, strat = (str(tmp_path / name) for name in ("g.game", "s.spec", "s.strat"))
+    (tmp_path / "g.game").write_text(serialize_game(g))
+    (tmp_path / "s.spec").write_text("payoff(1) >= 0\n")
+    assert cli.run(["sco", "--player", "2", game, "-o", strat]) == 0
+    solved = _count_solves(monkeypatch)
+    for argv, players in [
+        (["sco", "--player", "2", game], [2]),
+        (["wco", "--player", "2", game], [2]),
+        (["check", game, strat], [2]),
+        (["values", game], [1, 2, 3]),
+        (["mc", game, "--spec", spec], [1, 2, 3]),
+        (["synth", game, "--player", "2", "--spec", spec], [1, 2, 3]),
+    ]:
+        solved.clear()
+        cli.run(argv)
+        assert solved == players, argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("measure", list(PayoffKind))
+def test_players_solve_alike_in_any_order(measure):
+    for seed in range(3):
+        g = random_game(seed, size=5, players=3, measure=measure)
+        lazy, backwards = compute_value_table(g), compute_value_table(g)
+        for player in (3, 2, 1):
+            backwards.avalues[player]
+        for player in (1, 2, 3):
+            for v in lazy.arena.owner:
+                assert lazy.at(player, v) == backwards.at(player, v)
+            assert lazy.avalues[player] == backwards.avalues[player]
+            assert lazy.wcs[player] == backwards.wcs[player]
+        assert lazy == backwards
+        # equality solves every player of two fresh tables first
+        assert compute_value_table(g) == compute_value_table(g)
+
+
+def test_iterating_a_table_solves_nothing():
+    t = compute_value_table(load_game("fig1.game"))
+    assert (len(t.aval), list(t.avalues.values()), dict(t.wcs)) == (0, [], {})
+    assert t.at(2, "v1") == (F(0), F(2), F(2))
+    assert list(t.avalues) == [2] and {p for p, _ in t.cval} == {2}
+    with pytest.raises(KeyError):
+        t.acval[(2, "nowhere")]
+    with pytest.raises(KeyError):
+        t.levels[3]
+    assert (1, "v1") in t.aval and t.wcs.get(1) is not None
+    assert sorted(t.avalues) == [1, 2]
+
+
+def test_threads_sharing_a_table_solve_each_player_once(monkeypatch):
+    g = random_game(5, size=12, players=3, measure=PayoffKind.MP_INF)
+    sequential = compute_value_table(g)
+    want = {(p, v): sequential.at(p, v) for p in (1, 2, 3) for v in sequential.arena.owner}
+    solved = _count_solves(monkeypatch)
+    table = compute_value_table(g)
+    wrong = []
+    start = threading.Barrier(12)
+
+    def read(player):
+        start.wait(timeout=60)
+        wrong.extend(v for v in table.arena.owner if table.at(player, v) != want[(player, v)])
+
+    threads = [threading.Thread(target=read, args=(1 + i % 3,)) for i in range(12)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == [] and sorted(solved) == [1, 2, 3]
