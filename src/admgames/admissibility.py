@@ -20,7 +20,8 @@ player leaves the pursued lasso.  Such strategies are always admissible.
 keeps the worst-case guarantee intact at every step; games need not admit
 such a strategy, so the result carries a verification flag.
 `strategy_from_outcome` follows a given lasso and plays as `construct_sco`
-once the play leaves it.
+once the play leaves it.  Passed no value table, each entry point builds
+one of its own player alone.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .games import Game, GameFormatError
+from .games import Game
 from .solvers import _WitnessLassos, fixed_strategy_extremes
-from .transform import MooreStrategy, moore_layout, product_with_strategy, validate_strategy
-from .values import ValueTable, compute_value_table
+from .transform import MooreStrategy, _require_valid, moore_layout, product_with_strategy
+from .values import ValueTable, _value_table
 
 __all__ = [
     "AdmissibilityVerdict",
@@ -61,10 +62,8 @@ class AdmissibilityVerdict:
     strat_max: Fraction | None = None
 
 
-def _checked_product(g: Game, s: MooreStrategy, table: ValueTable):
-    problems = validate_strategy(g, s)
-    if problems:
-        raise GameFormatError("; ".join(problems))
+def _product(s: MooreStrategy, table: ValueTable):
+    """The product of the validated `s` with the table's rebuilt arena."""
     tg = table.transformed
     observe = {tv: tg.origin(tv) for tv in tg.game.owner}
     return product_with_strategy(tg.game, s, observe=observe)
@@ -74,9 +73,10 @@ def check_strategy_admissible(
     g: Game, s: MooreStrategy, table: ValueTable | None = None
 ) -> AdmissibilityVerdict:
     """Decide admissibility; on rejection report the first violation in BFS order."""
+    _require_valid(g, s)
     if table is None:
-        table = compute_value_table(g)
-    prod = _checked_product(g, s, table)
+        table = _value_table(g, (s.player,))
+    prod = _product(s, table)
     extremes = fixed_strategy_extremes(prod, s.player)
     arena = prod.arena
     tg = table.transformed
@@ -172,7 +172,7 @@ def construct_sco(g: Game, player: int, table: ValueTable | None = None) -> Moor
     """Strategy that is cooperative-optimal wherever cooperation can beat the
     worst case and worst-case-optimal elsewhere; always admissible."""
     if table is None:
-        table = compute_value_table(g)
+        table = _value_table(g, (player,))
     lassos = _sco_lassos(table, player)
     return _pursue(table, player, lassos, lambda a, tv: tv in lassos)
 
@@ -191,7 +191,7 @@ def construct_wco_candidate(
     case it is False.
     """
     if table is None:
-        table = compute_value_table(g)
+        table = _value_table(g, (player,))
     arena = table.arena
     aval = {v: table.aval[(player, v)] for v in arena.owner}
     levels = table.levels[player]
@@ -204,7 +204,8 @@ def construct_wco_candidate(
         i = dt.idx[v]
         lassos[v] = witnesses.lasso(i, acval[i], levels.member(rank[i], flat[i] == acval[i]))
     s = _pursue(table, player, lassos, lambda a, tv: aval[tv] == aval[a])
-    prod = _checked_product(g, s, table)
+    _require_valid(g, s)
+    prod = _product(s, table)
     extremes = fixed_strategy_extremes(prod, player)
     verified = all(
         extremes[(tv, m)] == (table.aval[(player, tv)], table.acval[(player, tv)])
@@ -221,7 +222,7 @@ def strategy_from_outcome(g: Game, player: int, lasso, table: ValueTable | None 
     `g` is mapped there with `transform.lift_lasso`.
     """
     if table is None:
-        table = compute_value_table(g)
+        table = _value_table(g, (player,))
     try:
         lasso.check(table.arena)
     except ValueError as err:

@@ -138,7 +138,8 @@ class ExploredAutomaton:
 
     def along(self, g: Game) -> ExploredAutomaton:
         """The automaton itself: it was explored along `g`."""
-        assert self.vertex[0] == g.init, "explored along another arena"
+        if self.vertex[0] != g.init:
+            raise ValueError("explored along another arena")
         return self
 
 

@@ -46,7 +46,7 @@ from .games import (
     run_until_repeat,
 )
 from .solvers import ParityGame, explore, solve_parity
-from .transform import MooreStrategy, moore_layout
+from .transform import MooreStrategy, _require_valid, moore_layout
 from .values import ValueTable, compute_value_table
 
 __all__ = [
@@ -586,7 +586,11 @@ def _objective_automaton(lg: LabeledGame, player: int, spec: PayoffSpec) -> Expl
 
 def verify_strategy_wins(g: Game, player: int, spec: PayoffSpec, s: MooreStrategy) -> bool:
     """Check that every play under the strategy satisfies the synthesis
-    objective, whatever the other players do."""
+    objective, whatever the other players do.  A strategy that is not one
+    of `player` on `g` raises `GameFormatError`."""
+    _require_valid(g, s)
+    if s.player != player:
+        raise GameFormatError(f"strategy of player {s.player}, not of player {player}")
     _require_regular(g, "objective verification")
     table = compute_value_table(g)
     lg = label_edges(g, table)

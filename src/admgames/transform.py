@@ -304,6 +304,13 @@ def validate_strategy(g: Game, s: MooreStrategy) -> list[str]:
     return problems
 
 
+def _require_valid(g: Game, s: MooreStrategy) -> None:
+    """Raise `GameFormatError` naming every defect of `s` relative to `g`."""
+    problems = validate_strategy(g, s)
+    if problems:
+        raise GameFormatError("; ".join(problems))
+
+
 @dataclass(frozen=True)
 class ProductGame:
     """Reachable synchronized product of an arena and one player's strategy.
@@ -333,11 +340,8 @@ def product_with_strategy(
     transducer actually reads (used when the arena is a prefix-independence
     rebuild of the game the strategy was written for).
     """
-    problems = []
     if observe is None:
-        problems = validate_strategy(g, s)
-    if problems:
-        raise GameFormatError("; ".join(problems))
+        _require_valid(g, s)
 
     def obs(v: str) -> str:
         return observe[v] if observe is not None else v

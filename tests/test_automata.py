@@ -1,6 +1,9 @@
 """Parity edge-automata: negation, intersection, formats."""
 
+import dataclasses
 import random
+
+import pytest
 
 from admgames import PayoffKind, accepts_lasso, parse_automaton, serialize_automaton
 from admgames.automata import EdgeAutomaton, constant_automaton, intersect, negate, reindex_edges
@@ -107,3 +110,13 @@ def test_reindex_edges_runs_on_rebuilt_arena():
         assert accepts_lasso(aut, lasso) == accepts_lasso(
             lifted_aut, lift_lasso(tg, lasso)
         )
+
+
+def test_explored_automaton_refuses_another_arena():
+    rng = random.Random(7)
+    g = random_game(3, size=4)
+    both = intersect(g, [random_automaton(g, rng) for _ in range(2)])
+    assert both.along(g) is both
+    moved = dataclasses.replace(g, init=next(v for v in sorted(g.owner) if v != g.init))
+    with pytest.raises(ValueError, match="explored along another arena"):
+        both.along(moved)

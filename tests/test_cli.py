@@ -208,6 +208,13 @@ def test_move_outside_memory_and_arena_exit_2(tmp_path, capsys):
     assert err == "error: move (7, zz) out of memory range; move references unknown vertex zz\n"
 
 
+def test_check_strategy_of_no_player_exit_2(tmp_path, capsys):
+    # the strategy is validated before any value is solved for its player
+    (tmp_path / "p7.strat").write_text("strategy 7\nmemory 1\ninitmem 0\n")
+    assert run(["check", fx("fig1.game"), str(tmp_path / "p7.strat")]) == 2
+    assert capsys.readouterr() == ("", "error: player 7 not in 1..2\n")
+
+
 @pytest.mark.parametrize("extra, message", [
     ("initial ok", "line 4: duplicate initial"),
     ("priority ok 1", "line 4: duplicate priority for state ok"),
@@ -369,8 +376,6 @@ def test_two_runs_in_one_process_match_fresh_processes(capsys):
 
 # Each script breaks one solver result, as the monkeypatching tests in
 # test_values.py and test_solvers.py do, and makes the call its check guards.
-# A value table solves a player on the first read of its entries, so the
-# value-table cases read player 1.
 _AVAL_PLUS_100 = (
     "real = values.zero_sum_value\n"
     "def raised(*args, **kwargs):\n"

@@ -2,11 +2,13 @@
 and assume-admissible synthesis."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from admgames import (
+    GameFormatError,
     Lasso,
     PayoffKind,
     UnsupportedMeasure,
@@ -313,6 +315,24 @@ def test_synthesis_fig1_liminf():
     assert rt.realizable
     assert check_strategy_admissible(g, rt.strategy, t).admissible
     assert verify_strategy_wins(g, 1, parse_spec("true"), rt.strategy)
+
+
+@pytest.mark.parametrize("moves, message", [
+    ({"s1": "t9", "s4": "s6"}, "move (0, s1) -> t9 is not an edge"),
+    ({"s4": "s6"}, "missing move for memory 0 at vertex s1"),
+], ids=["non-edge", "missing-move"])
+def test_verify_strategy_wins_rejects_invalid_strategies(moves, message):
+    g = load_game("fig2.game")
+    with pytest.raises(GameFormatError, match=re.escape(message)):
+        verify_strategy_wins(g, 1, parse_spec("false"), memoryless(1, moves))
+
+
+def test_verify_strategy_wins_rejects_another_players_strategy():
+    g = load_game("fig2.game")
+    s = memoryless(1, {"s1": "s3", "s4": "s6"})
+    assert verify_strategy_wins(g, 1, parse_spec("payoff(1) >= 5"), s)
+    with pytest.raises(GameFormatError, match="strategy of player 1, not of player 2"):
+        verify_strategy_wins(g, 2, parse_spec("payoff(1) >= 5"), s)
 
 
 def test_synthesis_random_games_reverify():

@@ -1,14 +1,27 @@
 """Value table assembly and history-level values."""
 
+import random
 import sys
 import threading
 from fractions import Fraction
 
 import pytest
 
-from admgames import PayoffKind, cli, compute_value_table, parse_game, serialize_game, value_at_history
+from admgames import (
+    PayoffKind,
+    check_strategy_admissible,
+    cli,
+    compute_value_table,
+    construct_sco,
+    construct_wco_candidate,
+    parse_game,
+    serialize_game,
+    value_at_history,
+)
 from admgames import values
-from admgames.oracle import random_game
+from admgames.admissibility import strategy_from_outcome
+from admgames.oracle import random_game, random_lasso
+from admgames.transform import MooreStrategy
 
 from helpers import load_game
 
@@ -154,32 +167,50 @@ def test_commands_solve_only_the_players_they_read(tmp_path, monkeypatch, capsys
 
 @pytest.mark.parametrize("measure", list(PayoffKind))
 def test_players_solve_alike_in_any_order(measure):
+    # a one-player table holds its player's entries of the full table, and
+    # only those, whichever player is solved first
     for seed in range(3):
         g = random_game(seed, size=5, players=3, measure=measure)
-        lazy, backwards = compute_value_table(g), compute_value_table(g)
+        full = compute_value_table(g)
         for player in (3, 2, 1):
-            backwards.avalues[player]
-        for player in (1, 2, 3):
-            for v in lazy.arena.owner:
-                assert lazy.at(player, v) == backwards.at(player, v)
-            assert lazy.avalues[player] == backwards.avalues[player]
-            assert lazy.wcs[player] == backwards.wcs[player]
-        assert lazy == backwards
-        # equality solves every player of two fresh tables first
-        assert compute_value_table(g) == compute_value_table(g)
+            own = values._value_table(g, (player,))
+            assert {p for p, _ in own.aval} == set(own.avalues) == set(own.wcs) == {player}
+            for v in full.arena.owner:
+                assert own.at(player, v) == full.at(player, v)
+            assert own.avalues[player] == full.avalues[player]
+            assert own.wcs[player] == full.wcs[player]
+        assert compute_value_table(g) == full
 
 
-def test_iterating_a_table_solves_nothing():
-    t = compute_value_table(load_game("fig1.game"))
-    assert (len(t.aval), list(t.avalues.values()), dict(t.wcs)) == (0, [], {})
+def test_a_fresh_table_holds_every_entry():
+    g = load_game("fig1.game")
+    t = compute_value_table(g)
+    pairs = {(p, v) for p in (1, 2) for v in t.arena.owner}
+    assert set(t.aval) == set(t.cval) == set(t.acval) == pairs
+    assert set(t.avalues) == set(t.wcs) == set(t.levels) == {1, 2}
     assert t.at(2, "v1") == (F(0), F(2), F(2))
-    assert list(t.avalues) == [2] and {p for p, _ in t.cval} == {2}
     with pytest.raises(KeyError):
         t.acval[(2, "nowhere")]
     with pytest.raises(KeyError):
         t.levels[3]
-    assert (1, "v1") in t.aval and t.wcs.get(1) is not None
-    assert sorted(t.avalues) == [1, 2]
+
+
+def test_one_player_entry_points_reject_other_players(monkeypatch):
+    g = load_game("fig1.game")
+    lasso = random_lasso(g, random.Random(0))
+    solved = _count_solves(monkeypatch)
+    for player in (0, g.players + 1):
+        own = MooreStrategy(player=player, memory=1, init_mem=0)
+        for call in (
+            lambda: construct_sco(g, player),
+            lambda: construct_wco_candidate(g, player),
+            lambda: strategy_from_outcome(g, player, lasso),
+            lambda: check_strategy_admissible(g, own),
+            lambda: value_at_history(g, ("v1",), player),
+        ):
+            with pytest.raises(ValueError, match=f"player {player} not in 1..2"):
+                call()
+    assert solved == []
 
 
 def test_threads_sharing_a_table_solve_each_player_once(monkeypatch):
