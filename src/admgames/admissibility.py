@@ -81,25 +81,25 @@ def check_strategy_admissible(
     arena = prod.arena
     tg = table.transformed
 
-    for state in prod.succ:  # breadth first from prod.init
-        tv, mem = state
+    for i, (tv, mem) in enumerate(prod.states):  # breadth first from state 0
         if arena.owner[tv] != s.player:
             continue
         q = table.aval[(s.player, tv)]
         ac = table.acval[(s.player, tv)]
-        lo, hi = extremes[state]
+        lo, hi = extremes[(tv, mem)]
         if hi > q:
             continue
         if lo == hi == q == ac:
             continue
         violated = EQ_DROP if lo < q else EQ_PIN
-        # the first state listing a successor is its breadth-first parent
-        parent = {prod.init: None}
-        for src, outs in prod.succ.items():
+        # a state's parent is the first state listing it; state 0 has none
+        parent = [-1] * len(prod.states)
+        for src, outs in enumerate(prod.table):
             for nxt in outs:
-                parent.setdefault(nxt, src)
-        chain = [state]
-        while parent[chain[-1]] is not None:
+                if nxt and parent[nxt] < 0:
+                    parent[nxt] = src
+        chain = [i]
+        while chain[-1]:
             chain.append(parent[chain[-1]])
         chain.reverse()
         return AdmissibilityVerdict(
@@ -107,7 +107,7 @@ def check_strategy_admissible(
             player=s.player,
             vertex=tg.origin(tv),
             memory=mem,
-            witness=tuple(tg.origin(x[0]) for x in chain),
+            witness=tuple(tg.origin(prod.states[j][0]) for j in chain),
             violated=violated,
             aval=q,
             acval=ac,

@@ -14,8 +14,9 @@ guaranteed q and still cooperated for more.
 parity automaton; obligations collapse to a single tracked demand (the
 strongest level still waiting for a payoff or passed-up-alternative
 justification, with a flag for whether an exact pin is still possible).
-Model checking under admissibility and assume-admissible synthesis are
-parity-automaton products over the arena.
+Model checking under admissibility, assume-admissible synthesis and its
+check are parity-automaton products over the arena, with one set-up
+(`_labelled`) and one parity-game builder (`_parity_game`).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .games import (
     payoff_of_lasso,
     run_until_repeat,
 )
-from .solvers import ParityGame, explore, solve_parity
+from .solvers import ParityGame, solve_parity
 from .transform import MooreStrategy, _require_valid, moore_layout
 from .values import ValueTable, compute_value_table
 
@@ -513,6 +514,14 @@ def _require_regular(g: Game, what: str):
         )
 
 
+def _labelled(g: Game, spec: PayoffSpec, what: str) -> LabeledGame:
+    """Every automaton product's set-up: check the measure and the spec's
+    players, then label the arena with the full value table."""
+    _require_regular(g, what)
+    _check_spec(g, spec)
+    return label_edges(g, compute_value_table(g))
+
+
 def _parity_game(aut: ExploredAutomaton, owner_of) -> ParityGame:
     """The explored automaton as a parity game on its own states; a state
     at arena vertex v belongs to owner_of(v)."""
@@ -541,10 +550,7 @@ def _project_lasso(lg: LabeledGame, lasso: Lasso) -> Lasso:
 def model_check_admissible(g: Game, spec: PayoffSpec) -> McVerdict:
     """Do all plays compatible with every player's admissible strategies
     satisfy the spec?  On failure returns a concrete counterexample lasso."""
-    _require_regular(g, "model checking under admissibility")
-    _check_spec(g, spec)
-    table = compute_value_table(g)
-    lg = label_edges(g, table)
+    lg = _labelled(g, spec, "model checking under admissibility")
     arena = lg.arena
 
     parts = [outcome_automaton(lg, p) for p in range(1, g.players + 1)]
@@ -586,47 +592,38 @@ def _objective_automaton(lg: LabeledGame, player: int, spec: PayoffSpec) -> Expl
 
 def verify_strategy_wins(g: Game, player: int, spec: PayoffSpec, s: MooreStrategy) -> bool:
     """Check that every play under the strategy satisfies the synthesis
-    objective, whatever the other players do.  A strategy that is not one
-    of `player` on `g` raises `GameFormatError`."""
+    objective, whatever the other players do, on the objective explored
+    with the strategy's memory and moves.  A strategy that is not one of
+    `player` on `g` raises `GameFormatError`, before the set-up's checks."""
     _require_valid(g, s)
     if s.player != player:
         raise GameFormatError(f"strategy of player {s.player}, not of player {player}")
-    _require_regular(g, "objective verification")
-    table = compute_value_table(g)
-    lg = label_edges(g, table)
-    arena = lg.arena
-    tg = table.transformed
+    lg = _labelled(g, spec, "objective verification")
+    origin = lg.table.transformed.origin
     objective = _objective_automaton(lg, player, spec)
-    vertex = objective.vertex
+    vertex, priority = objective.vertex, objective.priority
 
     def succ(state):
-        q, mem = state
-        v = vertex[q]
+        q, mem, _ = state
         nexts = objective.succ[q]
-        if arena.owner[v] == player:
-            target = s.moves[(mem, tg.origin(v))]
-            nexts = [t for t in nexts if tg.origin(vertex[t]) == target]
-        return [(t, s.next_memory(mem, tg.origin(vertex[t]))) for t in nexts]
+        if lg.arena.owner[vertex[q]] == player:
+            target = s.moves[(mem, origin(vertex[q]))]
+            nexts = [t for t in nexts if origin(vertex[t]) == target]
+        for t in nexts:
+            yield t, s.next_memory(mem, origin(vertex[t])), priority[t]
 
-    states, graph = explore((objective.initial, s.init_mem), succ)
-    pg = ParityGame(
-        owner=dict.fromkeys(range(len(states)), 1),
-        priority={i: objective.priority[q] for i, (q, _) in enumerate(states)},
-        succ=dict(enumerate(graph)),
-    )
-    r0, _ = solve_parity(pg)
-    return 0 in r0.vertices
+    init = objective.initial
+    restricted = _explored((init, s.init_mem, priority[init]), succ, lambda st: vertex[st[0]])
+    r0, _ = solve_parity(_parity_game(restricted, lambda v: 1))
+    return restricted.initial in r0.vertices
 
 
 def synthesize_assume_admissible(g: Game, player: int, spec: PayoffSpec) -> SynthResult:
     """Find a strategy whose plays are admissible-compatible for `player` and
     satisfy the spec whenever all other players also play admissibly."""
-    _require_regular(g, "assume-admissible synthesis")
-    _check_spec(g, spec)
-    table = compute_value_table(g)
-    lg = label_edges(g, table)
+    lg = _labelled(g, spec, "assume-admissible synthesis")
     arena = lg.arena
-    tg = table.transformed
+    tg = lg.table.transformed
     objective = _objective_automaton(lg, player, spec)
 
     r0, _ = solve_parity(

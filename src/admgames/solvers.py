@@ -761,15 +761,15 @@ def one_player_max_value(g: Game, player: int) -> dict:
 
 
 def fixed_strategy_extremes(prod, player: int) -> dict:
-    """Adversary-minimized and -maximized payoff per product state.
+    """Adversary-minimized and -maximized payoff, by product state.
 
     Under a fixed strategy the product is a one-player arena of the
     coalition, so both extremes are plain cycle optimizations, run on the
-    product's `table`, the state numbers `explore` gave.
+    product's `table` and keyed by the states of `prod.states`.
     """
     arena = prod.arena
     denom, scaled = _scaled_weights(arena, player)
-    states = list(prod.succ)
+    states = prod.states
     weight = [
         [scaled[(s[0], states[j][0])] for j in outs] for s, outs in zip(states, prod.table)
     ]

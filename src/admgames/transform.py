@@ -14,7 +14,8 @@ other players keep their choices, and memory advances on every traversed
 edge.  `moore_layout` turns the modes of a strategy construction into a
 minimal Moore strategy; every constructed strategy goes through it.  All three
 explore their states with `solvers.explore` and number them, where they
-need numbers or names, in its breadth-first discovery order.
+need numbers or names, in its breadth-first discovery order; the product
+keeps only explore's state list and successor table.
 """
 
 from __future__ import annotations
@@ -274,7 +275,9 @@ def moore_layout(g: Game, player: int, origin, start, expand) -> MooreStrategy:
 
 
 def validate_strategy(g: Game, s: MooreStrategy) -> list[str]:
-    """Report strategy/table defects relative to a game."""
+    """Report strategy/table defects relative to a game.  Missing moves are
+    listed in (memory, vertex) order up to 20, then counted, so the work
+    grows with the file and the game, not with the declared memory."""
     problems = []
     if not 1 <= s.player <= g.players:
         problems.append(f"player {s.player} not in 1..{g.players}")
@@ -287,13 +290,23 @@ def validate_strategy(g: Game, s: MooreStrategy) -> list[str]:
         if v not in g.owner:
             problems.append(f"update references unknown vertex {v}")
     owned = [v for v in sorted(g.owner) if g.owner[v] == s.player]
-    for m in range(s.memory):
+    declared = {m for (m, v) in s.moves if 0 <= m < s.memory}
+    missing = s.memory * len(owned) - sum(
+        m in declared and g.owner.get(v) == s.player for (m, v) in s.moves
+    )
+    shown, cap = 0, 20
+    # listed missing moves lie in rows with a move or the first `cap` without
+    for m in sorted(declared.union(range(min(s.memory, len(declared) + cap)))):
         for v in owned:
             t = s.moves.get((m, v))
             if t is None:
-                problems.append(f"missing move for memory {m} at vertex {v}")
+                shown += 1
+                if shown <= cap:
+                    problems.append(f"missing move for memory {m} at vertex {v}")
             elif not g.has_edge(v, t):
                 problems.append(f"move ({m}, {v}) -> {t} is not an edge")
+    if missing > cap:
+        problems.append(f"and {missing - cap} more missing moves")
     for (m, v) in sorted(s.moves):
         if not 0 <= m < s.memory:
             problems.append(f"move ({m}, {v}) out of memory range")
@@ -315,26 +328,23 @@ def _require_valid(g: Game, s: MooreStrategy) -> None:
 class ProductGame:
     """Reachable synchronized product of an arena and one player's strategy.
 
-    States are (arena vertex, memory).  At states whose vertex the strategy
-    owner controls there is exactly one outgoing edge (the strategy's move);
-    everywhere else all arena moves remain.  `succ` lists the states breadth
-    first from `init`, as `solvers.explore` found them; `states` is sorted.
-    `table` holds the same successors as `explore`'s state numbers, the
-    positions in `succ`.
+    States are (arena vertex, memory), listed in `states` breadth first from
+    the initial state `states[0]`, as `solvers.explore` found them; `table`
+    holds each state's successors as positions in `states`.  At states whose
+    vertex the strategy owner controls there is exactly one successor (the
+    strategy's move); everywhere else all arena moves remain.
     """
 
     arena: Game
     player: int
-    init: tuple[str, int]
-    states: tuple[tuple[str, int], ...]
-    succ: dict[tuple[str, int], tuple[tuple[str, int], ...]]
+    states: list[tuple[str, int]]
     table: list[tuple[int, ...]]
 
 
 def product_with_strategy(
     g: Game, s: MooreStrategy, observe: dict[str, str] | None = None
 ) -> ProductGame:
-    """Build the reachable strategy-arena product.
+    """Build the reachable strategy-arena product with `solvers.explore`.
 
     `observe` optionally maps arena vertices to the vertex names the
     transducer actually reads (used when the arena is a prefix-independence
@@ -365,17 +375,8 @@ def product_with_strategy(
             nexts = g.successors(v)
         return [(v2, s.next_memory(m, obs(v2))) for v2 in nexts]
 
-    init = (g.init, s.init_mem)
-    states, table = explore(init, succ)
-    graph = {state: tuple(map(states.__getitem__, outs)) for state, outs in zip(states, table)}
-    return ProductGame(
-        arena=g,
-        player=s.player,
-        init=init,
-        states=tuple(sorted(states)),
-        succ=graph,
-        table=table,
-    )
+    states, table = explore((g.init, s.init_mem), succ)
+    return ProductGame(arena=g, player=s.player, states=states, table=table)
 
 
 def parse_strategy(text: str) -> MooreStrategy:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -206,6 +207,19 @@ def test_move_outside_memory_and_arena_exit_2(tmp_path, capsys):
     assert run(["check", fx("fig1.game"), str(tmp_path / "bad.strat")]) == 2
     err = capsys.readouterr().err
     assert err == "error: move (7, zz) out of memory range; move references unknown vertex zz\n"
+
+
+@pytest.mark.parametrize("memory", [10**6, 10**12], ids=["1e6", "1e12"])
+def test_declared_memory_does_not_size_the_error(tmp_path, capsys, memory):
+    # player 1 owns only v1 on fig1.game: every memory state misses one move
+    (tmp_path / "big.strat").write_text(f"strategy 1\nmemory {memory}\n")
+    start = time.perf_counter()
+    assert run(["check", fx("fig1.game"), str(tmp_path / "big.strat")]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err) < 2000
+    listed = "; ".join(f"missing move for memory {m} at vertex v1" for m in range(20))
+    assert err == f"error: {listed}; and {memory - 20} more missing moves\n"
 
 
 def test_check_strategy_of_no_player_exit_2(tmp_path, capsys):

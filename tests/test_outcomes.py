@@ -335,6 +335,25 @@ def test_verify_strategy_wins_rejects_another_players_strategy():
         verify_strategy_wins(g, 2, parse_spec("payoff(1) >= 5"), s)
 
 
+@pytest.mark.parametrize("text, player", [
+    ("payoff(0) <= 100", 0),
+    ("payoff(3) > 0", 3),
+], ids=["player-0", "player-3"])
+def test_verify_strategy_wins_rejects_specs_of_unknown_players(text, player):
+    # the same check as model checking and synthesis, on a strategy that
+    # synthesis returns for `true`
+    g = load_game("fig2.game")
+    s = synthesize_assume_admissible(g, 1, parse_spec("true")).strategy
+    message = f"spec refers to unknown player {player}"
+    for check in (
+        lambda spec: model_check_admissible(g, spec),
+        lambda spec: synthesize_assume_admissible(g, 1, spec),
+        lambda spec: verify_strategy_wins(g, 1, spec, s),
+    ):
+        with pytest.raises(GameFormatError, match=re.escape(message)):
+            check(parse_spec(text))
+
+
 def test_synthesis_random_games_reverify():
     for seed in range(8):
         g = random_game(seed, size=4, measure=PayoffKind.LIMSUP)

@@ -1021,9 +1021,12 @@ def test_fixed_strategy_extremes_match_the_reference(measure):
             def wfun(s, t):
                 return g.weight(s[0], t[0], player)
 
+            succ = {
+                s: [prod.states[j] for j in outs] for s, outs in zip(prod.states, prod.table)
+            }
             lo, hi = (
                 reference_one_player_values(
-                    prod.states, prod.succ.__getitem__, wfun, measure, maximize
+                    prod.states, succ.__getitem__, wfun, measure, maximize
                 )
                 for maximize in (False, True)
             )

@@ -111,10 +111,9 @@ def test_product_fig2_memoryless():
     assert len(prod.states) == 6  # s1 s2 s4 s6 t3 t4, one memory state
     verts = sorted(v for (v, _) in prod.states)
     assert verts == ["s1", "s2", "s4", "s6", "t3", "t4"]
+    assert prod.states[0] == (g.init, 0)
     # player-owned states have exactly the strategy's single move
-    for state in prod.states:
-        v, _ = state
-        outs = prod.succ[state]
+    for (v, _), outs in zip(prod.states, prod.table, strict=True):
         if g.owner[v] == 1:
             assert len(outs) == 1
         else:
@@ -132,7 +131,8 @@ def test_product_fig3_counting_strategy():
     )
     prod = product_with_strategy(g, s)
     # the second visit to s1 moves to the left terminal
-    assert prod.succ[("s1", 1)] == (("t1", 1),)
+    outs = prod.table[prod.states.index(("s1", 1))]
+    assert [prod.states[j] for j in outs] == [("t1", 1)]
     assert ("t2", 1) in prod.states  # the adversary may still exit right
 
 
@@ -147,8 +147,8 @@ def test_product_single_successor_strategy_isomorphic():
     g = parse_game(text)
     prod = product_with_strategy(g, memoryless(1, {"a": "b", "c": "b"}))
     assert {v for (v, _) in prod.states} == set(g.owner)
-    for state in prod.states:
-        assert len(prod.succ[state]) == len(g.successors(state[0]))
+    for (v, _), outs in zip(prod.states, prod.table, strict=True):
+        assert len(outs) == len(g.successors(v))
 
 
 def test_product_rejects_non_edge_move():
