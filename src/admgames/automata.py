@@ -179,7 +179,10 @@ def intersect(g: Game, components: list) -> ExploredAutomaton:
     The product is explored along the arena's edges from its initial vertex,
     so every component must be complete over the arena paths that can occur.
     Named components are first explored along the arena; a product state is
-    (the components' states, the record, the emitted priority).
+    (the components' states, the record, the emitted priority).  The next
+    record and priority depend only on the record and the components'
+    emitted priorities, so records are explored as interned numbers and
+    each (record, emitted) step is computed once.
     """
     pairs = []  # (component index, odd priority)
     for ci, aut in enumerate(components):
@@ -189,41 +192,57 @@ def intersect(g: Game, components: list) -> ExploredAutomaton:
     components = [a.along(g) for a in components]
     if len(components) == 1:
         return components[0]
-    h = len(pairs)
+    h, k = len(pairs), len(components)
     tables = [a.succ for a in components]
     prios = [a.priority for a in components]
+    records = [tuple(range(h))]  # record id -> record
+    record_id = {records[0]: 0}
+    steps = {}  # (record id, emitted priorities) -> (next record id, priority)
 
-    def succ(state):
-        comp_states, perm, _ = state
-        for nxt_comp in zip(*[t[cs] for t, cs in zip(tables, comp_states)]):
-            emitted = [p[cs] for p, cs in zip(prios, nxt_comp)]
-            # positions are 1-based ranks in the current record
-            gmin = bmin = None
-            gset = set()
-            for rank, pj in enumerate(perm, start=1):
-                ci, o = pairs[pj]
-                p = emitted[ci]
-                if p > o:
-                    gset.add(pj)
-                    if gmin is None:
-                        gmin = rank
-                elif p == o:
-                    if bmin is None:
-                        bmin = rank
-            if gmin is None and bmin is None:
-                pr = 0
-            elif gmin is not None and (bmin is None or gmin <= bmin):
-                pr = 2 * (h - gmin) + 4
-            else:
-                pr = 2 * (h - bmin) + 3
-            perm2 = tuple(j for j in perm if j not in gset) + tuple(
-                j for j in perm if j in gset
-            )
-            yield nxt_comp, perm2, pr
+    def step(rid, emitted):
+        perm = records[rid]
+        # positions are 1-based ranks in the current record
+        gmin = bmin = None
+        gset = set()
+        for rank, pj in enumerate(perm, start=1):
+            ci, o = pairs[pj]
+            p = emitted[ci]
+            if p > o:
+                gset.add(pj)
+                if gmin is None:
+                    gmin = rank
+            elif p == o:
+                if bmin is None:
+                    bmin = rank
+        if gmin is None and bmin is None:
+            pr = 0
+        elif gmin is not None and (bmin is None or gmin <= bmin):
+            pr = 2 * (h - gmin) + 4
+        else:
+            pr = 2 * (h - bmin) + 3
+        perm2 = tuple(j for j in perm if j not in gset) + tuple(j for j in perm if j in gset)
+        rid2 = record_id.setdefault(perm2, len(records))
+        if rid2 == len(records):
+            records.append(perm2)
+        return rid2, pr
+
+    def succ(state):  # state: (*component states, record id, priority)
+        rid = state[k]
+        for nxt in zip(*[t[cs] for t, cs in zip(tables, state[:k])]):
+            key = (rid, tuple([p[cs] for p, cs in zip(prios, nxt)]))
+            out = steps.get(key)
+            if out is None:
+                out = steps[key] = step(*key)
+            yield nxt + out
 
     vertex = components[0].vertex
-    init = (tuple(a.initial for a in components), tuple(range(h)), 0)
-    return _explored(init, succ, lambda state: vertex[state[0][0]])
+    states, table = explore((*(a.initial for a in components), 0, 0), succ)
+    return ExploredAutomaton(
+        vertex=[vertex[s[0]] for s in states],
+        priority=[s[-1] for s in states],
+        succ=table,
+        names=[(s[:k], records[s[k]], s[-1]) for s in states],
+    )
 
 
 def _explored(init, succ, vertex_of=lambda state: state[0]) -> ExploredAutomaton:

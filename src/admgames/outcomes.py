@@ -303,9 +303,14 @@ def parse_spec(text: str, automaton_loader=None) -> PayoffSpec:
     def peek():
         return toks[pos[0]] if pos[0] < len(toks) else None
 
-    def take(expected=None):
+    def take(expected=None, what=None):
+        """The next token; `expected` or `what` describes the one wanted."""
         t = peek()
-        if t is None or (expected is not None and t != expected):
+        if t is None:
+            raise GameFormatError(
+                f"spec: unexpected end of spec, expected {what or repr(expected)}"
+            )
+        if expected is not None and t != expected:
             raise GameFormatError(f"spec: expected {expected!r}, got {t!r}")
         pos[0] += 1
         return t
@@ -351,26 +356,29 @@ def parse_spec(text: str, automaton_loader=None) -> PayoffSpec:
         if t == "payoff":
             take()
             take("(")
-            tok = take()
+            tok = take(what="a player")
             try:
                 player = parse_int(tok)
             except ValueError:
                 raise GameFormatError(f"spec: bad player {tok!r}") from None
             take(")")
-            op = take()
+            op = take(what="a comparison")
             if op not in ("<", "<=", ">", ">=", "="):
                 raise GameFormatError(f"spec: bad comparison {op!r}")
+            tok = take(what="a threshold")
             try:
-                value = parse_rational(take())
+                value = parse_rational(tok)
             except ValueError as exc:
                 raise GameFormatError(f"spec: {exc}") from None
             return ("atom", player, op, value)
         if t == "automaton":
             take()
-            name = take()
+            name = take(what="a quoted file name")
             if not (name.startswith('"') and name.endswith('"')):
                 raise GameFormatError("spec: automaton expects a quoted file name")
             return ("aut", load(name[1:-1]))
+        if t is None:
+            raise GameFormatError("spec: unexpected end of spec, expected a term")
         raise GameFormatError(f"spec: unexpected token {t!r}")
 
     node = parse_or(0)
@@ -607,7 +615,7 @@ def verify_strategy_wins(g: Game, player: int, spec: PayoffSpec, s: MooreStrateg
         q, mem, _ = state
         nexts = objective.succ[q]
         if lg.arena.owner[vertex[q]] == player:
-            target = s.moves[(mem, origin(vertex[q]))]
+            target = s.move(mem, origin(vertex[q]))
             nexts = [t for t in nexts if origin(vertex[t]) == target]
         for t in nexts:
             yield t, s.next_memory(mem, origin(vertex[t])), priority[t]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from .games import Game, GameFormatError, Lasso, PayoffKind, parse_int, run_until_repeat
 from .solvers import explore
@@ -166,7 +167,9 @@ class MooreStrategy:
     Memory states are 0..memory-1.  The memory starts at `init_mem` on the
     initial vertex and advances by `update` on every vertex entered
     afterwards; entries missing from `update` leave the memory unchanged.
-    At a vertex owned by the player, the move taken is `moves[(mem, vertex)]`.
+    At a vertex owned by the player, the move taken is `move(mem, vertex)`:
+    `moves[(mem, vertex)]` where present, else the vertex's `default` move,
+    so `moves` need only hold the exceptions.
     """
 
     player: int
@@ -174,9 +177,15 @@ class MooreStrategy:
     init_mem: int
     update: dict[tuple[int, str], int] = field(default_factory=dict)
     moves: dict[tuple[int, str], str] = field(default_factory=dict)
+    default: dict[str, str] = field(default_factory=dict)
 
     def next_memory(self, mem: int, vertex: str) -> int:
         return self.update.get((mem, vertex), mem)
+
+    def move(self, mem: int, vertex: str) -> str | None:
+        """The successor taken at `vertex` in memory `mem`, None if unset."""
+        target = self.moves.get((mem, vertex))
+        return self.default.get(vertex) if target is None else target
 
 
 def moore_layout(g: Game, player: int, origin, start, expand) -> MooreStrategy:
@@ -198,8 +207,10 @@ def moore_layout(g: Game, player: int, origin, start, expand) -> MooreStrategy:
     or a target's class has changed, until no class splits.  Memory states
     are the classes, numbered breadth first from the class of `start`,
     following each class's entries in sorted vertex order, not the modes'
-    indices.  The move table is total: where a class never moves at one of
-    the player's vertices, it takes that vertex's first successor.
+    indices.  Where a class never moves at one of the player's vertices,
+    it takes that vertex's first successor: that is the vertex's `default`
+    and `moves` holds only the other moves.  A strategy with one memory
+    state instead lists every move in `moves`, as its file does.
     """
     expanded = []  # per mode, in number order: expand's answer
 
@@ -267,17 +278,20 @@ def moore_layout(g: Game, player: int, origin, start, expand) -> MooreStrategy:
         for v, t in outs[i]:
             if cls[t] != c:
                 update[(m, v)] = ids[cls[t]]
-    for v in sorted(default):
-        for m in range(len(ids)):
-            moves.setdefault((m, v), default[v])
-    return MooreStrategy(player=player, memory=len(ids), init_mem=0, update=update, moves=moves)
+    if len(ids) == 1:
+        moves = {(0, v): t for v, t in default.items()} | moves
+        default = {}
+    return MooreStrategy(
+        player=player, memory=len(ids), init_mem=0, update=update, moves=moves, default=default
+    )
 
 
 
 def validate_strategy(g: Game, s: MooreStrategy) -> list[str]:
-    """Report strategy/table defects relative to a game.  Missing moves are
-    listed in (memory, vertex) order up to 20, then counted, so the work
-    grows with the file and the game, not with the declared memory."""
+    """Report strategy/table defects relative to a game.  Missing moves, at
+    owned vertices without a default, are listed in (memory, vertex) order
+    up to 20, then counted, so the work grows with the file and the game,
+    not with the declared memory."""
     problems = []
     if not 1 <= s.player <= g.players:
         problems.append(f"player {s.player} not in 1..{g.players}")
@@ -289,22 +303,33 @@ def validate_strategy(g: Game, s: MooreStrategy) -> list[str]:
             problems.append(f"update ({m}, {v}) -> {m2} out of memory range")
         if v not in g.owner:
             problems.append(f"update references unknown vertex {v}")
-    owned = [v for v in sorted(g.owner) if g.owner[v] == s.player]
-    declared = {m for (m, v) in s.moves if 0 <= m < s.memory}
-    missing = s.memory * len(owned) - sum(
-        m in declared and g.owner.get(v) == s.player for (m, v) in s.moves
+    for v, t in sorted(s.default.items()):
+        if v not in g.owner:
+            problems.append(f"default references unknown vertex {v}")
+        elif g.owner[v] != s.player:
+            problems.append(f"default declared at vertex {v} not owned by player {s.player}")
+        elif not g.has_edge(v, t):
+            problems.append(f"default at vertex {v} -> {t} is not an edge")
+    owned = {v for v, p in g.owner.items() if p == s.player}
+    bare = sorted(owned.difference(s.default))  # vertices every row must move at
+    rows: dict[int, set[str]] = {}  # memory -> its bare vertices with a move
+    found = []  # ((memory, vertex), problem) in the move table's rows
+    for (m, v), t in s.moves.items():
+        if 0 <= m < s.memory and v in owned:
+            if v not in s.default:
+                rows.setdefault(m, set()).add(v)
+            if not g.has_edge(v, t):
+                found.append(((m, v), f"move ({m}, {v}) -> {t} is not an edge"))
+    missing = s.memory * len(bare) - sum(map(len, rows.values()))
+    # a row without a gap holds len(bare) moves, so the scan costs at most
+    # the moves plus `cap` rows
+    cap = 20
+    gaps = (
+        (m, v) for m in range(s.memory if bare else 0) for v in bare if v not in rows.get(m, ())
     )
-    shown, cap = 0, 20
-    # listed missing moves lie in rows with a move or the first `cap` without
-    for m in sorted(declared.union(range(min(s.memory, len(declared) + cap)))):
-        for v in owned:
-            t = s.moves.get((m, v))
-            if t is None:
-                shown += 1
-                if shown <= cap:
-                    problems.append(f"missing move for memory {m} at vertex {v}")
-            elif not g.has_edge(v, t):
-                problems.append(f"move ({m}, {v}) -> {t} is not an edge")
+    for m, v in islice(gaps, cap):
+        found.append(((m, v), f"missing move for memory {m} at vertex {v}"))
+    problems += [problem for _, problem in sorted(found)]
     if missing > cap:
         problems.append(f"and {missing - cap} more missing moves")
     for (m, v) in sorted(s.moves):
@@ -364,7 +389,7 @@ def product_with_strategy(
     def succ(state):
         v, m = state
         if g.owner[v] == s.player:
-            target = s.moves.get((m, obs(v)))
+            target = s.move(m, obs(v))
             if target is None or (v, target) not in succ_by_obs:
                 raise GameFormatError(
                     f"strategy move at memory {m}, vertex {obs(v)} "
@@ -380,14 +405,16 @@ def product_with_strategy(
 
 
 def parse_strategy(text: str) -> MooreStrategy:
-    """Parse the strategy file format (strategy/memory/initmem/update/move).
+    """Parse the strategy file format (strategy/memory/initmem/update/
+    default/move).
 
     `strategy` is required; `memory` (default 1), `initmem` (default 0) and
-    each update or move entry may appear at most once.
+    each update, default or move entry may appear at most once.
     """
     header: dict[str, int] = {}  # strategy/memory/initmem -> value
     update: dict[tuple[int, str], int] = {}
     moves: dict[tuple[int, str], str] = {}
+    default: dict[str, str] = {}
 
     def need_int(tok: str, lineno: int) -> int:
         try:
@@ -413,6 +440,10 @@ def parse_strategy(text: str) -> MooreStrategy:
                     f"duplicate {kind} for memory {key[0]} at vertex {key[1]}", lineno
                 )
             table[key] = need_int(args[2], lineno) if kind == "update" else args[2]
+        elif kind == "default" and len(args) == 2:
+            if args[0] in default:
+                raise GameFormatError(f"duplicate default at vertex {args[0]}", lineno)
+            default[args[0]] = args[1]
         else:
             raise GameFormatError(f"bad strategy directive {line!r}", lineno)
     if "strategy" not in header:
@@ -423,15 +454,27 @@ def parse_strategy(text: str) -> MooreStrategy:
         init_mem=header.get("initmem", 0),
         update=update,
         moves=moves,
+        default=default,
     )
 
 
 def serialize_strategy(s: MooreStrategy) -> str:
+    """The strategy file: header, updates, defaults, then moves, each sorted.
+
+    With one memory state the defaults are written as `move` lines, so a
+    memoryless strategy's file lists each of its moves once.
+    """
     lines = [f"strategy {s.player}", f"memory {s.memory}", f"initmem {s.init_mem}"]
     for (m, v) in sorted(s.update):
         m2 = s.update[(m, v)]
         if m2 != m:
             lines.append(f"update {m} {v} {m2}")
-    for (m, v) in sorted(s.moves):
-        lines.append(f"move {m} {v} {s.moves[(m, v)]}")
+    moves, default = s.moves, s.default
+    if s.memory == 1 and default:
+        moves = {(0, v): t for v, t in default.items()} | moves
+        default = {}
+    for v in sorted(default):
+        lines.append(f"default {v} {default[v]}")
+    for (m, v) in sorted(moves):
+        lines.append(f"move {m} {v} {moves[(m, v)]}")
     return "\n".join(lines) + "\n"

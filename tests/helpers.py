@@ -778,6 +778,21 @@ def mode_layout(g: Game, player: int, origin, start, expand) -> MooreStrategy:
     )
 
 
+def expanded(g: Game, s: MooreStrategy) -> MooreStrategy:
+    """`s` with its defaults written out: a `move` for every memory state
+    at every vertex of the player that has a default, as files had them
+    before the `default` line."""
+    moves = {
+        (m, v): s.move(m, v)
+        for m in range(s.memory)
+        for v in sorted(g.owner)
+        if g.owner[v] == s.player and s.move(m, v) is not None
+    }
+    return MooreStrategy(
+        player=s.player, memory=s.memory, init_mem=s.init_mem, update=dict(s.update), moves=moves
+    )
+
+
 def memoryless(player: int, moves: dict) -> MooreStrategy:
     return MooreStrategy(
         player=player,
@@ -822,7 +837,7 @@ def run_moore(g: Game, s: MooreStrategy, tau: dict) -> Lasso:
     seq = [(v, m)]
     seen = {(v, m): 0}
     while True:
-        v2 = s.moves[(m, v)] if g.owner[v] == s.player else tau[v]
+        v2 = s.move(m, v) if g.owner[v] == s.player else tau[v]
         m2 = s.next_memory(m, v2)
         key = (v2, m2)
         if key in seen:

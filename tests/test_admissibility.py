@@ -114,12 +114,12 @@ def test_sco_fixture_behaviour():
     g = load_game("fig3.game")
     s = construct_sco(g, 1)
     # cooperation can beat the guarantee at s1, so the strategy keeps looping
-    assert s.moves[(s.init_mem, "s1")] == "s2"
+    assert s.move(s.init_mem, "s1") == "s2"
     assert check_strategy_admissible(g, s).admissible
 
     g1 = load_game("fig1.game")
     s1 = construct_sco(g1, 1)
-    assert s1.moves[(s1.init_mem, "v1")] == "v2"
+    assert s1.move(s1.init_mem, "v1") == "v2"
     assert check_strategy_admissible(g1, s1).admissible
 
 
@@ -132,7 +132,7 @@ def test_sco_single_successor_game():
 
     g = parse_game(gtext)
     s = construct_sco(g, 1)
-    assert s.moves[(s.init_mem, "a")] == "b"
+    assert s.move(s.init_mem, "a") == "b"
     assert check_strategy_admissible(g, s).admissible
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from admgames import check_strategy_admissible, parse_automaton, parse_strategy
 from admgames.cli import run
+from admgames.transform import validate_strategy
 
 from helpers import FIXTURES, fixture_text, load_game
 
@@ -173,6 +174,17 @@ def test_malformed_spec_exit_2(tmp_path, capsys, spec):
     assert err.startswith("error: spec: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spec, expected", [
+    ("payoff(1) >=", "a threshold"),
+    ("payoff(1)", "a comparison"),
+], ids=["no-threshold", "no-comparison"])
+def test_spec_ending_early_names_what_is_missing(tmp_path, capsys, spec, expected):
+    (tmp_path / "short.spec").write_text(spec + "\n")
+    assert run(["mc", fx("fig1_liminf.game"), "--spec", str(tmp_path / "short.spec")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: spec: unexpected end of spec, expected {expected}\n"
+
+
 @pytest.mark.parametrize("extra, message", [
     ("players 3", "line 16: duplicate players"),
     ("measure mp-sup", "line 16: duplicate measure"),
@@ -191,7 +203,8 @@ def test_repeated_game_directive_exit_2(tmp_path, capsys, extra, message):
     ("strategy 2", "line 7: duplicate strategy"),
     ("memory 2", "line 7: duplicate memory"),
     ("initmem 0", "line 7: duplicate initmem"),
-], ids=["move", "update", "strategy", "memory", "initmem"])
+    ("default v3 v1\ndefault v3 v1", "line 8: duplicate default at vertex v3"),
+], ids=["move", "update", "strategy", "memory", "initmem", "default"])
 def test_repeated_strategy_directive_exit_2(tmp_path, capsys, extra, message):
     # the last duplicate used to win: with a trailing move to v1 the fixture
     # strategy was silently judged not admissible
@@ -207,6 +220,40 @@ def test_move_outside_memory_and_arena_exit_2(tmp_path, capsys):
     assert run(["check", fx("fig1.game"), str(tmp_path / "bad.strat")]) == 2
     err = capsys.readouterr().err
     assert err == "error: move (7, zz) out of memory range; move references unknown vertex zz\n"
+
+
+# player 2 owns v2, v3 and v4 on fig1.game
+SPARSE = "strategy 2\nmemory 2\ninitmem 0\nupdate 0 v2 1\ndefault v2 v1\ndefault v3 v1\n"
+
+
+@pytest.mark.parametrize("lines, problems", [
+    ("default v4 v2\ndefault zz v1", ["default references unknown vertex zz"]),
+    ("default v4 v2\ndefault v1 v2", ["default declared at vertex v1 not owned by player 2"]),
+    ("default v4 v1", ["default at vertex v4 -> v1 is not an edge"]),
+    ("move 0 v4 v2", ["missing move for memory 1 at vertex v4"]),
+    ("", ["missing move for memory 0 at vertex v4", "missing move for memory 1 at vertex v4"]),
+], ids=["unknown-vertex", "unowned-vertex", "non-edge", "missing-row", "missing-vertex"])
+def test_bad_default_exit_2(tmp_path, capsys, lines, problems):
+    text = SPARSE + lines + "\n"
+    assert validate_strategy(load_game("fig1.game"), parse_strategy(text)) == problems
+    (tmp_path / "bad.strat").write_text(text)
+    assert run(["check", fx("fig1.game"), str(tmp_path / "bad.strat")]) == 2
+    assert capsys.readouterr() == ("", f"error: {'; '.join(problems)}\n")
+
+
+def test_sparse_file_checks_like_its_expanded_form(tmp_path, capsys):
+    (tmp_path / "sparse.strat").write_text(SPARSE + "default v4 v2\nmove 1 v2 v4\n")
+    (tmp_path / "full.strat").write_text(
+        "strategy 2\nmemory 2\ninitmem 0\nupdate 0 v2 1\n"
+        + "".join(f"move {m} v2 {'v4' if m else 'v1'}\nmove {m} v3 v1\nmove {m} v4 v2\n"
+                  for m in range(2))
+    )
+    outputs = []
+    for name in ("sparse.strat", "full.strat"):
+        for js in ([], ["--json"]):
+            rc = run([*js, "check", fx("fig1.game"), str(tmp_path / name)])
+            outputs.append((rc, capsys.readouterr()))
+    assert outputs[:2] == outputs[2:]
 
 
 @pytest.mark.parametrize("memory", [10**6, 10**12], ids=["1e6", "1e12"])

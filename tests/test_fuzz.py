@@ -1,9 +1,9 @@
 """Seeded mutation fuzzing of the four input formats through the CLI.
 
-Mutants of the fixture games, strategies and specs, and of a small
-automaton file, go through `cli.run`.  Whatever the input, a run returns 0,
-1 or 2 without raising, and on 2 it writes exactly one stderr line, which
-starts with `error: `.  Mutations delete, duplicate or insert lines and
+Mutants of the fixture games, strategies and specs, of a strategy with
+`default` lines and of a small automaton file, go through `cli.run`.
+Whatever the input, a run returns 0, 1 or 2 without raising, and on 2 it
+writes exactly one stderr line, which starts with `error: `.  Mutations delete, duplicate or insert lines and
 replace or drop tokens; the tokens come from a fixed list with no integer
 above 10^4, so no mutant asks for a large arena or memory.
 """
@@ -21,7 +21,7 @@ from helpers import FIXTURES, fixture_text
 TOKENS = (
     # game, strategy, automaton and spec directives
     "players", "measure", "init", "vertex", "edge",
-    "strategy", "memory", "initmem", "update", "move",
+    "strategy", "memory", "initmem", "update", "default", "move",
     "state", "initial", "priority", "trans",
     "payoff", "automaton", "true", "false", "&&", "||", "!",
     "#", "-1", "0", "1/0", "99",
@@ -59,14 +59,32 @@ GAME_COMMANDS = (
     ["mc", "--spec", str(FIXTURES / "geq2.spec")],
     ["synth", "--player", "1", "--spec", str(FIXTURES / "true.spec")],
 )
-STRATEGIES = {
-    "fig1_p2_return.strat": "fig1.game",
-    "fig1_p2_stay.strat": "fig1_liminf.game",
-    "fig2_s2s5.strat": "fig2.game",
-    "fig2_s2s6.strat": "fig2.game",
-    "fig2_s3.strat": "fig2.game",
-    "fig3_inf.strat": "fig3.game",
+# the sco strategy of player 2 on fig1.game, which has default lines
+SPARSE_STRATEGY = """strategy 2
+memory 4
+initmem 0
+update 0 v2 1
+update 0 v3 2
+update 1 v1 0
+update 1 v4 3
+update 2 v1 0
+update 3 v2 1
+default v2 v1
+default v3 v1
+default v4 v2
+move 1 v2 v4
+"""
+STRATEGIES = {  # name -> (game, text)
+    name: (game, fixture_text(name)) for name, game in (
+        ("fig1_p2_return.strat", "fig1.game"),
+        ("fig1_p2_stay.strat", "fig1_liminf.game"),
+        ("fig2_s2s5.strat", "fig2.game"),
+        ("fig2_s2s6.strat", "fig2.game"),
+        ("fig2_s3.strat", "fig2.game"),
+        ("fig3_inf.strat", "fig3.game"),
+    )
 }
+STRATEGIES["fig1_p2_sco"] = ("fig1.game", SPARSE_STRATEGY)
 SPECS = {
     "geq2.spec": fixture_text("geq2.spec"),
     "geq3.spec": fixture_text("geq3.spec"),
@@ -117,8 +135,9 @@ def mutants(tmp_path):
         yield f"game {i} {name}", [command[0], str(game), *command[1:]]
 
         name = sorted(STRATEGIES)[i % len(STRATEGIES)]
-        strat.write_text(mutate(fixture_text(name), rng))
-        yield f"strategy {i} {name}", ["check", str(FIXTURES / STRATEGIES[name]), str(strat)]
+        game_name, text = STRATEGIES[name]
+        strat.write_text(mutate(text, rng))
+        yield f"strategy {i} {name}", ["check", str(FIXTURES / game_name), str(strat)]
 
         name = sorted(SPECS)[i % len(SPECS)]
         spec.write_text(mutate(SPECS[name], rng))

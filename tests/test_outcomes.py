@@ -425,7 +425,7 @@ def test_accepted_lassos_extend_to_admissible_strategies():
                 v = nodes[pos]
                 nxt = pos + 1 if pos + 1 < len(nodes) else cstart
                 if g.owner[v] == 1:
-                    assert s.moves[(mem, v)] == nodes[nxt]
+                    assert s.move(mem, v) == nodes[nxt]
                 mem = s.next_memory(mem, nodes[nxt])
                 pos = nxt
             if sampled >= 10:

@@ -14,6 +14,7 @@ from admgames import (
     PayoffKind,
     compute_value_table,
     construct_sco,
+    check_strategy_admissible,
     construct_wco_candidate,
     lift_lasso,
     make_prefix_independent,
@@ -24,13 +25,14 @@ from admgames import (
     product_with_strategy,
     serialize_strategy,
     synthesize_assume_admissible,
+    verify_strategy_wins,
 )
 from admgames import admissibility, outcomes
 from admgames.admissibility import strategy_from_outcome
 from admgames.oracle import random_game, random_lasso
-from admgames.transform import moore_layout
+from admgames.transform import moore_layout, validate_strategy
 
-from helpers import FIXTURES, load_game, load_strategy, memoryless, mode_layout
+from helpers import FIXTURES, expanded, load_game, load_strategy, memoryless, mode_layout
 
 F = Fraction
 
@@ -177,6 +179,73 @@ def test_strategy_round_trip():
 
 
 # ---------------------------------------------------------------------------
+# sparse strategy files: one default move per vertex
+
+
+def test_default_moves_apply_where_no_move_is_given():
+    s = parse_strategy("strategy 1\nmemory 2\ndefault a b\nmove 1 a a\n")
+    assert (s.move(0, "a"), s.move(1, "a"), s.move(0, "b")) == ("b", "a", None)
+    # with one memory state the file lists every move, defaults included
+    s = parse_strategy("strategy 1\nmemory 1\ndefault a b\ndefault c c\nmove 0 a a\n")
+    text = serialize_strategy(s)
+    assert text == "strategy 1\nmemory 1\ninitmem 0\nmove 0 a a\nmove 0 c c\n"
+    assert parse_strategy(text) == expanded(parse_game(
+        "players 1\nmeasure liminf\ninit a\nvertex a 1\nvertex c 1\n"
+        "edge a a 0\nedge a c 0\nedge c c 0\n"
+    ), s)
+
+
+def _constructed_strategies():
+    """(label, game, strategy, spec) for the sco, wco and synth outputs on
+    the fixture games and on small random games; the spec asks for the
+    player's guarantee value, and is None under mean payoff."""
+    games = [(name, load_game(name)) for name in
+             ("fig1.game", "fig1_liminf.game", "fig2.game", "fig3.game")]
+    games += [
+        (f"{measure.value} {seed}", random_game(seed, size=5, measure=measure))
+        for measure in (PayoffKind.INF, PayoffKind.LIMSUP, PayoffKind.MP_INF)
+        for seed in range(3)
+    ]
+    for name, g in games:
+        table = compute_value_table(g)
+        for player in range(1, g.players + 1):
+            spec = None
+            if not g.measure.is_mean_payoff:
+                spec = parse_spec(f"payoff({player}) >= {table.aval[(player, table.arena.init)]}")
+            yield f"{name} sco {player}", g, construct_sco(g, player, table), spec
+            yield f"{name} wco {player}", g, construct_wco_candidate(g, player, table)[0], spec
+            if spec is not None:
+                result = synthesize_assume_admissible(g, player, spec)
+                if result.realizable:
+                    yield f"{name} synth {player}", g, result.strategy, spec
+
+
+def test_constructed_strategies_round_trip_through_their_files():
+    sparse = 0
+    for label, g, s, _ in _constructed_strategies():
+        text = serialize_strategy(s)
+        assert parse_strategy(text) == s, label
+        if s.memory == 1:
+            assert not s.default and "default " not in text, label
+            continue
+        first = {v: g.successors(v)[0] for v in g.owner if g.owner[v] == s.player}
+        assert s.default == first, label
+        assert all(t != first[v] for (_, v), t in s.moves.items()), label
+        sparse += 1
+    assert sparse > 10
+
+
+def test_sparse_strategies_play_like_their_expanded_form():
+    for label, g, s, spec in _constructed_strategies():
+        full = parse_strategy(serialize_strategy(expanded(g, s)))
+        assert not full.default and validate_strategy(g, full) == [], label
+        assert check_strategy_admissible(g, full) == check_strategy_admissible(g, s), label
+        if spec is not None:
+            wins = verify_strategy_wins(g, s.player, spec, s)
+            assert verify_strategy_wins(g, s.player, spec, full) == wins, label
+
+
+# ---------------------------------------------------------------------------
 # minimal Moore layout
 
 
@@ -201,8 +270,8 @@ def _same_moves_along_random_histories(g, quotient, modes, rng, runs=20, steps=3
         v, mq, mm = g.init, quotient.init_mem, modes.init_mem
         for _ in range(steps):
             if g.owner[v] == player:
-                move = quotient.moves[(mq, v)]
-                assert move == modes.moves[(mm, v)], (v, mq, mm)
+                move = quotient.move(mq, v)
+                assert move == modes.move(mm, v), (v, mq, mm)
                 nxt = move if rng.random() < 0.8 else rng.choice(g.successors(v))
             else:
                 nxt = rng.choice(g.successors(v))
@@ -264,7 +333,7 @@ def test_modes_that_differ_keep_their_memory_states():
 
     s = moore_layout(g, 1, str, 0, expand)
     assert s.memory == 3
-    assert [s.moves[(m, "a")] for m in range(3)] == ["a", "a", "b"]
+    assert [s.move(m, "a") for m in range(3)] == ["a", "a", "b"]
 
 
 _LAYOUT_SCRIPT = """
