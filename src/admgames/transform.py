@@ -210,7 +210,8 @@ def moore_layout(g: Game, player: int, origin, start, expand) -> MooreStrategy:
     indices.  Where a class never moves at one of the player's vertices,
     it takes that vertex's first successor: that is the vertex's `default`
     and `moves` holds only the other moves.  A strategy with one memory
-    state instead lists every move in `moves`, as its file does.
+    state instead lists every move in `moves`, so its file has `move`
+    lines only, as memoryless strategy files always had.
     """
     expanded = []  # per mode, in number order: expand's answer
 
@@ -459,22 +460,14 @@ def parse_strategy(text: str) -> MooreStrategy:
 
 
 def serialize_strategy(s: MooreStrategy) -> str:
-    """The strategy file: header, updates, defaults, then moves, each sorted.
-
-    With one memory state the defaults are written as `move` lines, so a
-    memoryless strategy's file lists each of its moves once.
-    """
+    """The strategy file: header, updates, defaults, then moves, each sorted."""
     lines = [f"strategy {s.player}", f"memory {s.memory}", f"initmem {s.init_mem}"]
     for (m, v) in sorted(s.update):
         m2 = s.update[(m, v)]
         if m2 != m:
             lines.append(f"update {m} {v} {m2}")
-    moves, default = s.moves, s.default
-    if s.memory == 1 and default:
-        moves = {(0, v): t for v, t in default.items()} | moves
-        default = {}
-    for v in sorted(default):
-        lines.append(f"default {v} {default[v]}")
-    for (m, v) in sorted(moves):
-        lines.append(f"move {m} {v} {moves[(m, v)]}")
+    for v in sorted(s.default):
+        lines.append(f"default {v} {s.default[v]}")
+    for (m, v) in sorted(s.moves):
+        lines.append(f"move {m} {v} {s.moves[(m, v)]}")
     return "\n".join(lines) + "\n"
