@@ -121,39 +121,78 @@ def check_strategy_admissible(
 # strategy construction
 
 
-def _pursue(table: ValueTable, player: int, lassos: dict, keep, init=None) -> MooreStrategy:
+def _pursue(table: ValueTable, player: int, lassos: dict, keep, start=None) -> MooreStrategy:
     """Lay out the strategy that pursues lassos of the rebuilt arena.
 
-    Mode ("lasso", a, pos) sits at position `pos` of `lassos[a]` (prefix,
-    then cycle) and moves along it.  It keeps doing so while the play
-    follows the lasso and `keep(a, next vertex)` holds; otherwise it
+    `lassos[v]` is the pair (lasso from v, its keep class).  A lasso mode
+    moves along the rest of a lasso.  It keeps doing so while the play
+    follows the lasso and `keep(class, next vertex)` holds; otherwise it
     restarts at the vertex entered: that vertex's own lasso if it has one,
     else mode ("wco", v, 0), which plays `table.wcs` from then on.  The play
-    starts in mode `init`, by default the restart at the initial vertex.
+    starts on `start`, a (lasso, class) pair, or by default with the
+    restart at the initial vertex.
+
+    What a lasso mode does depends only on the rest of its lasso, an
+    ultimately periodic word, and on its class, so modes that agree on both
+    are one mode: it is keyed by the word's normal form (primitive cycle,
+    shortest prefix) and the class, and is ("lasso", a, pos) for the first
+    position `pos` of `lassos[a]` the layout reached with that key.  The
+    key is computed once per lasso position reached.  The mode graph is a
+    quotient of the one with a mode per position, so `moore_layout` gives
+    the same minimal Moore strategy, without expanding the modes it would
+    merge.
     """
     arena = table.arena
     wcs = table.wcs[player]
-    laid = {a: (lasso.vertices(), len(lasso.prefix)) for a, lasso in lassos.items()}
+    if start is not None:
+        lassos = {**lassos, None: start}  # never a restart: vertices are strings
+    shapes = {}  # lasso key -> its vertices, cycle start, class and normal form
+    at = {}  # (lasso key, position) -> mode
+    modes = {}  # normal form and class -> mode
+
+    def shape(a):
+        lasso, cls = lassos[a]
+        nodes, cycle = lasso.vertices(), lasso.cycle
+        n = len(cycle)
+        root = next(cycle[:p] for p in range(1, n + 1) if cycle[p:] + cycle[:p] == cycle)
+        k = len(lasso.prefix)
+        while k and nodes[k - 1] == root[-1]:  # the prefix ends a period early
+            k -= 1
+            root = root[-1:] + root[:-1]
+        shapes[a] = found = nodes, len(lasso.prefix), cls, k, root
+        return found
+
+    def mode_at(a, pos):
+        mode = at.get((a, pos))
+        if mode is None:
+            nodes, _, cls, k, root = shapes.get(a) or shape(a)
+            if pos < k:
+                key = (cls, nodes[pos:k], root)
+            else:
+                j = (pos - k) % len(root)
+                key = (cls, (), root[j:] + root[:j])
+            mode = at[(a, pos)] = modes.setdefault(key, ("lasso", a, pos))
+        return mode
 
     def restart(tv):
-        return ("lasso", tv, 0) if tv in lassos else ("wco", tv, 0)
+        return mode_at(tv, 0) if tv in lassos else ("wco", tv, 0)
 
     def expand(mode):
         kind, a, pos = mode
         if kind == "wco":
             move = (a, wcs[a]) if arena.owner[a] == player else None
             return move, [(tv2, ("wco", tv2, 0)) for tv2 in arena.successors(a)]
-        nodes, cycle_start = laid[a]
+        nodes, cycle_start, cls, _, _ = shapes[a]
         nxt = pos + 1 if pos + 1 < len(nodes) else cycle_start
         tv, ahead = nodes[pos], nodes[nxt]
         move = (tv, ahead) if arena.owner[tv] == player else None
         return move, [
-            (tv2, ("lasso", a, nxt) if tv2 == ahead and keep(a, tv2) else restart(tv2))
+            (tv2, mode_at(a, nxt) if tv2 == ahead and keep(cls, tv2) else restart(tv2))
             for tv2 in arena.successors(tv)
         ]
 
-    start = restart(arena.init) if init is None else init
-    return moore_layout(table.source, player, table.transformed.origin, start, expand)
+    first = restart(arena.init) if start is None else mode_at(None, 0)
+    return moore_layout(table.source, player, table.transformed.origin, first, expand)
 
 
 def _sco_lassos(table: ValueTable, player: int) -> dict:
@@ -168,13 +207,36 @@ def _sco_lassos(table: ValueTable, player: int) -> dict:
     }
 
 
+def _wco_lassos(table: ValueTable, player: int) -> dict:
+    """From every vertex, a lasso of payoff acval that stays inside the
+    vertices of the same aval (when one exists) or of no lower aval."""
+    levels = table.levels[player]
+    dt, rank, acval = levels.dt, levels.rank, levels.acval
+    # the cooperative optimum inside the vertex's own level
+    flat = levels.per_level(True)
+    witnesses = _WitnessLassos(dt, table.arena.measure)
+    lassos = {}
+    for v in table.arena.owner:
+        i = dt.idx[v]
+        lassos[v] = witnesses.lasso(i, acval[i], levels.member(rank[i], flat[i] == acval[i]))
+    return lassos
+
+
+def _sco_pursuit(table: ValueTable, player: int, given=None) -> MooreStrategy:
+    """Pursue the sco lassos, in one class kept while the next vertex has
+    one; a `given` lasso starts the play, in a class of its own that is
+    always kept: leaving it is the only way off."""
+    lassos = {v: (lasso, False) for v, lasso in _sco_lassos(table, player).items()}
+    start = None if given is None else (given, True)
+    return _pursue(table, player, lassos, lambda kept, tv: kept or tv in lassos, start)
+
+
 def construct_sco(g: Game, player: int, table: ValueTable | None = None) -> MooreStrategy:
     """Strategy that is cooperative-optimal wherever cooperation can beat the
     worst case and worst-case-optimal elsewhere; always admissible."""
     if table is None:
         table = _value_table(g, (player,))
-    lassos = _sco_lassos(table, player)
-    return _pursue(table, player, lassos, lambda a, tv: tv in lassos)
+    return _sco_pursuit(table, player)
 
 
 def construct_wco_candidate(
@@ -192,18 +254,9 @@ def construct_wco_candidate(
     """
     if table is None:
         table = _value_table(g, (player,))
-    arena = table.arena
-    aval = {v: table.aval[(player, v)] for v in arena.owner}
-    levels = table.levels[player]
-    dt, rank, acval = levels.dt, levels.rank, levels.acval
-    # the cooperative optimum inside the vertex's own level
-    flat = levels.per_level(True)
-    witnesses = _WitnessLassos(dt, arena.measure)
-    lassos = {}
-    for v in arena.owner:
-        i = dt.idx[v]
-        lassos[v] = witnesses.lasso(i, acval[i], levels.member(rank[i], flat[i] == acval[i]))
-    s = _pursue(table, player, lassos, lambda a, tv: aval[tv] == aval[a])
+    aval = {v: table.aval[(player, v)] for v in table.arena.owner}
+    lassos = {v: (lasso, aval[v]) for v, lasso in _wco_lassos(table, player).items()}
+    s = _pursue(table, player, lassos, lambda q, tv: aval[tv] == q)
     _require_valid(g, s)
     prod = _product(s, table)
     extremes = fixed_strategy_extremes(prod, player)
@@ -236,8 +289,4 @@ def strategy_from_outcome(g: Game, player: int, lasso, table: ValueTable | None 
         raise ValueError(
             f"lasso starts at {lasso.start}, not at the initial vertex {table.arena.init}"
         )
-    lassos = _sco_lassos(table, player)
-    lassos[None] = lasso  # always kept: leaving it is the only way off
-    return _pursue(
-        table, player, lassos, lambda a, tv: a is None or tv in lassos, ("lasso", None, 0)
-    )
+    return _sco_pursuit(table, player, lasso)

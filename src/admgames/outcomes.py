@@ -570,7 +570,13 @@ def model_check_admissible(g: Game, spec: PayoffSpec) -> McVerdict:
         return McVerdict(holds=True)
     # solve_parity moves at every state of r0, and player 0 owns them all
     witness = _automaton_lasso(product, r0.strategy)
-    return McVerdict(holds=False, counterexample=_project_lasso(lg, witness))
+    counterexample = _project_lasso(lg, witness)
+    for p in range(1, g.players + 1):
+        if not eval_outcome_formula(lg, p, witness):
+            raise RuntimeError(f"counterexample is no admissible outcome of player {p}")
+    if eval_spec_on_lasso(g, spec, counterexample):
+        raise RuntimeError("counterexample satisfies the spec")
+    return McVerdict(holds=False, counterexample=counterexample)
 
 
 # ---------------------------------------------------------------------------

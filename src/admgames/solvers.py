@@ -216,10 +216,11 @@ def _dense_attr(dg, player, targets, inside, strat, within=(), edges=None):
     if `edges` is given, in the subgame with membership array `inside`.
 
     `edges(v)` lists v's moves, in `succ` order, that are target edges.  Its
-    seeds come from one pass over the subgame's states `within`, in
-    increasing order, along with the targets: a player state with target
-    edges inside the subgame takes the lowest one, and an opponent state
-    whose moves inside are all target edges is attracted.  Then the
+    seeds come from one pass over `within`, in increasing order: the
+    targets and every state of the subgame that may have a target edge
+    (the others may be left out, as they cannot seed).  A player state with
+    target edges inside the subgame takes the lowest one, and an opponent
+    state whose moves inside are all target edges is attracted.  Then the
     attractor grows breadth-first in seed order; an opponent state counts
     its moves inside the subgame, less its target edges, when first reached.
     Records the player's moves in `strat` and returns the attractor in the
@@ -309,9 +310,10 @@ class _DenseThreshold:
     `arena`, the arena's `dense_arena` (built here if not given), and
     derives only the owner bits and weights of its player.  `weight[i][k]`
     is the weight of state i's k-th move times `denom`, the lcm of the
-    player's weight denominators; `ints` are the distinct scaled weights in
-    increasing order and `levels` the weights they stand for.  A move is
-    heavy for the scaled threshold x iff its scaled weight is at least x.
+    player's weight denominators, and `lo[i]` and `hi[i]` are the least and
+    greatest of them; `ints` are the distinct scaled weights in increasing
+    order and `levels` the weights they stand for.  A move is heavy for the
+    scaled threshold x iff its scaled weight is at least x, light otherwise.
     """
 
     def __init__(self, cg: CoalitionGame, arena: _DenseGraph | None = None):
@@ -322,40 +324,62 @@ class _DenseThreshold:
         self.owner = [int(o == cg.player) for o in arena.owner]
         self.denom, scaled = _scaled_weights(g, cg.player)
         self.weight = [[scaled[(v, w)] for w in g.succ[v]] for v in self.verts]
+        self.lo = [min(row, default=inf) for row in self.weight]
+        self.hi = [max(row, default=-inf) for row in self.weight]
         self.ints = sorted(set(scaled.values()))
         self.levels = [Fraction(x, self.denom) for x in self.ints]
 
     def heavy(self, x):
-        """The target-edge lister, for `_dense_attr`, of the moves of scaled
-        weight >= x."""
-        succ, weight = self.succ, self.weight
-        return lambda v: [w for w, c in zip(succ[v], weight[v]) if c >= x]
+        """The moves of scaled weight >= x: their target-edge lister, for
+        `_dense_attr`, and the filter that keeps, in order, the states of a
+        list that have one."""
+        succ, weight, hi = self.succ, self.weight, self.hi
+        return (
+            lambda v: [w for w, c in zip(succ[v], weight[v]) if c >= x],
+            lambda states: [v for v in states if hi[v] >= x],
+        )
 
     def light(self, x):
-        """The target-edge lister of the moves of scaled weight < x."""
-        succ, weight = self.succ, self.weight
-        return lambda v: [w for w, c in zip(succ[v], weight[v]) if c < x]
+        """The moves of scaled weight < x, as `heavy` gives the others."""
+        succ, weight, lo = self.succ, self.weight, self.lo
+        return (
+            lambda v: [w for w, c in zip(succ[v], weight[v]) if c < x],
+            lambda states: [v for v in states if lo[v] < x],
+        )
 
 
-def _avoid(dg, player, edges, within, inside):
-    """Largest set inside the subgame where `player` can stay forever without
-    crossing an edge that `edges` lists: the complement of the opponent's
-    attractor to those edges and to the states with no move inside the
-    subgame."""
+def _dead(dg, within, inside):
+    """The states of `within` with no move inside the subgame."""
     succ = dg.succ
-    dead = [v for v in within if not any(map(inside.__getitem__, succ[v]))]
+    return [v for v in within if not any(map(inside.__getitem__, succ[v]))]
+
+
+def _avoid(dg, player, moves, within, inside, dead):
+    """Membership array of the largest set inside the subgame where `player`
+    can stay forever without crossing an edge of `moves`: the complement of
+    the opponent's attractor to those edges and to `dead`, the subgame's
+    states with no move inside it.  `moves` is a pair (target-edge lister,
+    filter of the states that have such an edge), as
+    `_DenseThreshold.heavy` gives.  The attractor seeds from `dead` and
+    from the states of `within` the filter keeps, so `within` need only
+    hold the states that may be attracted."""
+    edges, can = moves
+    scan = can(within)
+    if dead:
+        scan = sorted(set(scan).union(dead))
     keep = bytearray(inside)
-    for v in _dense_attr(dg, 1 - player, dead, inside, {}, within, edges):
+    for v in _dense_attr(dg, 1 - player, dead, inside, {}, scan, edges):
         keep[v] = 0
-    return [v for v in within if keep[v]], keep
+    return keep
 
 
-def _buchi(dg, player, edges, within, inside):
-    """Winning set and positional strategy of `player` for crossing edges that
-    `edges` lists infinitely often."""
+def _buchi(dg, player, moves, within, inside):
+    """Winning set and positional strategy of `player` for crossing edges of
+    `moves`, a pair as `_avoid` takes, infinitely often."""
+    edges, can = moves
     while within:
         strat = {}
-        att = _dense_attr(dg, player, (), inside, strat, within, edges)
+        att = _dense_attr(dg, player, (), inside, strat, can(within), edges)
         if len(att) == len(within):
             return within, inside, strat
         reached = bytearray(len(inside))
@@ -377,25 +401,34 @@ def _cobuchi(dt: _DenseThreshold, x, within, inside):
     can hold using heavy moves or one-step drops into the already-won set,
     as the complement of the opponent's attractor to every other move;
     drops strictly decrease the inclusion level, so only finitely many
-    light moves occur along any play following the recorded moves.
+    light moves occur along any play following the recorded moves.  The
+    won set only grows from stage to stage, so each stage's opponent
+    attractor lies inside the previous one's and is sought only there.
     """
     owner, succ, weight = dt.owner, dt.succ, dt.weight
-    won, inwon = [], bytearray(len(owner))
+    light_edges, has_light = dt.light(x)
+    dead = _dead(dt, within, inside)
+    inwon = bytearray(len(owner))
+    att = within  # the opponent's attractor of the last stage, in order
     strat = {}
+
+    def edges(v):  # light moves that do not drop into the won set
+        return [w for w, c in zip(succ[v], weight[v]) if c < x and not inwon[w]]
+
     while True:
-        y, iny = _avoid(
-            dt, 1, lambda v: [w for w, c in zip(succ[v], weight[v]) if c < x and not inwon[w]],
-            within, inside,
-        )
-        if y == won:
+        iny = _avoid(dt, 1, (edges, has_light), att, inside, dead)
+        new = [v for v in att if iny[v]]
+        if not new:
             break
-        for v in y:
-            if owner[v] and not inwon[v]:
+        for v in new:
+            if owner[v]:
                 good = [w for w, c in zip(succ[v], weight[v]) if c >= x and iny[w]]
                 strat[v] = min(good) if good else min(w for w in succ[v] if inwon[w])
-        won, inwon = y, iny
+        att = [v for v in att if not iny[v]]
+        inwon = iny
+    won = [v for v in within if inwon[v]]
 
-    lost = _buchi(dt, 0, dt.light(x), within, inside)[1]
+    lost = _buchi(dt, 0, (light_edges, has_light), within, inside)[1]
     if won != [v for v in within if not lost[v]]:
         raise RuntimeError("coBuchi region must complement the Buchi dual")
     return won, inwon, strat
@@ -412,11 +445,13 @@ def _threshold(dt: _DenseThreshold, measure: PayoffKind, x, within, inside):
     if measure is PayoffKind.SUP:
         strat = {}
         win = bytearray(len(owner))
-        for v in _dense_attr(dt, 1, (), inside, strat, within, dt.heavy(x)):
+        edges, can = dt.heavy(x)
+        for v in _dense_attr(dt, 1, (), inside, strat, can(within), edges):
             win[v] = 1
         return [v for v in within if win[v]], win, strat
     if measure is PayoffKind.INF:
-        safe, keep = _avoid(dt, 1, dt.light(x), within, inside)
+        keep = _avoid(dt, 1, dt.light(x), within, inside, _dead(dt, within, inside))
+        safe = [v for v in within if keep[v]]
         strat = {
             v: min(w for w, c in zip(succ[v], weight[v]) if c >= x and keep[w])
             for v in safe

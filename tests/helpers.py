@@ -778,6 +778,43 @@ def mode_layout(g: Game, player: int, origin, start, expand) -> MooreStrategy:
     )
 
 
+def reference_pursue(table, player: int, lassos: dict, keep, init=None) -> MooreStrategy:
+    """Reference for `admissibility._pursue` with one mode per lasso position.
+
+    Mode ("lasso", a, pos) sits at position `pos` of `lassos[a]` (prefix,
+    then cycle) and moves along it.  It keeps doing so while the play
+    follows the lasso and `keep(a, next vertex)` holds; otherwise it
+    restarts at the vertex entered: that vertex's own lasso if it has one,
+    else mode ("wco", v, 0), which plays `table.wcs` from then on.  The play
+    starts in mode `init`, by default the restart at the initial vertex.
+    """
+    from admgames.transform import moore_layout  # looked up per call: tests wrap it
+
+    arena = table.arena
+    wcs = table.wcs[player]
+    laid = {a: (lasso.vertices(), len(lasso.prefix)) for a, lasso in lassos.items()}
+
+    def restart(tv):
+        return ("lasso", tv, 0) if tv in lassos else ("wco", tv, 0)
+
+    def expand(mode):
+        kind, a, pos = mode
+        if kind == "wco":
+            move = (a, wcs[a]) if arena.owner[a] == player else None
+            return move, [(tv2, ("wco", tv2, 0)) for tv2 in arena.successors(a)]
+        nodes, cycle_start = laid[a]
+        nxt = pos + 1 if pos + 1 < len(nodes) else cycle_start
+        tv, ahead = nodes[pos], nodes[nxt]
+        move = (tv, ahead) if arena.owner[tv] == player else None
+        return move, [
+            (tv2, ("lasso", a, nxt) if tv2 == ahead and keep(a, tv2) else restart(tv2))
+            for tv2 in arena.successors(tv)
+        ]
+
+    start = restart(arena.init) if init is None else init
+    return moore_layout(table.source, player, table.transformed.origin, start, expand)
+
+
 def expanded(g: Game, s: MooreStrategy) -> MooreStrategy:
     """`s` with its defaults written out: a `move` for every memory state
     at every vertex of the player that has a default, as files had them

@@ -1,19 +1,25 @@
 """Admissibility checking and admissible-strategy construction."""
 
+import random
+
 import pytest
 
 from admgames import (
     GameFormatError,
+    Lasso,
     MooreStrategy,
     PayoffKind,
     check_strategy_admissible,
     compute_value_table,
     construct_sco,
     construct_wco_candidate,
+    parse_game,
     parse_strategy,
     serialize_strategy,
 )
-from admgames.oracle import random_game
+from admgames import admissibility, transform
+from admgames.admissibility import strategy_from_outcome
+from admgames.oracle import random_game, random_lasso
 
 from helpers import (
     load_game,
@@ -22,6 +28,7 @@ from helpers import (
     other_vertices,
     own_vertices,
     profiles,
+    reference_pursue,
     switch_dominator,
     weakly_dominates,
 )
@@ -179,6 +186,108 @@ def test_wco_verified_implies_admissible():
             s, ok = construct_wco_candidate(g, player, t)
             if ok:
                 assert check_strategy_admissible(g, s, t).admissible, (seed, player)
+
+
+def test_pursuit_matches_the_per_position_reference():
+    # one mode per normal form and keep class lays out the same minimal
+    # strategy as one mode per lasso position
+    compared = 0
+    for measure in PayoffKind:
+        for seed in range(8):
+            g = random_game(seed, size=5 + seed % 4, players=2 + seed % 2, measure=measure)
+            table = compute_value_table(g)
+            for player in range(1, g.players + 1):
+                aval = {v: table.aval[(player, v)] for v in table.arena.owner}
+                sco = admissibility._sco_lassos(table, player)
+                wco = admissibility._wco_lassos(table, player)
+                lasso = random_lasso(table.arena, random.Random(seed))
+                pairs = [
+                    (
+                        construct_sco(g, player, table),
+                        reference_pursue(table, player, sco, lambda a, tv: tv in sco),
+                    ),
+                    (
+                        construct_wco_candidate(g, player, table)[0],
+                        reference_pursue(
+                            table, player, wco, lambda a, tv: aval[tv] == aval[a]
+                        ),
+                    ),
+                    (
+                        strategy_from_outcome(g, player, lasso, table),
+                        reference_pursue(
+                            table, player, {**sco, None: lasso},
+                            lambda a, tv: a is None or tv in sco, ("lasso", None, 0),
+                        ),
+                    ),
+                ]
+                for s, ref in pairs:
+                    assert serialize_strategy(s) == serialize_strategy(ref), (measure, seed)
+                    compared += ref.memory > 1
+    assert compared > 50  # many of the layouts have memory
+
+
+# from x and from z the lassos join at y: y (c d)^w is one suffix.  At d
+# worst-case play leaves for e, the lasso goes back to c.
+_JOINING = parse_game(
+    "players 2\nmeasure liminf\ninit x\n"
+    "vertex x 2\nvertex z 1\nvertex y 1\nvertex c 1\nvertex d 1\nvertex e 1\n"
+    "edge x y 0 0\nedge x z 0 0\nedge z y 0 0\nedge y c 0 0\n"
+    "edge c d 1 0\nedge d c 0 0\nedge d e 5 0\nedge e e 5 0\n"
+)
+_JOINING_LASSOS = {
+    "x": Lasso(prefix=("x", "y"), cycle=("c", "d")),
+    "z": Lasso(prefix=("z", "y"), cycle=("c", "d")),
+}
+
+
+def _counting(expanded):
+    """A `moore_layout` that records every mode it expands in `expanded`."""
+    layout = transform.moore_layout
+
+    def laying_out(g, player, origin, start, expand):
+        def counted(mode):
+            expanded.append(mode)
+            return expand(mode)
+
+        return layout(g, player, origin, start, counted)
+
+    return laying_out
+
+
+def test_lassos_that_share_a_suffix_expand_it_once(monkeypatch):
+    table = compute_value_table(_JOINING)
+    lassos = _JOINING_LASSOS
+    expanded, per_position = [], []
+    monkeypatch.setattr(admissibility, "moore_layout", _counting(expanded))
+    monkeypatch.setattr(transform, "moore_layout", _counting(per_position))
+    s = admissibility._pursue(
+        table, 1, {a: (lasso, None) for a, lasso in lassos.items()}, lambda c, tv: True
+    )
+    ref = reference_pursue(table, 1, lassos, lambda a, tv: True)
+    assert serialize_strategy(s) == serialize_strategy(ref)
+    assert len(per_position) == 8 + 1  # each lasso's four positions, e's worst case
+    at = [lassos[a].vertices()[pos] for kind, a, pos in expanded if kind == "lasso"]
+    assert sorted(at) == ["c", "d", "x", "y", "z"]  # y (c d)^w once
+
+
+def test_lassos_that_share_a_suffix_but_not_a_class_stay_apart():
+    # z's lasso gives up at c, x's does not: their y (c d)^w modes differ
+    table = compute_value_table(_JOINING)
+    lassos = _JOINING_LASSOS
+    s = admissibility._pursue(
+        table, 1, {a: (lasso, a == "x") for a, lasso in lassos.items()},
+        lambda kept, tv: kept or tv != "c",
+    )
+    ref = reference_pursue(table, 1, lassos, lambda a, tv: a == "x" or tv != "c")
+    assert serialize_strategy(s) == serialize_strategy(ref)
+
+    def move_after(history):
+        m = s.init_mem
+        for v in history[1:]:
+            m = s.next_memory(m, v)
+        return s.move(m, history[-1])
+
+    assert (move_after("xycd"), move_after("xzycd")) == ("c", "e")
 
 
 def test_constructed_strategies_serialize():

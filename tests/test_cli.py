@@ -478,6 +478,15 @@ _BROKEN_UNDER_O = {
         "call = lambda: solvers.zero_sum_value(cg, solvers.PayoffKind.LIMINF)\n",
         "a move at every max vertex",
     ),
+    "mc-counterexample": (
+        # mc then searches for an admissible outcome that satisfies the spec
+        "from admgames import outcomes\n"
+        "outcomes.negate = lambda aut: aut\n"
+        "g = parse_game(Path(path).read_text().replace('mp-inf', 'liminf'))\n"
+        "spec = outcomes.parse_spec('payoff(1) >= 2')\n"
+        "call = lambda: outcomes.model_check_admissible(g, spec)\n",
+        "counterexample satisfies the spec",
+    ),
 }
 
 
