@@ -285,6 +285,8 @@ def parse_game(text: str) -> Game:
     Directives (order free, except `players` must come before owners/weights
     are interpreted): players, measure, init, vertex, edge; each of the
     first three exactly once.  `#` starts a comment; blank lines are ignored.
+    Each distinct weight token is converted once, by `parse_rational`, and
+    its `Fraction` is shared by every edge that writes it.
     """
     players = None
     measure = None
@@ -292,6 +294,13 @@ def parse_game(text: str) -> Game:
     owner: dict[str, int] = {}
     weights: dict[tuple[str, str], tuple[Fraction, ...]] = {}
     declared: set[str] = set()  # players/measure/init seen so far
+    rationals: dict[str, Fraction] = {}  # weight token -> its value, once parsed
+
+    def rational(token: str) -> Fraction:
+        q = rationals.get(token)
+        if q is None:
+            q = rationals[token] = parse_rational(token)
+        return q
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -343,7 +352,7 @@ def parse_game(text: str) -> Game:
             if (src, dst) in weights:
                 raise GameFormatError(f"duplicate edge ({src}, {dst})", lineno)
             try:
-                weights[(src, dst)] = tuple(parse_rational(t) for t in args[2:])
+                weights[(src, dst)] = tuple(map(rational, args[2:]))
             except ValueError as exc:
                 raise GameFormatError(str(exc), lineno) from None
         else:

@@ -7,10 +7,10 @@ values are computed by sweeping threshold games (safety, reachability,
 Buchi, coBuchi) over that set, each solved inside the winning region of the
 one below it, except for SUP.  Every measure works on one dense integer
 copy of the coalition game, `_DenseThreshold`: states numbered in `_key`
-order, sharing the arena's successor and predecessor lists across its
-players, and each edge's weight scaled to an integer by the lcm of the
-player's denominators, so an edge is heavy for a threshold iff its scaled
-weight is at least the scaled threshold.  All four threshold games rest on
+order, sharing the arena's successor and predecessor lists and its table of
+weight vectors across its players, and each edge's weight scaled to an
+integer by the lcm of the player's denominators, so an edge is heavy for a
+threshold iff its scaled weight is at least the scaled threshold.  All four threshold games rest on
 one attractor, `_dense_attr`, the one Zielonka's algorithm uses too:
 reachability and Buchi use it directly, and the safety region and each
 stage of the coBuchi fixpoint are complements of the opponent's attractor
@@ -297,37 +297,43 @@ def attractor(g: Game, player: int, targets=(), target_edges=()) -> Region:
 
 
 def dense_arena(g: Game) -> _DenseGraph:
-    """The dense graph of an arena with owners kept as player numbers, which
-    the coalition games of all its players share."""
-    return _DenseGraph(g.owner, g.owner.__getitem__, g.succ)
+    """The dense graph of an arena with owners kept as player numbers, and
+    its weight table: `weights[i][k]`, the weight vector of state i's k-th
+    move.  The coalition games of all its players share both."""
+    dg = _DenseGraph(g.owner, g.owner.__getitem__, g.succ)
+    dg.weights = [[g.weights[(v, w)] for w in g.succ[v]] for v in dg.verts]
+    return dg
 
 
 class _DenseThreshold:
     """A coalition game on the dense graph of its arena, owner 1 being the
     max player.
 
-    It shares the numbering and the successor and predecessor lists of
-    `arena`, the arena's `dense_arena` (built here if not given), and
-    derives only the owner bits and weights of its player.  `weight[i][k]`
-    is the weight of state i's k-th move times `denom`, the lcm of the
-    player's weight denominators, and `lo[i]` and `hi[i]` are the least and
-    greatest of them; `ints` are the distinct scaled weights in increasing
-    order and `levels` the weights they stand for.  A move is heavy for the
-    scaled threshold x iff its scaled weight is at least x, light otherwise.
+    It shares the numbering, the successor and predecessor lists and the
+    weight table of `arena`, the arena's `dense_arena` (built here if not
+    given), and derives only the owner bits and weights of its player.
+    `weight[i][k]` is the player's weight of state i's k-th move times
+    `denom`, the lcm of the player's weight denominators, an int, and
+    `lo[i]` and `hi[i]` are the least and greatest of them; `ints` are the
+    distinct scaled weights in increasing order and `levels` the weights
+    they stand for.  A move is heavy for the scaled threshold x iff its
+    scaled weight is at least x, light otherwise.
     """
 
     def __init__(self, cg: CoalitionGame, arena: _DenseGraph | None = None):
-        g = cg.game
         if arena is None:
-            arena = dense_arena(g)
+            arena = dense_arena(cg.game)
         self.verts, self.idx, self.succ, self.pred = arena.verts, arena.idx, arena.succ, arena.pred
         self.owner = [int(o == cg.player) for o in arena.owner]
-        self.denom, scaled = _scaled_weights(g, cg.player)
-        self.weight = [[scaled[(v, w)] for w in g.succ[v]] for v in self.verts]
-        self.lo = [min(row, default=inf) for row in self.weight]
-        self.hi = [max(row, default=-inf) for row in self.weight]
-        self.ints = sorted(set(scaled.values()))
-        self.levels = [Fraction(x, self.denom) for x in self.ints]
+        p, table = cg.player - 1, arena.weights
+        self.denom = denom = lcm(*{ws[p].denominator for row in table for ws in row})
+        self.weight = [
+            [ws[p].numerator * (denom // ws[p].denominator) for ws in row] for row in table
+        ]
+        self.lo = [min(row) if row else inf for row in self.weight]
+        self.hi = [max(row) if row else -inf for row in self.weight]
+        self.ints = sorted(set().union(*self.weight))
+        self.levels = [Fraction(x, denom) for x in self.ints]
 
     def heavy(self, x):
         """The moves of scaled weight >= x: their target-edge lister, for

@@ -7,6 +7,10 @@ folded into the running extremum.  On the rebuilt arena the weight sequence
 of any play is monotone, so its INF (resp. SUP) value equals its eventual
 stable weight and the measure becomes prefix-independent while every play
 keeps its original payoff.  The other four measures pass through untouched.
+The rebuild explores records as ranks among each player's distinct weights,
+folded with `min`/`max` on ints, since both commute with ranking; each
+distinct record becomes weights and a vertex-name suffix once, after the
+exploration.
 
 `product_with_strategy` synchronizes a finite-state Moore strategy with an
 arena: the strategy owner's choices are resolved by the transducer, all
@@ -79,7 +83,9 @@ def make_prefix_independent(g: Game) -> TransformedGame:
 
     Only the part reachable from the initial vertex is built.  Weight output
     on an edge is the extremum of the recorded value and the original weight,
-    which also becomes the new record.
+    which also becomes the new record.  Records are explored as ranks among
+    each player's distinct weights, None before the first move; each
+    distinct record is turned back into weights and a name suffix once.
     """
     if g.measure.prefix_independent:
         back = {v: (v, ()) for v in g.owner}
@@ -87,41 +93,53 @@ def make_prefix_independent(g: Game) -> TransformedGame:
         return TransformedGame(game=g, back=back, step=step, identity=True)
 
     fold = min if g.measure is PayoffKind.INF else max
+    levels = [sorted({w[p] for w in g.weights.values()}) for p in range(g.players)]
+    rank = [{w: r for r, w in enumerate(ws)} for ws in levels]
+    # per vertex, its moves as (successor, the edge's weight ranks)
+    moves = {
+        v: [(v2, tuple(rk[w] for rk, w in zip(rank, g.weights[(v, v2)]))) for v2 in outs]
+        for v, outs in g.succ.items()
+    }
 
-    def fold1(rec: Fraction | None, w: Fraction) -> Fraction:
-        return w if rec is None else fold(rec, w)
+    def succ(state):
+        v, rec = state
+        if rec is None:
+            return moves[v]
+        return [(v2, tuple(map(fold, rec, w))) for v2, w in moves[v]]
 
+    states, table = explore((g.init, None), succ)
+
+    tokens = [[_rec_token(w) for w in ws] for ws in levels]
+    made = {None: ((None,) * g.players, "_".join([_rec_token(None)] * g.players))}
     taken = set()
-
-    def name(v: str, recs: tuple[Fraction | None, ...]) -> str:
-        base = v + "__" + "_".join(_rec_token(r) for r in recs)
-        fresh = base
+    names, recs = [], []  # per state: its name, its record's weights
+    for v, rec in states:
+        if rec not in made:
+            made[rec] = (
+                tuple(ws[r] for ws, r in zip(levels, rec)),
+                "_".join(tk[r] for tk, r in zip(tokens, rec)),
+            )
+        ws, suffix = made[rec]
+        base = fresh = v + "__" + suffix
         bump = 2
         while fresh in taken:  # defensive: token joins could collide
             fresh = f"{base}__{bump}"
             bump += 1
         taken.add(fresh)
-        return fresh
+        names.append(fresh)
+        recs.append(ws)
 
-    def succ(state):
-        v, recs = state
-        for v2 in g.successors(v):
-            yield v2, tuple(fold1(r, w) for r, w in zip(recs, g.weights[(v, v2)]))
-
-    init_state = (g.init, (None,) * g.players)
-    states, table = explore(init_state, succ)
-    names = [name(*state) for state in states]
     owner: dict[str, int] = {}
     weights: dict[tuple[str, str], tuple[Fraction, ...]] = {}
     back: dict[str, tuple[str, tuple[Fraction | None, ...]]] = {}
     step: dict[tuple[str, str], str] = {}
-    for tv, state, outs in zip(names, states, table):
-        owner[tv] = g.owner[state[0]]
-        back[tv] = state
+    for tv, (v, _), rec, outs in zip(names, states, recs, table):
+        owner[tv] = g.owner[v]
+        back[tv] = (v, rec)
         for j in outs:
-            tv2, state2 = names[j], states[j]
-            weights[(tv, tv2)] = state2[1]
-            step[(tv, state2[0])] = tv2
+            tv2 = names[j]
+            weights[(tv, tv2)] = recs[j]
+            step[(tv, states[j][0])] = tv2
 
     tg = Game(
         players=g.players,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -408,6 +409,76 @@ def reference_solve_parity(pg: NamedParityGame) -> tuple[Region, Region]:
     r0 = Region(frozenset(w0), {v: s0[v] for v in s0 if owner[v] == 0})
     r1 = Region(frozenset(w1), {v: s1[v] for v in s1 if owner[v] == 1})
     return r0, r1
+
+
+def reference_make_prefix_independent(g: Game):
+    """Reference for `transform.make_prefix_independent` on INF/SUP games:
+    explores records of `Fraction`s, folded with `min`/`max` on every move,
+    and names each state from its own record."""
+    from admgames.transform import TransformedGame, _rec_token
+
+    fold = min if g.measure is PayoffKind.INF else max
+
+    def fold1(rec, w):
+        return w if rec is None else fold(rec, w)
+
+    taken = set()
+
+    def name(v, recs):
+        base = v + "__" + "_".join(_rec_token(r) for r in recs)
+        fresh = base
+        bump = 2
+        while fresh in taken:
+            fresh = f"{base}__{bump}"
+            bump += 1
+        taken.add(fresh)
+        return fresh
+
+    def succ(state):
+        v, recs = state
+        for v2 in g.successors(v):
+            yield v2, tuple(fold1(r, w) for r, w in zip(recs, g.weights[(v, v2)]))
+
+    states, table = explore((g.init, (None,) * g.players), succ)
+    names = [name(*state) for state in states]
+    owner, weights, back, step = {}, {}, {}, {}
+    for tv, state, outs in zip(names, states, table):
+        owner[tv] = g.owner[state[0]]
+        back[tv] = state
+        for j in outs:
+            weights[(tv, names[j])] = states[j][1]
+            step[(tv, states[j][0])] = names[j]
+    tg = Game(players=g.players, owner=owner, weights=weights, init=names[0], measure=g.measure)
+    return TransformedGame(game=tg, back=back, step=step, identity=False)
+
+
+def seeded_game_texts(measures=(PayoffKind.INF, PayoffKind.SUP)):
+    """Game files of seeded arenas under each of `measures`, 1-3 players:
+    integer weights (`-0` among them), and rational weights with mixed
+    denominators, some tokens unreduced, so that value-equal weights are
+    written differently."""
+    from admgames.oracle import random_game
+
+    for seed in range(24):
+        rng = random.Random(seed)
+        players = 1 + seed % 3
+        measure = measures[seed // 6 % len(measures)]
+        g = random_game(seed, 4 + seed % 5, (-3, 3), players, measure)
+        rational = seed % 2 == 1
+
+        def token(x):
+            if not rational:
+                return "-0" if x == 0 and rng.random() < 0.5 else str(x)
+            k = rng.randint(1, 2)
+            return f"{x * k}/{rng.randint(1, 6) * k}"
+
+        lines = [f"players {players}", f"measure {measure.token}", f"init {g.init}"]
+        lines += [f"vertex {v} {g.owner[v]}" for v in sorted(g.owner)]
+        lines += [
+            f"edge {u} {v} " + " ".join(token(int(x)) for x in w)
+            for (u, v), w in sorted(g.weights.items())
+        ]
+        yield "\n".join(lines) + "\n"
 
 
 def reachable_from(start, succ) -> set:

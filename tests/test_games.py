@@ -10,11 +10,13 @@ from admgames import (
     GameFormatError,
     Lasso,
     PayoffKind,
+    make_prefix_independent,
     parse_game,
     payoff_of_lasso,
     serialize_game,
     validate,
 )
+from admgames import games
 from admgames.oracle import random_game, random_lasso
 
 from helpers import fixture_text, load_game
@@ -187,3 +189,49 @@ def test_cycle_rotation_invariance_and_measure_order():
 def test_comments_and_blank_lines_ignored():
     g = parse_game(fixture_text("fig1.game"))
     assert g.players == 2
+
+
+def _edges_game(*weights: str) -> str:
+    """One-player game a -> b -> c -> c whose edges carry `weights`, in
+    order, on lines 7, 8 and 9."""
+    return (
+        "players 1\nmeasure inf\ninit a\nvertex a 1\nvertex b 1\nvertex c 1\n"
+        "edge a b {}\nedge b c {}\nedge c c {}\n".format(*weights)
+    )
+
+
+@pytest.mark.parametrize("first", [0, 1, 2])
+def test_bad_weight_reported_at_its_first_line(first):
+    # the same bad token again on every later line; no line caches a failure
+    weights = ["1"] * first + ["1/0"] * (3 - first)
+    with pytest.raises(GameFormatError) as exc:
+        parse_game(_edges_game(*weights))
+    assert str(exc.value) == f"line {7 + first}: bad rational '1/0'"
+
+
+def test_each_distinct_weight_token_parsed_once(monkeypatch):
+    calls = []
+    parse_rational = games.parse_rational
+
+    def counted(text):
+        calls.append(text)
+        return parse_rational(text)
+
+    monkeypatch.setattr(games, "parse_rational", counted)
+    g = parse_game(
+        "players 2\nmeasure liminf\ninit a\nvertex a 1\nvertex b 2\n"
+        "edge a b 1/2 -3\nedge b a 2/4 1/2\nedge a a -3 1/2\nedge b b 0 -0\n"
+    )
+    assert sorted(calls) == ["-0", "-3", "0", "1/2", "2/4"]
+    assert g.weights[("a", "b")] == (F(1, 2), F(-3))
+
+
+@pytest.mark.parametrize("tokens", [("1/2", "2/4"), ("0", "-0")])
+def test_value_equal_tokens_give_one_weight_and_one_rebuilt_level(tokens):
+    same = parse_game(_edges_game(tokens[0], tokens[0], tokens[0]))
+    mixed = parse_game(_edges_game(tokens[0], tokens[1], tokens[1]))
+    assert mixed.weights == same.weights
+    assert len({w for w in mixed.weights.values()}) == 1
+    rebuilt, want = make_prefix_independent(mixed), make_prefix_independent(same)
+    assert rebuilt.back == want.back and rebuilt.game.weights == want.game.weights
+    assert len({r for _, r in rebuilt.back.values()} - {(None,)}) == 1

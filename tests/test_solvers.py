@@ -53,6 +53,7 @@ from helpers import (
     reference_solve_parity,
     reference_threshold_region,
     reference_zero_sum_value,
+    seeded_game_texts,
     shortest_cycle_through,
     solve_named_parity,
     threshold_region_sweep,
@@ -1032,3 +1033,38 @@ def test_fixed_strategy_extremes_match_the_reference(measure):
             )
             want = {s: (lo[s], hi[s]) for s in prod.states}
             assert fixed_strategy_extremes(prod, player) == want, (seed, player)
+
+
+def _scaled_route(g, player, verts):
+    """The threshold weights as the edge-keyed `_scaled_weights` gives them."""
+    denom, scaled = solvers._scaled_weights(g, player)
+    weight = [[scaled[(v, w)] for w in g.succ[v]] for v in verts]
+    ints = sorted(set(scaled.values()))
+    return {
+        "weight": weight,
+        "denom": denom,
+        "ints": ints,
+        "levels": [Fraction(x, denom) for x in ints],
+        "lo": [min(row) for row in weight],
+        "hi": [max(row) for row in weight],
+    }
+
+
+def test_dense_threshold_weights_match_the_scaled_weights():
+    # the rebuilt inf/sup arenas and prefix-independent games, integer and
+    # rational weights, on a shared dense arena and on one built alone; on
+    # the shared one, the weights come from its table alone
+    texts = [*seeded_game_texts(), *seeded_game_texts(
+        (PayoffKind.LIMINF, PayoffKind.LIMSUP, PayoffKind.MP_INF, PayoffKind.MP_SUP)
+    )]
+    for text in texts:
+        arena = make_prefix_independent(parse_game(text)).game
+        dense = dense_arena(arena)
+        for player in range(1, arena.players + 1):
+            cg = CoalitionGame(arena, player)
+            want = _scaled_route(arena, player, dense.verts)
+            blind = CoalitionGame(replace(arena, weights=None), player)
+            for dt in (solvers._DenseThreshold(blind, dense), solvers._DenseThreshold(cg)):
+                got = {key: getattr(dt, key) for key in want}
+                assert got == want, (text, player)
+                assert all(type(x) is int for row in dt.weight for x in row)

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -27,12 +28,22 @@ from admgames import (
     synthesize_assume_admissible,
     verify_strategy_wins,
 )
-from admgames import admissibility, outcomes
+from admgames import admissibility, outcomes, transform
 from admgames.admissibility import strategy_from_outcome
 from admgames.oracle import random_game, random_lasso
+from admgames.solvers import explore
 from admgames.transform import moore_layout, validate_strategy
 
-from helpers import FIXTURES, expanded, load_game, load_strategy, memoryless, mode_layout
+from helpers import (
+    FIXTURES,
+    expanded,
+    load_game,
+    load_strategy,
+    memoryless,
+    mode_layout,
+    reference_make_prefix_independent,
+    seeded_game_texts,
+)
 
 F = Fraction
 
@@ -104,6 +115,57 @@ def test_transform_idempotent():
             assert sorted(proj.values()) == sorted(arena.owner)
             for (u2, v2), w2 in arena2.weights.items():
                 assert arena.weights[(proj[u2], proj[v2])] == w2
+
+
+def _same_rebuild(got, want):
+    """Equal names, owners, weights, `back`, `step` and init, in the same
+    insertion order."""
+    assert list(got.game.owner.items()) == list(want.game.owner.items())
+    assert list(got.game.weights.items()) == list(want.game.weights.items())
+    assert list(got.back.items()) == list(want.back.items())
+    assert list(got.step.items()) == list(want.step.items())
+    assert got.game.init == want.game.init
+
+
+def test_rank_rebuild_matches_the_fraction_record_rebuild():
+    for text in seeded_game_texts():
+        g = parse_game(text)
+        _same_rebuild(make_prefix_independent(g), reference_make_prefix_independent(g))
+
+
+def test_rebuild_keeps_the_name_collision_guard():
+    # records (1/2, 3) and (1, 2/3) of vertex a both join to "1_2_3"
+    g = parse_game(
+        "players 2\nmeasure sup\ninit i\nvertex i 1\nvertex a 1\nvertex b 1\n"
+        "edge i a 1/2 3\nedge i b 1 2/3\nedge b a 0 0\nedge a a 0 0\n"
+    )
+    tg = make_prefix_independent(g)
+    _same_rebuild(tg, reference_make_prefix_independent(g))
+    assert tg.back["a__1_2_3"] == ("a", (F(1, 2), F(3)))
+    assert tg.back["a__1_2_3__2"] == ("a", (F(1), F(2, 3)))
+
+
+def test_rebuild_explores_without_hashing_a_weight(monkeypatch):
+    class Counted(Fraction):
+        hashes = 0
+
+        def __hash__(self):
+            Counted.hashes += 1
+            return super().__hash__()
+
+    def explore_counted(init, succ):
+        before = Counted.hashes
+        found = explore(init, succ)
+        assert Counted.hashes == before
+        return found
+
+    monkeypatch.setattr(transform, "explore", explore_counted)
+    for text in seeded_game_texts():
+        g = parse_game(text)
+        g = replace(g, weights={
+            e: tuple(Counted(x) for x in w) for e, w in g.weights.items()
+        })
+        _same_rebuild(make_prefix_independent(g), reference_make_prefix_independent(g))
 
 
 def test_product_fig2_memoryless():
