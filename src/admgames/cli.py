@@ -11,17 +11,15 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import sys
-
 import os
+import sys
 
 from .admissibility import (
     check_strategy_admissible,
     construct_sco,
     construct_wco_candidate,
 )
-from .automata import parse_automaton
-from .automata import automaton_to_dot, serialize_automaton
+from .automata import automaton_to_dot, parse_automaton, serialize_automaton
 from .games import Game, GameFormatError, format_rational, parse_game
 from .oracle import OracleBoundError, brute_value_table
 from .outcomes import (
@@ -150,14 +148,11 @@ def cmd_check(args) -> int:
 def cmd_sco(args) -> int:
     g = _load_game(args)
     s = construct_sco(g, args.player)
-    text = serialize_strategy(s)
-    _emit(text, args.output)
-    if args.json:
-        print(json.dumps({"command": "sco", "player": args.player,
-                          "memory": s.memory, "written": args.output or "-"},
-                         sort_keys=True))
-    elif args.output:
-        print(f"sco strategy for player {args.player} written to {args.output}")
+    _emit(serialize_strategy(s), args.output)
+    payload = {"command": "sco", "player": args.player, "memory": s.memory,
+               "written": args.output or "-"}
+    written = f"sco strategy for player {args.player} written to {args.output}"
+    _report(args, payload, [written] if args.output else [])
     return 0
 
 
@@ -165,12 +160,9 @@ def cmd_wco(args) -> int:
     g = _load_game(args)
     s, verified = construct_wco_candidate(g, args.player)
     _emit(serialize_strategy(s), args.output)
-    if args.json:
-        print(json.dumps({"command": "wco", "player": args.player,
-                          "memory": s.memory, "verified": verified,
-                          "written": args.output or "-"}, sort_keys=True))
-    else:
-        print(f"wco candidate verified={'true' if verified else 'false'}")
+    payload = {"command": "wco", "player": args.player, "memory": s.memory,
+               "verified": verified, "written": args.output or "-"}
+    _report(args, payload, [f"wco candidate verified={'true' if verified else 'false'}"])
     return 0
 
 
@@ -180,19 +172,14 @@ def cmd_outcomes(args) -> int:
     lg = label_edges(g, table)
     if g.measure.is_mean_payoff:
         _emit(formula_text(lg, args.player), args.output)
-        if args.json:
-            print(json.dumps({"command": "outcomes", "player": args.player,
-                              "automaton": False,
-                              "reason": "mean-payoff thresholds are not omega-regular"},
-                             sort_keys=True))
+        _report(args, {"command": "outcomes", "player": args.player, "automaton": False,
+                       "reason": "mean-payoff thresholds are not omega-regular"}, [])
         return 0
     aut = outcome_automaton(lg, args.player)
     text = automaton_to_dot(aut) if args.format == "dot" else serialize_automaton(aut)
     _emit(text, args.output)
-    if args.json:
-        print(json.dumps({"command": "outcomes", "player": args.player,
-                          "automaton": True, "states": len(aut.priority),
-                          "written": args.output or "-"}, sort_keys=True))
+    _report(args, {"command": "outcomes", "player": args.player, "automaton": True,
+                   "states": len(aut.priority), "written": args.output or "-"}, [])
     return 0
 
 
@@ -224,13 +211,10 @@ def cmd_synth(args) -> int:
         _report(args, {"command": "synth", "realizable": False}, ["unrealizable"])
         return 1
     _emit(serialize_strategy(result.strategy), args.output)
-    if args.json:
-        print(json.dumps({"command": "synth", "realizable": True,
-                          "player": args.player,
-                          "memory": result.strategy.memory,
-                          "written": args.output or "-"}, sort_keys=True))
-    elif args.output:
-        print(f"realizable; strategy written to {args.output}")
+    payload = {"command": "synth", "realizable": True, "player": args.player,
+               "memory": result.strategy.memory, "written": args.output or "-"}
+    written = f"realizable; strategy written to {args.output}"
+    _report(args, payload, [written] if args.output else [])
     return 0
 
 

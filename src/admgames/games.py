@@ -257,25 +257,28 @@ def validate(g: Game) -> list[str]:
     problems = []
     if g.players < 1:
         problems.append(f"player count must be >= 1, got {g.players}")
-    for v, p in sorted(g.owner.items()):
+    found = []  # (vertex, problem), in dict order
+    for v, p in g.owner.items():
         if not VERTEX_ID_RE.match(v):
-            problems.append(f"bad vertex id {v!r}")
+            found.append((v, f"bad vertex id {v!r}"))
         if not 1 <= p <= g.players:
-            problems.append(f"vertex {v}: owner {p} not in 1..{g.players}")
+            found.append((v, f"vertex {v}: owner {p} not in 1..{g.players}"))
+    # the problems are sorted by location, not the whole game; the sort is
+    # stable, so one location's problems keep the order they were found in
+    problems += [m for _, m in sorted(found, key=lambda f: f[0])]
     if g.init not in g.owner:
         problems.append(f"init vertex {g.init} is not declared")
-    for (u, v), w in sorted(g.weights.items()):
+    found = []  # ((u, v), problem), in dict order
+    for (u, v), w in g.weights.items():
         for x in (u, v):
             if x not in g.owner:
-                problems.append(f"edge ({u}, {v}): undeclared vertex {x}")
+                found.append(((u, v), f"edge ({u}, {v}): undeclared vertex {x}"))
         if len(w) != g.players:
-            problems.append(
-                f"edge ({u}, {v}): {len(w)} weights for {g.players} players"
-            )
+            found.append(((u, v), f"edge ({u}, {v}): {len(w)} weights for {g.players} players"))
+    problems += [m for _, m in sorted(found, key=lambda f: f[0])]
     sources = {u for (u, _) in g.weights}
-    for v in sorted(g.owner):
-        if v not in sources:
-            problems.append(f"vertex {v} has no outgoing edge")
+    for v in sorted(v for v in g.owner if v not in sources):
+        problems.append(f"vertex {v} has no outgoing edge")
     return problems
 
 

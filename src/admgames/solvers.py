@@ -49,6 +49,13 @@ are renumbered, in `_key` order, for the threshold games.
 INF (SUP) arenas are handled with LIMINF (LIMSUP) cycle semantics; callers
 pass prefix-independence rebuilds for those measures, on which the two
 coincide because weight sequences are monotone along every play.
+
+`__all__` lists what the other modules use, plus the four names that
+`perfbench/spans.py` traces by name: `worst_case_strategy`,
+`cooperative_witness_lasso`, `one_player_values` and
+`one_player_max_value`.  The attractor, the threshold games and the parity
+check have no wrapper on named states; tests drive `_dense_attr`,
+`_threshold` and `_check_parity` on the dense numbering directly.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, inf, lcm
+from math import inf, lcm
 
 from .games import Game, Lasso, PayoffKind, _payoff_of_weights
 
@@ -65,13 +72,10 @@ __all__ = [
     "ParityGame",
     "Region",
     "explore",
-    "attractor",
-    "solve_threshold",
     "zero_sum_value",
     "one_player_max_value",
     "one_player_values",
     "solve_parity",
-    "check_parity_solution",
     "fixed_strategy_extremes",
     "worst_case_strategy",
     "cooperative_witness_lasso",
@@ -186,22 +190,6 @@ def _shortest_cycle(u, rows):
 # attractors
 
 
-class _DenseGraph:
-    """Integer view of a two-player game graph for the attractor.
-
-    State i is the i-th state in `_key` order, so integer order is the order
-    every tie-break uses, and `owner[i]` is 0 or 1.  Successor lists keep the
-    game's order and repeats; predecessor lists come out in increasing order.
-    """
-
-    def __init__(self, states, owner, succ):
-        self.verts = verts = sorted(states, key=_key)
-        self.idx = idx = {v: i for i, v in enumerate(verts)}
-        self.owner = [owner(v) for v in verts]
-        self.succ = [[idx[w] for w in succ[v]] for v in verts]
-        self.pred = _predecessors(self.succ)
-
-
 def _predecessors(succ):
     """Predecessor lists of a dense successor table, in increasing order."""
     pred = [[] for _ in succ]
@@ -272,22 +260,6 @@ def _dense_attr(dg, player, targets, inside, strat, within=(), edges=None):
     return queue
 
 
-def attractor(g: Game, player: int, targets=(), target_edges=()) -> Region:
-    """Attractor of `player` to a vertex set and/or an edge set."""
-    dg = _DenseGraph(g.owner, lambda v: int(g.owner[v] == player), g.succ)
-    idx, succ, verts = dg.idx, dg.succ, dg.verts
-    n = len(verts)
-    edges = {(idx[u], idx[w]) for u, w in target_edges if u in idx and w in idx}
-    strat = {}
-    att = _dense_attr(
-        dg, 1, sorted({idx[v] for v in targets if v in idx}), bytearray(b"\x01") * n,
-        strat, range(n), lambda v: [w for w in succ[v] if (v, w) in edges],
-    )
-    return Region(
-        frozenset(verts[v] for v in att), {verts[v]: verts[w] for v, w in strat.items()}
-    )
-
-
 # ---------------------------------------------------------------------------
 # threshold games
 #
@@ -296,13 +268,27 @@ def attractor(g: Game, player: int, targets=(), target_edges=()) -> Region:
 # winning set the same two ways.
 
 
-def dense_arena(g: Game) -> _DenseGraph:
-    """The dense graph of an arena with owners kept as player numbers, and
-    its weight table: `weights[i][k]`, the weight vector of state i's k-th
-    move.  The coalition games of all its players share both."""
-    dg = _DenseGraph(g.owner, g.owner.__getitem__, g.succ)
-    dg.weights = [[g.weights[(v, w)] for w in g.succ[v]] for v in dg.verts]
-    return dg
+class _DenseGraph:
+    """The dense graph of an arena, which the coalition games of all its
+    players share.
+
+    State i is the i-th vertex in `_key` order, so integer order is the
+    order every tie-break uses, and `owner[i]` is its owner's player number.
+    Successor lists keep the game's order and repeats; predecessor lists
+    come out in increasing order.  `weights[i][k]` is the weight vector of
+    state i's k-th move.
+    """
+
+    def __init__(self, g: Game):
+        self.verts = verts = sorted(g.owner, key=_key)
+        self.idx = idx = {v: i for i, v in enumerate(verts)}
+        self.owner = [g.owner[v] for v in verts]
+        self.succ = [[idx[w] for w in g.succ[v]] for v in verts]
+        self.pred = _predecessors(self.succ)
+        self.weights = [[g.weights[(v, w)] for w in g.succ[v]] for v in verts]
+
+
+dense_arena = _DenseGraph  # the name `values` builds it by
 
 
 class _DenseThreshold:
@@ -467,36 +453,6 @@ def _threshold(dt: _DenseThreshold, measure: PayoffKind, x, within, inside):
     if measure is PayoffKind.LIMSUP:
         return _buchi(dt, 1, dt.heavy(x), within, inside)
     return _cobuchi(dt, x, within, inside)
-
-
-def solve_threshold(cg: CoalitionGame, measure: PayoffKind, theta: Fraction) -> Region:
-    """Exact winning region of "payoff >= theta" for the maximizing player.
-
-    SUP is reachability of a heavy edge, INF safety against light edges,
-    LIMSUP a Buchi condition on heavy edges, LIMINF the dual coBuchi
-    condition.  Mean-payoff thresholds are not handled here.
-    """
-    if measure.is_mean_payoff:
-        raise ValueError("mean-payoff thresholds are solved by zero_sum_value")
-    return _threshold_region(cg, measure, theta, cg.game.owner)
-
-
-def _threshold_region(cg: CoalitionGame, measure: PayoffKind, theta, within) -> Region:
-    """`solve_threshold` on the subgame induced by `within`.
-
-    Exact only if no coalition edge leaves `within` and every winning play
-    of the whole arena stays inside it.
-    """
-    dt = _DenseThreshold(cg)
-    inside = bytearray(len(dt.verts))
-    for v in within:
-        inside[dt.idx[v]] = 1
-    states = [i for i, x in enumerate(inside) if x]
-    win, _, strat = _threshold(dt, measure, ceil(theta * dt.denom), states, inside)
-    verts = dt.verts
-    return Region(
-        frozenset(verts[v] for v in win), {verts[v]: verts[w] for v, w in strat.items()}
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1153,15 +1109,6 @@ def solve_parity(pg: ParityGame) -> tuple[Region, Region]:
             strategies[i][v] = strat[v]
     _check_parity(dp, regions, strategies)
     return tuple(Region(frozenset(regions[i]), strategies[i]) for i in (0, 1))
-
-
-def check_parity_solution(pg: ParityGame, r0: Region, r1: Region) -> None:
-    """`solve_parity`'s solution check on given regions and strategies."""
-    _check_parity(
-        _DenseParity(pg),
-        tuple(list(r.vertices) for r in (r0, r1)),
-        tuple(r.strategy for r in (r0, r1)),
-    )
 
 
 # ---------------------------------------------------------------------------

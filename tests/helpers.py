@@ -8,7 +8,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import lcm
+from math import ceil, lcm
 from pathlib import Path
 
 from admgames import Game, Lasso, MooreStrategy, PayoffKind, payoff_of_lasso
@@ -16,12 +16,13 @@ from admgames.solvers import (
     CoalitionGame,
     ParityGame,
     Region,
+    _DenseThreshold,
     _effective,
     _key,
+    _threshold,
     cooperative_witness_lasso,
     explore,
     solve_parity,
-    solve_threshold,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -80,11 +81,31 @@ def mp_value_iteration(cg: CoalitionGame) -> dict:
     return out
 
 
+def dense_threshold_region(cg: CoalitionGame, measure: PayoffKind, theta, within=None) -> Region:
+    """The max player's region and moves in "payoff >= theta" on the subgame
+    `within` (default: the whole arena), by `solvers._threshold` on the
+    player's `_DenseThreshold`, translated from state numbers to vertices.
+
+    Exact only if no coalition edge leaves `within` and every winning play
+    of the whole arena stays inside it.
+    """
+    dt = _DenseThreshold(cg)
+    inside = bytearray(len(dt.verts))
+    for v in cg.game.owner if within is None else within:
+        inside[dt.idx[v]] = 1
+    states = [i for i, x in enumerate(inside) if x]
+    win, _, strat = _threshold(dt, measure, ceil(theta * dt.denom), states, inside)
+    verts = dt.verts
+    return Region(
+        frozenset(verts[v] for v in win), {verts[v]: verts[w] for v, w in strat.items()}
+    )
+
+
 def threshold_region_sweep(cg: CoalitionGame, measure: PayoffKind, theta, within) -> Region:
     """Reference INF and LIMINF threshold regions by re-sweeping to a fixpoint.
 
     The safety and coBuchi games solved by passes over the vertices in
-    sorted order until none changes, as `solvers._threshold_region` and
+    sorted order until none changes, as `solvers._threshold` and
     `solvers._cobuchi` did before they used the attractor.
     """
     g = cg.game
@@ -152,7 +173,7 @@ def worst_case_strategy_per_level(g: Game, player: int, aval: dict) -> dict:
     cg = CoalitionGame(g, player)
     per_level = {}
     for lam in sorted(set(aval.values())):
-        region = solve_threshold(cg, g.measure, lam)
+        region = dense_threshold_region(cg, g.measure, lam)
         per_level[lam] = (region.vertices, region.strategy)
 
     out = {}

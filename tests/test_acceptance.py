@@ -23,9 +23,10 @@ from admgames import (
     verify_strategy_wins,
 )
 from admgames.oracle import brute_value_table, random_game, random_lasso
-from admgames.solvers import CoalitionGame, solve_threshold
+from admgames.solvers import CoalitionGame
 
 from helpers import (
+    dense_threshold_region,
     lasso_of_choice,
     load_game,
     load_strategy,
@@ -222,7 +223,7 @@ def test_criterion_9_structural_invariants():
                 cg = CoalitionGame(arena, player)
                 prev = None
                 for theta in sorted({w[player - 1] for w in arena.weights.values()}):
-                    region = solve_threshold(cg, arena.measure, theta).vertices
+                    region = dense_threshold_region(cg, arena.measure, theta).vertices
                     if prev is not None:
                         assert region <= prev
                     prev = region

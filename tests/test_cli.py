@@ -86,6 +86,70 @@ def test_wco_reports_verification(tmp_path, capsys):
     assert "verified=true" in capsys.readouterr().out
 
 
+FIG1_LIMINF_STRATEGY = "strategy 1\nmemory 1\ninitmem 0\nmove 0 v1 v2\n"
+FIG1_LIMINF_AUTOMATON = (
+    "state q0\nstate q1\nstate q2\nstate q3\nstate q4\nstate q5\nstate q6\nstate q7\n"
+    "initial q0\n"
+    "priority q0 0\npriority q1 1\npriority q2 1\npriority q3 1\n"
+    "priority q4 2\npriority q5 2\npriority q6 0\npriority q7 0\n"
+    "trans q1 v1 v2 q2\ntrans q1 v1 v3 q3\ntrans q0 v1 v2 q2\ntrans q0 v1 v3 q3\n"
+    "trans q4 v1 v2 q2\ntrans q4 v1 v3 q3\ntrans q2 v2 v1 q4\ntrans q2 v2 v4 q5\n"
+    "trans q6 v2 v1 q0\ntrans q6 v2 v4 q7\ntrans q3 v3 v1 q1\ntrans q7 v4 v2 q6\n"
+    "trans q5 v4 v2 q6\n"
+)
+FIG1_LABELS = (
+    "player 1 admissible-outcome condition over edge labels\n"
+    "levels: 1\n"
+    "condition: always, at every edge leaving a vertex owned by the player\n"
+    "  with level q: payoff > q, or eventually an edge whose source is an\n"
+    "  opponent vertex with another successor of cooperative value > q, or\n"
+    "  (acval = q and payoff = q and the level stays q forever)\n"
+    "labels (edge: level, acval, best-other-successor):\n"
+    "  v1 -> v2: 1, 2, -\n  v1 -> v3: 1, 2, -\n  v2 -> v1: 1, 2, 2\n"
+    "  v2 -> v4: 1, 2, 2\n  v3 -> v1: 1, 2, -\n  v4 -> v2: 1, 2, -\n"
+)
+
+
+@pytest.mark.parametrize(
+    "game, argv, body, tail, written, payload",
+    [
+        ("fig1_liminf.game", ["sco"], FIG1_LIMINF_STRATEGY, "",
+         "sco strategy for player 1 written to {out}\n",
+         '{"command": "sco", "memory": 1, "player": 1, "written": "{out}"}\n'),
+        ("fig1_liminf.game", ["wco"], FIG1_LIMINF_STRATEGY, "wco candidate verified=true\n",
+         "wco candidate verified=true\n",
+         '{"command": "wco", "memory": 1, "player": 1, "verified": true, "written": "{out}"}\n'),
+        ("fig1_liminf.game", ["outcomes"], FIG1_LIMINF_AUTOMATON, "", "",
+         '{"automaton": true, "command": "outcomes", "player": 1, "states": 8, '
+         '"written": "{out}"}\n'),
+        ("fig1.game", ["outcomes"], FIG1_LABELS, "", "",
+         '{"automaton": false, "command": "outcomes", "player": 1, '
+         '"reason": "mean-payoff thresholds are not omega-regular"}\n'),
+        ("fig1_liminf.game", ["synth", "--spec", fx("geq2.spec")], FIG1_LIMINF_STRATEGY, "",
+         "realizable; strategy written to {out}\n",
+         '{"command": "synth", "memory": 1, "player": 1, "realizable": true, '
+         '"written": "{out}"}\n'),
+    ],
+    ids=["sco", "wco", "outcomes", "outcomes-mean-payoff", "synth"],
+)
+def test_report_stdout_is_exact(tmp_path, capsys, game, argv, body, tail, written, payload):
+    # text and --json, to stdout and with -o: the written file's text
+    # (`body`) comes first on stdout, then the report
+    out = str(tmp_path / "out.txt")
+    base = [argv[0], fx(game), "--player", "1", *argv[1:]]
+    for mode, dest, want in [
+        ([], [], body + tail),
+        ([], ["-o", out], written.replace("{out}", out)),
+        (["--json"], [], body + payload.replace("{out}", "-")),
+        (["--json"], ["-o", out], payload.replace("{out}", out)),
+    ]:
+        assert run([*mode, *base, *dest]) == 0
+        assert capsys.readouterr().out == want, (mode, dest)
+        if dest:
+            assert Path(out).read_text(encoding="utf-8") == body
+            os.remove(out)
+
+
 def test_outcomes_native_and_dot(tmp_path, capsys):
     out = tmp_path / "a.aut"
     assert run(["outcomes", fx("fig3.game"), "--player", "1", "-o", str(out)]) == 0

@@ -8,12 +8,15 @@ as a product's `states`, so a renamed field breaks them too.  This test
 only reads `perfbench/`.
 """
 
+import ast
 import importlib.util
+import inspect
 import io
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import admgames
+from admgames import solvers
 from admgames.cli import run
 
 from helpers import FIXTURES
@@ -60,3 +63,22 @@ def test_every_size_counter_counts(tmp_path):
     assert codes == [0, 0, 0, 0, 1, 0]
     metrics = recorder.metrics()
     assert {k: metrics[k] for k in spans.SIZE_COUNTS if metrics[k] <= 0} == {}
+
+
+def test_every_exported_solver_function_is_used():
+    # a function in `solvers.__all__` is there for another module of the
+    # package, which imports it, or for the span recorder, which traces it
+    # by name; an export that neither uses is dead API
+    imported = set()
+    for path in Path(admgames.__file__).parent.glob("*.py"):
+        if path.name == "solvers.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "solvers":
+                imported.update(alias.name for alias in node.names)
+    traced = {name for module, name in _spans().TRACED if module == "solvers"}
+    dead = [
+        name for name in solvers.__all__
+        if inspect.isfunction(getattr(solvers, name)) and name not in imported | traced
+    ]
+    assert dead == []

@@ -24,9 +24,6 @@ from admgames.oracle import brute_cooperative, brute_zero_sum, random_game
 from admgames.solvers import (
     CoalitionGame,
     ParityGame,
-    Region,
-    attractor,
-    check_parity_solution,
     cooperative_witness_lasso,
     dense_arena,
     explore,
@@ -34,7 +31,6 @@ from admgames.solvers import (
     one_player_max_value,
     one_player_values,
     solve_parity,
-    solve_threshold,
     worst_case_strategy,
     zero_sum_value,
 )
@@ -43,6 +39,7 @@ from admgames.values import compute_value_table
 
 from helpers import (
     NamedParityGame,
+    dense_threshold_region,
     load_game,
     load_strategy,
     memoryless,
@@ -89,10 +86,25 @@ def test_explore_raises_at_the_first_bad_state_breadth_first():
     assert calls == ["a", "c", "b"]
 
 
+def _coalition(g, player):
+    """The player's `_DenseThreshold`, owner 1 being the player, and the
+    membership array of its whole arena."""
+    dt = solvers._DenseThreshold(CoalitionGame(g, player))
+    return dt, bytearray(b"\x01") * len(dt.verts)
+
+
+def _lister(dt, marked):
+    """`_dense_attr`'s target-edge lister for the set `marked` of named edges."""
+    verts, succ = dt.verts, dt.succ
+    return lambda v: [w for w in succ[v] if (verts[v], verts[w]) in marked]
+
+
 def test_attractor_whole_arena():
-    g = load_game("fig1.game")
-    r = attractor(g, 1, targets=set(g.owner))
-    assert r.vertices == frozenset(g.owner)
+    dt, whole = _coalition(load_game("fig1.game"), 1)
+    n = len(whole)
+    strat = {}
+    assert sorted(solvers._dense_attr(dt, 1, range(n), whole, strat)) == list(range(n))
+    assert strat == {}
 
 
 def test_attractor_excludes_escaping_adversary():
@@ -102,17 +114,20 @@ def test_attractor_excludes_escaping_adversary():
         "vertex a 2\nvertex b 1\nvertex c 2\n"
         "edge a b 0 0\nedge a c 0 0\nedge b b 0 0\nedge c c 0 0\n"
     )
-    g = parse_game(text)
-    r = attractor(g, 1, targets={"b"})
-    assert "a" not in r.vertices
-    assert r.vertices == frozenset({"b"})
+    dt, whole = _coalition(parse_game(text), 1)
+    b = dt.idx["b"]
+    assert solvers._dense_attr(dt, 1, [b], whole, {}) == [b]
 
 
 def test_attractor_to_edge_fig1():
-    g = load_game("fig1.game")
-    r = attractor(g, 2, target_edges={("v2", "v4")})
-    assert r.vertices == frozenset({"v2", "v4"})
-    assert r.strategy["v2"] == "v4"
+    dt, whole = _coalition(load_game("fig1.game"), 2)
+    idx = dt.idx
+    strat = {}
+    att = solvers._dense_attr(
+        dt, 1, (), whole, strat, range(len(whole)), _lister(dt, {("v2", "v4")})
+    )
+    assert sorted(att) == sorted([idx["v2"], idx["v4"]])
+    assert strat[idx["v2"]] == idx["v4"]
 
 
 def _edge_game(edges, owners, succ=None):
@@ -129,9 +144,14 @@ def test_attractor_seeds_an_opponent_vertex_whose_moves_are_all_target_edges():
         [("a", "b"), ("a", "c"), ("b", "b"), ("c", "c"), ("d", "a"), ("d", "d")],
         {"a": 2, "b": 1, "c": 1, "d": 1},
     )
-    r = attractor(g, 1, target_edges={("a", "b"), ("a", "c")})
-    assert r.vertices == frozenset({"a", "d"})
-    assert r.strategy == {"d": "a"}
+    dt, whole = _coalition(g, 1)
+    idx = dt.idx
+    strat = {}
+    att = solvers._dense_attr(
+        dt, 1, (), whole, strat, range(len(whole)), _lister(dt, {("a", "b"), ("a", "c")})
+    )
+    assert att == [idx["a"], idx["d"]]
+    assert strat == {idx["d"]: idx["a"]}
 
 
 def test_attractor_takes_the_lower_key_target_edge():
@@ -141,26 +161,32 @@ def test_attractor_takes_the_lower_key_target_edge():
         {"a": 1, "b": 2, "c": 2},
         succ={"a": ("c", "b"), "b": ("b",), "c": ("c",)},
     )
-    r = attractor(g, 1, target_edges={("a", "b"), ("a", "c")})
-    assert r.vertices == frozenset({"a"})
-    assert r.strategy == {"a": "b"}
+    dt, whole = _coalition(g, 1)
+    idx = dt.idx
+    strat = {}
+    att = solvers._dense_attr(
+        dt, 1, (), whole, strat, range(len(whole)), _lister(dt, {("a", "b"), ("a", "c")})
+    )
+    assert att == [idx["a"]]
+    assert strat == {idx["a"]: idx["b"]}
 
 
 def test_dense_attractor_never_attracts_an_opponent_vertex_stuck_outside():
     # in the subgame {a, t, x}: a (opponent) has no move inside, only a
     # target edge to b outside; x (player) has a target edge to a
-    succ = {"a": ("b",), "b": ("t",), "t": ("t",), "x": ("a", "x")}
-    dg = solvers._DenseGraph(succ, lambda v: int(v in ("b", "x")), succ)
-    idx, verts = dg.idx, dg.verts
+    g = _edge_game(
+        [("a", "b"), ("b", "t"), ("t", "t"), ("x", "a"), ("x", "x")],
+        {"a": 2, "b": 1, "t": 2, "x": 1},
+    )
+    dt, _ = _coalition(g, 1)
+    idx, verts = dt.idx, dt.verts
     inside = bytearray(len(verts))
     within = sorted(idx[v] for v in ("a", "t", "x"))
     for v in within:
         inside[v] = 1
-    marked = {(idx["a"], idx["b"]), (idx["x"], idx["a"])}
     strat = {}
     att = solvers._dense_attr(
-        dg, 1, [idx["t"]], inside, strat, within,
-        lambda v: [w for w in dg.succ[v] if (v, w) in marked],
+        dt, 1, [idx["t"]], inside, strat, within, _lister(dt, {("a", "b"), ("x", "a")})
     )
     assert {verts[v] for v in att} == {"t", "x"}
     assert strat == {idx["x"]: idx["a"]}
@@ -173,9 +199,14 @@ def test_attractor_counts_a_target_edge_once():
         [("a", "t"), ("a", "z"), ("t", "t"), ("z", "z")],
         {"a": 2, "t": 1, "z": 2},
     )
-    r = attractor(g, 1, targets={"t"}, target_edges={("a", "t")})
-    assert r.vertices == frozenset({"t"})
-    assert r.strategy == {}
+    dt, whole = _coalition(g, 1)
+    t = dt.idx["t"]
+    strat = {}
+    att = solvers._dense_attr(
+        dt, 1, [t], whole, strat, range(len(whole)), _lister(dt, {("a", "t")})
+    )
+    assert att == [t]
+    assert strat == {}
 
 
 def test_attractor_matches_the_hashed_reference():
@@ -190,17 +221,25 @@ def test_attractor_matches_the_hashed_reference():
             want, moves = reference_attr(
                 lambda v: g.owner[v] == player, g.succ, targets, g.owner, marked
             )
-            got = attractor(g, player, targets, marked)
-            assert got.vertices == frozenset(want), (seed, player)
-            assert list(got.strategy.items()) == list(moves.items()), (seed, player)
+            dt, whole = _coalition(g, player)
+            idx = dt.idx
+            strat = {}
+            att = solvers._dense_attr(
+                dt, 1, sorted(idx[v] for v in targets), whole, strat, range(len(whole)),
+                _lister(dt, marked),
+            )
+            assert {dt.verts[v] for v in att} == want, (seed, player)
+            assert list(strat.items()) == [(idx[v], idx[w]) for v, w in moves.items()], (
+                seed, player,
+            )
 
 
 def test_threshold_fig1_liminf():
     g = load_game("fig1_liminf.game")
     cg = CoalitionGame(g, 1)
-    assert solve_threshold(cg, g.measure, F(1)).vertices == frozenset(g.owner)
-    assert solve_threshold(cg, g.measure, F(2)).vertices == frozenset()
-    assert solve_threshold(cg, g.measure, F(-5)).vertices == frozenset(g.owner)
+    assert dense_threshold_region(cg, g.measure, F(1)).vertices == frozenset(g.owner)
+    assert dense_threshold_region(cg, g.measure, F(2)).vertices == frozenset()
+    assert dense_threshold_region(cg, g.measure, F(-5)).vertices == frozenset(g.owner)
 
 
 def test_threshold_monotone_regions():
@@ -216,16 +255,10 @@ def test_threshold_monotone_regions():
             thetas = sorted({w[0] for w in g.weights.values()})
             prev = None
             for theta in thetas:
-                region = solve_threshold(cg, measure, theta).vertices
+                region = dense_threshold_region(cg, measure, theta).vertices
                 if prev is not None:
                     assert region <= prev
                 prev = region
-
-
-def test_threshold_rejects_mean_payoff():
-    g = load_game("fig1.game")
-    with pytest.raises(ValueError, match="mean-payoff"):
-        solve_threshold(CoalitionGame(g, 1), g.measure, F(0))
 
 
 def test_zero_sum_fig1_mean_payoff():
@@ -576,30 +609,26 @@ def test_parity_check_accepts_the_solution():
     r0, r1 = solve_parity(TAMPER)
     assert r0.vertices == {A, B} and r0.strategy == {A: B}
     assert r1.vertices == {C, D} and r1.strategy == {D: D}
-    check_parity_solution(TAMPER, r0, r1)
+    solvers._check_parity(solvers._DenseParity(TAMPER), ([A, B], [C, D]), ({A: B}, {D: D}))
 
 
 def test_parity_check_rejects_a_move_out_of_the_region():
-    r0, r1 = solve_parity(TAMPER)
-    bad = Region(r0.vertices, {A: C})
+    dp = solvers._DenseParity(TAMPER)
     with pytest.raises(RuntimeError, match="move at state 0 does not stay in its region"):
-        check_parity_solution(TAMPER, bad, r1)
+        solvers._check_parity(dp, ([A, B], [C, D]), ({A: C}, {D: D}))
 
 
 def test_parity_check_rejects_a_loser_edge_out_of_the_region():
     # an edge b -> d lets player 1 leave player 0's region at b
-    game = replace(TAMPER, succ={**TAMPER.succ, B: (A, D)})
-    r0 = Region(frozenset({A, B}), {A: B})
-    r1 = Region(frozenset({C, D}), {D: D})
+    dp = solvers._DenseParity(replace(TAMPER, succ={**TAMPER.succ, B: (A, D)}))
     with pytest.raises(RuntimeError, match="player 1 can leave player 0's region at state 1"):
-        check_parity_solution(game, r0, r1)
+        solvers._check_parity(dp, ([A, B], [C, D]), ({A: B}, {D: D}))
 
 
 def test_parity_check_rejects_overlapping_regions():
-    r0, r1 = solve_parity(TAMPER)
-    both = Region(r1.vertices | {B}, r1.strategy)
+    dp = solvers._DenseParity(TAMPER)
     with pytest.raises(RuntimeError, match="state 1 is in both regions"):
-        check_parity_solution(TAMPER, r0, both)
+        solvers._check_parity(dp, ([A, B], [B, C, D]), ({A: B}, {D: D}))
 
 
 def test_parity_check_rejects_an_odd_cycle_under_an_even_top():
@@ -613,9 +642,8 @@ def test_parity_check_rejects_an_odd_cycle_under_an_even_top():
     )
     r0, r1 = solve_parity(game)
     assert not r0.vertices and r1.vertices == {x, y}
-    claimed = Region(frozenset({x, y}), {})
     with pytest.raises(RuntimeError, match="cycle of top priority 1 through state 1"):
-        check_parity_solution(game, claimed, Region(frozenset(), {}))
+        solvers._check_parity(solvers._DenseParity(game), ([x, y], []), ({}, {}))
 
 
 def test_extremes_fig2_and_fig3():
@@ -713,7 +741,7 @@ def _whole_arena_sweep(cg: CoalitionGame, measure: PayoffKind) -> dict:
     """Values by solving every threshold game on the whole arena."""
     vals = {}
     for theta in sorted({w[cg.player - 1] for w in cg.game.weights.values()}):
-        for v in solve_threshold(cg, measure, theta).vertices:
+        for v in dense_threshold_region(cg, measure, theta).vertices:
             vals[v] = theta
     return vals
 
@@ -766,7 +794,7 @@ def test_safety_and_cobuchi_regions_match_the_sweep_reference(measure):
                 for theta in sorted({w[player - 1] for w in g.weights.values()}):
                     for within in [set(g.owner), *others, nested]:  # nested last
                         want = threshold_region_sweep(cg, measure, theta, within)
-                        got = solvers._threshold_region(cg, measure, theta, within)
+                        got = dense_threshold_region(cg, measure, theta, within)
                         assert got == want, (size, seed, player, theta, within)
                     nested = want.vertices
 
@@ -801,7 +829,7 @@ def test_dense_threshold_sweep_matches_the_reference_sweep():
             ws = sorted({w[player - 1] for w in arena.weights.values()})
             between = [(ws[0] + ws[1]) / 2] if len(ws) > 1 else []
             for theta in [ws[0] - F(1, 3), *between, ws[-1] + F(1, 7)]:
-                got = solve_threshold(cg, g.measure, theta)
+                got = dense_threshold_region(cg, g.measure, theta)
                 want = reference_threshold_region(cg, g.measure, theta, set(arena.owner))
                 assert got == want, (seed, player, theta)
     assert fractional > 300
