@@ -77,7 +77,7 @@ def check_strategy_admissible(
     if table is None:
         table = _value_table(g, (s.player,))
     prod = _product(s, table)
-    extremes = fixed_strategy_extremes(prod, s.player)
+    extremes = fixed_strategy_extremes(prod, table.levels[s.player].dt)
     arena = prod.arena
     tg = table.transformed
 
@@ -259,7 +259,7 @@ def construct_wco_candidate(
     s = _pursue(table, player, lassos, lambda q, tv: aval[tv] == q)
     _require_valid(g, s)
     prod = _product(s, table)
-    extremes = fixed_strategy_extremes(prod, player)
+    extremes = fixed_strategy_extremes(prod, table.levels[player].dt)
     verified = all(
         extremes[(tv, m)] == (table.aval[(player, tv)], table.acval[(player, tv)])
         for (tv, m) in prod.states

@@ -2,16 +2,16 @@
 
 A run reads the edges of a play; each state has a max-parity priority, and
 a run is accepted iff the highest priority visited infinitely often is
-even.  Automata come in two forms with the same reading interface (`step`,
-`priority`, `transitions`).  A named automaton (read from a file, or built
-over an arena's edge set) names its states freely and keeps its transitions
-in a dict keyed by (state, edge).  An explored automaton is explored along
-an arena from its initial vertex, with `solvers.explore`: its states are
-0..n-1 in breadth-first order from the initial state 0, and it keeps arrays
-of each state's arena vertex and priority and a table of each state's
-successors, one per arena edge leaving its vertex, in the arena's order.
-The tuples the states were explored as are kept only as names, which the
-text formats order the states by.
+even.  Past the parser there is one form, the explored automaton: it is
+explored along an arena from its initial vertex, with `solvers.explore`,
+so its states are 0..n-1 in breadth-first order from the initial state 0,
+and it keeps arrays of each state's arena vertex and priority and a table
+of each state's successors, one per arena edge leaving its vertex, in the
+arena's order.  The tuples the states were explored as are kept only as
+names, which the text formats order the states by.  A named automaton is
+the parsed file: it names its states freely, keeps its transitions in a
+dict keyed by (state, edge), and is explored along an arena with `along`.
+Both forms run lassos with `accepts_lasso`.
 
 Negation shifts priorities by one.  Intersection explores a synchronous
 product of explored automata, so its states are tuples of integers, and
@@ -38,18 +38,13 @@ __all__ = [
     "parse_automaton",
     "serialize_automaton",
     "automaton_to_dot",
-    "reindex_edges",
 ]
 
 
 @dataclass
 class EdgeAutomaton:
     """Deterministic, edge-labelled, max-parity automaton with named states,
-    as read from a file or built over an arena's edge set.
-
-    `along(g)` gives the same automaton explored along the arena `g`, which
-    is the form products and the parity solver work on.
-    """
+    as read from a file."""
 
     initial: object
     delta: dict  # (state, (src, dst)) -> state
@@ -63,28 +58,15 @@ class EdgeAutomaton:
                 f"automaton has no transition from {state!r} on edge {edge}"
             ) from None
 
-    def transitions(self):
-        """((state, edge), next state) pairs."""
-        return self.delta.items()
-
-    def states(self):
-        return self.priority.keys()
-
-    def label(self, state):
-        """The value the text formats order a state by: its name."""
-        return state
-
-    def negated(self) -> EdgeAutomaton:
-        return replace(self, priority={s: p + 1 for s, p in self.priority.items()})
-
-    def along(self, g: Game) -> ExploredAutomaton:
-        """The same automaton explored along the arena `g`; its states are
-        named (arena vertex, state, priority)."""
+    def along(self, g: Game, origin) -> ExploredAutomaton:
+        """The automaton explored along the arena `g`, reading each arena
+        edge (v, v2) as the edge (origin(v), origin(v2)) it was written
+        against; its states are named (arena vertex, state, priority)."""
 
         def succ(state):
             v, s, _ = state
             for v2 in g.successors(v):
-                t = self.step(s, (v, v2))
+                t = self.step(s, (origin(v), origin(v2)))
                 yield v2, t, self.priority[t]
 
         return _explored((g.init, self.initial, self.priority[self.initial]), succ)
@@ -117,44 +99,19 @@ class ExploredAutomaton:
             f"automaton has no transition from {self.names[state]!r} on edge {edge}"
         )
 
-    def transitions(self):
-        """((state, edge), next state) pairs."""
-        vertex = self.vertex
-        return (
-            ((s, (vertex[s], vertex[t])), t)
-            for s, outs in enumerate(self.succ)
-            for t in outs
-        )
-
     def states(self):
         return range(len(self.priority))
 
-    def label(self, state):
-        """The value the text formats order a state by: its explored tuple."""
-        return self.names[state]
 
-    def negated(self) -> ExploredAutomaton:
-        return replace(self, priority=[p + 1 for p in self.priority])
-
-    def along(self, g: Game) -> ExploredAutomaton:
-        """The automaton itself: it was explored along `g`."""
-        if self.vertex[0] != g.init:
-            raise ValueError("explored along another arena")
-        return self
-
-
-def negate(aut):
+def negate(aut: ExploredAutomaton) -> ExploredAutomaton:
     """Complement: accept exactly the runs the input rejects."""
-    return aut.negated()
+    return replace(aut, priority=[p + 1 for p in aut.priority])
 
 
-def constant_automaton(g: Game, accept: bool) -> EdgeAutomaton:
-    state = "acc" if accept else "rej"
-    return EdgeAutomaton(
-        initial=state,
-        delta={(state, e): state for e in g.weights},
-        priority={state: 0 if accept else 1},
-    )
+def constant_automaton(g: Game, accept: bool) -> ExploredAutomaton:
+    """The automaton accepting every run (or none), explored along `g`."""
+    p = 0 if accept else 1
+    return _explored((g.init, p), lambda state: ((v2, p) for v2 in g.successors(state[0])))
 
 
 def accepts_lasso(aut, lasso: Lasso) -> bool:
@@ -176,9 +133,8 @@ def accepts_lasso(aut, lasso: Lasso) -> bool:
 def intersect(g: Game, components: list) -> ExploredAutomaton:
     """Deterministic parity automaton for the conjunction of the components.
 
-    The product is explored along the arena's edges from its initial vertex,
-    so every component must be complete over the arena paths that can occur.
-    Named components are first explored along the arena; a product state is
+    Every component is explored along the arena `g`, and the product is
+    explored along its edges from its initial vertex; a product state is
     (the components' states, the record, the emitted priority).  The next
     record and priority depend only on the record and the components'
     emitted priorities, so records are explored as interned numbers and
@@ -186,10 +142,11 @@ def intersect(g: Game, components: list) -> ExploredAutomaton:
     """
     pairs = []  # (component index, odd priority)
     for ci, aut in enumerate(components):
-        for o in sorted({aut.priority[s] for s in aut.states()}):
+        if aut.vertex[0] != g.init:
+            raise ValueError("explored along another arena")
+        for o in sorted(set(aut.priority)):
             if o % 2 == 1:
                 pairs.append((ci, o))
-    components = [a.along(g) for a in components]
     if len(components) == 1:
         return components[0]
     h, k = len(pairs), len(components)
@@ -261,30 +218,20 @@ def _explored(init, succ, vertex_of=lambda state: state[0]) -> ExploredAutomaton
     )
 
 
-def reindex_edges(aut: EdgeAutomaton, edge_map: dict) -> EdgeAutomaton:
-    """Rekey a named automaton's transitions: edge_map maps new edges to the
-    edges the automaton was written against (used to run original-game
-    automata on a rebuilt arena)."""
-    delta = {}
-    for new_edge, old_edge in edge_map.items():
-        for s in aut.priority:
-            key = (s, old_edge)
-            if key in aut.delta:
-                delta[(s, new_edge)] = aut.delta[key]
-    return EdgeAutomaton(initial=aut.initial, delta=delta, priority=dict(aut.priority))
-
-
 # ---------------------------------------------------------------------------
 # text formats
 
 
-def _sorted_transitions(aut) -> list:
-    """Transitions in order of their state's `repr` label, then edge."""
-    key = {s: repr(aut.label(s)) for s in aut.states()}
-    return sorted(aut.transitions(), key=lambda kv: (key[kv[0][0]], kv[0][1]))
+def _sorted_transitions(aut: ExploredAutomaton) -> list:
+    """((state, edge), next state) pairs in order of their state's `repr`
+    name, then edge."""
+    vertex = aut.vertex
+    key = [repr(name) for name in aut.names]
+    edges = (((s, (vertex[s], vertex[t])), t) for s, outs in enumerate(aut.succ) for t in outs)
+    return sorted(edges, key=lambda kv: (key[kv[0][0]], kv[0][1]))
 
 
-def serialize_automaton(aut) -> str:
+def serialize_automaton(aut: ExploredAutomaton) -> str:
     """Native text format with states renamed q0, q1, ... in exploration order."""
     names = {}
     order = []
@@ -361,7 +308,7 @@ def parse_automaton(text: str) -> EdgeAutomaton:
     return EdgeAutomaton(initial=initial, delta=delta, priority=priority)
 
 
-def automaton_to_dot(aut) -> str:
+def automaton_to_dot(aut: ExploredAutomaton) -> str:
     names = {}
 
     def name(s):
@@ -371,7 +318,7 @@ def automaton_to_dot(aut) -> str:
 
     lines = ["digraph automaton {", "  rankdir=LR;"]
     name(aut.initial)
-    for s in sorted(aut.states(), key=lambda s: repr(aut.label(s))):
+    for s in sorted(aut.states(), key=lambda s: repr(aut.names[s])):
         shape = "doublecircle" if aut.priority[s] % 2 == 0 else "circle"
         lines.append(
             f'  {name(s)} [label="{name(s)}:{aut.priority[s]}", shape={shape}];'

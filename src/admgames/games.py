@@ -154,9 +154,6 @@ class Game:
     def has_edge(self, u: str, v: str) -> bool:
         return (u, v) in self.weights
 
-    def player_weights(self, player: int) -> dict[tuple[str, str], Fraction]:
-        return {e: w[player - 1] for e, w in self.weights.items()}
-
 
 @dataclass(frozen=True)
 class Lasso:

@@ -16,7 +16,10 @@ strongest level still waiting for a payoff or passed-up-alternative
 justification, with a flag for whether an exact pin is still possible).
 Model checking under admissibility, assume-admissible synthesis and its
 check are parity-automaton products over the arena, with one set-up
-(`_labelled`) and one parity-game builder (`_parity_game`).
+(`_labelled`) and one parity-game builder (`_parity_game`).  Every
+automaton in them is explored along the arena: the outcome automata, and
+each leaf of a compiled spec, whose file automata read each arena edge as
+the game edge it was rebuilt from.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .automata import (
-    EdgeAutomaton,
     ExploredAutomaton,
     _explored,
     accepts_lasso,
@@ -34,7 +36,6 @@ from .automata import (
     intersect,
     negate,
     parse_automaton,
-    reindex_edges,
 )
 from .games import (
     Game,
@@ -444,9 +445,11 @@ def eval_spec_on_lasso(g: Game, spec: PayoffSpec, lasso: Lasso) -> bool:
     return ev(spec.node)
 
 
-def _atom_automaton(arena: Game, player: int, op: str, value: Fraction) -> EdgeAutomaton:
-    """Single-threshold payoff automaton: priorities rank the weight regions
-    so that the region of the play's payoff dominates in the limit."""
+def _atom_automaton(arena: Game, player: int, op: str, value: Fraction) -> ExploredAutomaton:
+    """Single-threshold payoff automaton, explored along the arena: a state
+    is (arena vertex, the priority of the edge that entered it), and the
+    priorities rank the weight regions so that the region of the play's
+    payoff dominates in the limit."""
     measure = arena.measure
     regions = 3  # below value, equal, above
     member = {
@@ -467,23 +470,19 @@ def _atom_automaton(arena: Game, player: int, op: str, value: Fraction) -> EdgeA
             base = 2 * (j + 1)  # highest region dominates
         return base + (0 if member[j] else 1)
 
-    edge_priority = {e: pr(region(arena.weight(*e, player))) for e in arena.weights}
-    init = ("payoff", None)
-    priority = {init: 0}
-    for p in edge_priority.values():
-        priority[("payoff", p)] = p
-    delta = {
-        (s, e): ("payoff", p) for s in priority for e, p in edge_priority.items()
-    }
-    return EdgeAutomaton(initial=init, delta=delta, priority=priority)
+    def succ(state):  # every edge priority is at least 2, so 0 marks the start
+        v = state[0]
+        for v2 in arena.successors(v):
+            yield v2, pr(region(arena.weight(v, v2, player)))
+
+    return _explored((arena.init, 0), succ)
 
 
-def _compile_spec(lg: LabeledGame, spec: PayoffSpec):
+def _compile_spec(lg: LabeledGame, spec: PayoffSpec) -> ExploredAutomaton:
+    """The spec as one automaton explored along the labelled arena; file
+    automata read each arena edge as the game edge it was rebuilt from."""
     arena = lg.arena
-    tg = lg.table.transformed
-    edge_map = {
-        (u, v): (tg.origin(u), tg.origin(v)) for (u, v) in arena.weights
-    }
+    origin = lg.table.transformed.origin
 
     def compile_node(node):
         kind = node[0]
@@ -492,7 +491,7 @@ def _compile_spec(lg: LabeledGame, spec: PayoffSpec):
         if kind == "atom":
             return _atom_automaton(arena, node[1], node[2], node[3])
         if kind == "aut":
-            return reindex_edges(node[1], edge_map)
+            return node[1].along(arena, origin)
         if kind == "not":
             return negate(compile_node(node[1]))
         if kind == "and":

@@ -725,14 +725,6 @@ def _unscaled(values, denom) -> list:
     return out
 
 
-def _scaled_weights(g: Game, player: int):
-    """The lcm of the player's weight denominators, and each edge's weight
-    times it, an int."""
-    ws = g.player_weights(player)
-    denom = lcm(*(w.denominator for w in ws.values()))
-    return denom, {e: w.numerator * (denom // w.denominator) for e, w in ws.items()}
-
-
 def one_player_values(nodes, succ, wfun, measure: PayoffKind, maximize: bool) -> dict:
     """Optimal payoff from every node when a single controller picks all moves.
 
@@ -757,22 +749,24 @@ def one_player_max_value(g: Game, player: int) -> dict:
     return dict(zip(dt.verts, _unscaled(values, dt.denom)))
 
 
-def fixed_strategy_extremes(prod, player: int) -> dict:
+def fixed_strategy_extremes(prod, dt: _DenseThreshold) -> dict:
     """Adversary-minimized and -maximized payoff, by product state.
 
     Under a fixed strategy the product is a one-player arena of the
     coalition, so both extremes are plain cycle optimizations, run on the
-    product's `table` and keyed by the states of `prod.states`.
+    product's `table` and keyed by the states of `prod.states`.  `dt` is
+    the strategy player's threshold game on `prod.arena`, whose rows give
+    each product edge its scaled weight.
     """
-    arena = prod.arena
-    denom, scaled = _scaled_weights(arena, player)
-    states = prod.states
+    idx, states = dt.idx, prod.states
+    rows = [dict(zip(succ, row)) for succ, row in zip(dt.succ, dt.weight)]
     weight = [
-        [scaled[(s[0], states[j][0])] for j in outs] for s, outs in zip(states, prod.table)
+        [rows[idx[s[0]]][idx[states[j][0]]] for j in outs] for s, outs in zip(states, prod.table)
     ]
     inside = bytearray(b"\x01") * len(states)
-    lo = _unscaled(_one_player(prod.table, weight, inside, arena.measure, False), denom)
-    hi = _unscaled(_one_player(prod.table, weight, inside, arena.measure, True), denom)
+    measure = prod.arena.measure
+    lo = _unscaled(_one_player(prod.table, weight, inside, measure, False), dt.denom)
+    hi = _unscaled(_one_player(prod.table, weight, inside, measure, True), dt.denom)
     return dict(zip(states, zip(lo, hi)))
 
 

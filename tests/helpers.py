@@ -44,6 +44,19 @@ def load_strategy(name: str):
     return parse_strategy(fixture_text(name))
 
 
+def player_weights(g: Game, player: int) -> dict:
+    """Each edge's weight for `player`, keyed by edge."""
+    return {e: w[player - 1] for e, w in g.weights.items()}
+
+
+def scaled_weights(g: Game, player: int):
+    """Reference scaling: the lcm of the player's weight denominators, and
+    each edge's weight times it, an int, keyed by edge."""
+    ws = player_weights(g, player)
+    denom = lcm(*(w.denominator for w in ws.values()))
+    return denom, {e: w.numerator * (denom // w.denominator) for e, w in ws.items()}
+
+
 def mp_value_iteration(cg: CoalitionGame) -> dict:
     """Reference mean-payoff game values by bounded-horizon value iteration.
 
@@ -779,7 +792,7 @@ def witness_lasso_per_call(g: Game, player: int, start, value, allowed=None) -> 
     (and for LIMINF a new cyclic set) on every call.
     """
     allowed = set(g.owner) if allowed is None else set(allowed)
-    w = g.player_weights(player)
+    w = player_weights(g, player)
 
     def sub_succ(v):
         return tuple(t for t in g.succ[v] if t in allowed)

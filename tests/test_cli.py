@@ -215,6 +215,20 @@ def test_mc_spec_with_relative_automaton_reference(tmp_path, capsys):
     assert run(["mc", fx("fig1_liminf.game"), "--spec", str(tmp_path / "ref.spec")]) == 0
 
 
+def test_incomplete_spec_automaton_names_the_game_edge(tmp_path, capsys):
+    # under inf the automaton runs on the rebuilt arena, but it was written
+    # against the game's edges, and the error names the game's edge
+    text = fixture_text("fig1.game").replace("measure mp-inf", "measure inf")
+    (tmp_path / "inf.game").write_text(text)
+    g = load_game("fig1.game")
+    trans = [f"trans q {u} {v} q\n" for (u, v) in g.weights if (u, v) != ("v1", "v3")]
+    (tmp_path / "gap.aut").write_text("state q\ninitial q\npriority q 0\n" + "".join(trans))
+    (tmp_path / "gap.spec").write_text('automaton "gap.aut"\n')
+    assert run(["mc", str(tmp_path / "inf.game"), "--spec", str(tmp_path / "gap.spec")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: automaton has no transition from 'q' on edge ('v1', 'v3')\n"
+
+
 def test_parse_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.game"
     bad.write_text("players 1\nvertex a 1\n")

@@ -29,8 +29,9 @@ from admgames import (
     verify_strategy_wins,
 )
 from admgames.admissibility import strategy_from_outcome
-from admgames.automata import automaton_to_dot
+from admgames.automata import EdgeAutomaton, automaton_to_dot
 from admgames.oracle import random_game, random_lasso
+from admgames.outcomes import _compile_spec
 
 from helpers import (
     fixture_text,
@@ -225,6 +226,52 @@ def test_spec_rejects_garbage():
     for bad in ["payoff(1) >>", "payoff >= 2", "(true", "payoff(1) >= 2 extra"]:
         with pytest.raises(GameFormatError):
             parse_spec(bad)
+
+
+def _random_spec_text(rng, players):
+    """A spec mixing atoms of all five comparisons, `true`, `false`, `!`,
+    `&&`, `||` and one reference to the automaton file "a.aut"."""
+    leaves = [
+        f"payoff({rng.randint(1, players)}) {op} {rng.choice(['-1', '0', '1/2', '1', '2'])}"
+        for op in ("<", "<=", ">", ">=", "=")
+    ]
+    leaves += ["true", "false", 'automaton "a.aut"']
+    rng.shuffle(leaves)
+
+    def build(items):
+        if len(items) == 1:
+            node = items[0]
+        else:
+            k = rng.randint(1, len(items) - 1)
+            node = f"({build(items[:k])} {rng.choice(['&&', '||'])} {build(items[k:])})"
+        return f"!{node}" if rng.random() < 0.3 else node
+
+    return build(leaves)
+
+
+def test_compiled_spec_accepts_what_the_spec_says():
+    # the spec is compiled on the arena (the rebuild under inf/sup); a lasso
+    # of the game is run there as its lift_lasso image
+    for seed in range(40):
+        rng = random.Random(seed)
+        measure = REGULAR[seed % 4]
+        g = random_game(seed, size=3 + seed % 3, players=1 + seed % 3, measure=measure)
+        t = compute_value_table(g)
+        lg = label_edges(g, t)
+        states = ["r0", "r1"]
+        named = EdgeAutomaton(
+            initial="r0",
+            delta={(s, e): rng.choice(states) for s in states for e in g.weights},
+            priority={s: rng.randint(0, 3) for s in states},
+        )
+        text = _random_spec_text(rng, g.players)
+        spec = parse_spec(text, automaton_loader=lambda name: named)
+        compiled = _compile_spec(lg, spec)
+        for _ in range(80):
+            lasso = random_lasso(g, rng)
+            want = eval_spec_on_lasso(g, spec, lasso)
+            got = accepts_lasso(compiled, lift_lasso(t.transformed, lasso))
+            assert got == want, (seed, text, lasso)
 
 
 def test_mc_fig1_liminf():

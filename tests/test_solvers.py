@@ -44,12 +44,14 @@ from helpers import (
     load_strategy,
     memoryless,
     mp_value_iteration,
+    player_weights,
     reference_attr,
     reference_one_player_values,
     reference_tarjan_sccs,
     reference_solve_parity,
     reference_threshold_region,
     reference_zero_sum_value,
+    scaled_weights,
     seeded_game_texts,
     shortest_cycle_through,
     solve_named_parity,
@@ -646,15 +648,20 @@ def test_parity_check_rejects_an_odd_cycle_under_an_even_top():
         solvers._check_parity(solvers._DenseParity(game), ([x, y], []), ({}, {}))
 
 
+def _threshold_game(g, player):
+    """The player's threshold game, whose rows `fixed_strategy_extremes` reads."""
+    return solvers._DenseThreshold(CoalitionGame(g, player))
+
+
 def test_extremes_fig2_and_fig3():
     g = load_game("fig2.game")
     prod = product_with_strategy(g, load_strategy("fig2_s2s6.strat"))
-    ext = fixed_strategy_extremes(prod, 1)
+    ext = fixed_strategy_extremes(prod, _threshold_game(g, 1))
     assert ext[("s1", 0)] == (F(3), F(4))
 
     g3 = load_game("fig3.game")
     prod3 = product_with_strategy(g3, memoryless(1, {"s1": "s2"}))
-    ext3 = fixed_strategy_extremes(prod3, 1)
+    ext3 = fixed_strategy_extremes(prod3, _threshold_game(g3, 1))
     assert ext3[("s1", 0)] == (F(0), F(2))
 
 
@@ -663,7 +670,7 @@ def test_extremes_absorbing_state():
         "players 2\nmeasure liminf\ninit a\nvertex a 1\nedge a a 7 7\n"
     )
     prod = product_with_strategy(g, memoryless(1, {"a": "a"}))
-    assert fixed_strategy_extremes(prod, 1)[("a", 0)] == (F(7), F(7))
+    assert fixed_strategy_extremes(prod, _threshold_game(g, 1))[("a", 0)] == (F(7), F(7))
 
 
 def test_worst_case_strategy_achieves_values():
@@ -677,7 +684,7 @@ def test_worst_case_strategy_achieves_values():
                 wco = worst_case_strategy(g, player)
                 s = memoryless(player, wco)
                 prod = product_with_strategy(g, s)
-                ext = fixed_strategy_extremes(prod, player)
+                ext = fixed_strategy_extremes(prod, _threshold_game(g, player))
                 for (v, m), (lo, _) in ext.items():
                     assert lo == aval[v], (measure, seed, player, v)
 
@@ -703,7 +710,8 @@ def test_mean_payoff_sigma_achieves_the_values():
     # from the moves of the whole-arena energy game at each value
     g = random_game(32, size=14, weight_range=(-5, 5), players=3, measure=PayoffKind.MP_INF)
     aval, sigma = zero_sum_value(CoalitionGame(g, 3), g.measure)
-    ext = fixed_strategy_extremes(product_with_strategy(g, memoryless(3, sigma)), 3)
+    prod = product_with_strategy(g, memoryless(3, sigma))
+    ext = fixed_strategy_extremes(prod, _threshold_game(g, 3))
     for (v, _), (lo, _) in ext.items():
         assert lo == aval[v], v
 
@@ -876,7 +884,7 @@ def test_shared_witness_lassos_match_per_call_reference(measure):
             dt = levels.dt
             shared = solvers._WitnessLassos(dt, arena.measure)
             scaled_players += dt.denom > 1
-            w = arena.player_weights(player)
+            w = player_weights(arena, player)
             cases = [(v, table.cval[(player, v)], None) for v in sorted(arena.owner)]
             for r in range(levels.count):
                 for exact in (True, False):
@@ -918,7 +926,7 @@ def test_cycle_means_match_brute_force(rational):
                 e: tuple(x / rng.randint(1, 4) for x in w) for e, w in g.weights.items()
             })
         for player in (1, 2):
-            w = g.player_weights(player)
+            w = player_weights(g, player)
             low = one_player_values(
                 g.owner, g.succ.__getitem__, lambda a, b: w[(a, b)], g.measure, False
             )
@@ -967,7 +975,7 @@ def test_dense_one_player_values_match_the_reference(measure):
             g = _rational(g, rng)
         for player in (1, 2):
             dt = solvers._DenseThreshold(CoalitionGame(g, player))
-            w = g.player_weights(player)
+            w = player_weights(g, player)
             n = len(dt.verts)
             members = [set(), set(dt.verts), {dt.verts[rng.randrange(n)]}]
             members += [{v for v in dt.verts if rng.random() < 0.6} for _ in range(3)]
@@ -1060,12 +1068,13 @@ def test_fixed_strategy_extremes_match_the_reference(measure):
                 for maximize in (False, True)
             )
             want = {s: (lo[s], hi[s]) for s in prod.states}
-            assert fixed_strategy_extremes(prod, player) == want, (seed, player)
+            got = fixed_strategy_extremes(prod, _threshold_game(g, player))
+            assert got == want, (seed, player)
 
 
 def _scaled_route(g, player, verts):
-    """The threshold weights as the edge-keyed `_scaled_weights` gives them."""
-    denom, scaled = solvers._scaled_weights(g, player)
+    """The threshold weights as the edge-keyed reference scaling gives them."""
+    denom, scaled = scaled_weights(g, player)
     weight = [[scaled[(v, w)] for w in g.succ[v]] for v in verts]
     ints = sorted(set(scaled.values()))
     return {
