@@ -4,26 +4,31 @@ One coalition game pits a distinguished maximizing player against all other
 players merged into a single minimizer.  For INF/SUP/LIMINF/LIMSUP the
 per-vertex game value always belongs to the finite set of edge weights, so
 values are computed by sweeping threshold games (safety, reachability,
-Buchi, coBuchi) over that set, each solved inside the winning region of the
-one below it, except for SUP.  Every measure works on one dense integer
-copy of the coalition game, `_DenseThreshold`: states numbered in `_key`
-order, sharing the arena's successor and predecessor lists and its table of
-weight vectors across its players, and each edge's weight scaled to an
-integer by the lcm of the player's denominators, so an edge is heavy for a
-threshold iff its scaled weight is at least the scaled threshold.  All four threshold games rest on
-one attractor, `_dense_attr`, the one Zielonka's algorithm uses too:
-reachability and Buchi use it directly, and the safety region and each
-stage of the coBuchi fixpoint are complements of the opponent's attractor
-to the edges the player must avoid.  Mean-payoff values are rationals with
-denominator at most the vertex count on the same scaled weights; they are
-found by a divide-and-conquer search over these candidates that solves
-energy games (Brim et al.'s progress measure) for "mean payoff >= lam" and
-its dual "<= lam".  Every mean-payoff table is certified before it is
-returned: positional strategies for both sides, read off the energy games
-at each vertex's value, are evaluated exactly and must meet the table at
-every vertex.  Worst-case-optimal strategies come from the value solve
-itself, never from a second one: the threshold regions' moves for the
-extremum measures, the certificate's player strategy for mean payoff.
+Buchi and its co-Buchi dual) over that set, each solved inside the winning
+region of the one below it, except for SUP.  Every measure works on one
+dense integer copy of the coalition game, `_DenseThreshold`: states
+numbered in `_key` order, sharing the arena's successor and predecessor
+lists and its table of weight vectors across its players, and each edge's
+weight scaled to an integer by the lcm of the player's denominators, so an
+edge is heavy for a threshold iff its scaled weight is at least the scaled
+threshold.  All four threshold games rest on one attractor, `_dense_attr`,
+the one Zielonka's algorithm uses too: reachability and Buchi use it
+directly, and the safety region is the complement of the opponent's
+attractor to the edges the player must avoid.  LIMINF is the coalition's
+Buchi game on light moves, solved by the same `_buchi`: the player wins its
+complement, with the attractor and trap moves the peeling records.
+Mean-payoff values are rationals with denominator at most the vertex count
+on the same scaled weights; they are found by a divide-and-conquer search
+over these candidates that solves energy games (Brim et al.'s progress
+measure) for "mean payoff >= lam" and its dual "<= lam".
+Worst-case-optimal strategies come from the value solve itself, never from
+a second one: the threshold regions' moves for the extremum measures, the
+energy games' moves for mean payoff.  Every LIMINF, LIMSUP and mean-payoff
+table is certified before it is returned by one routine, `_certify`: with
+the player's moves fixed, a minimizing coalition faces a one-player graph,
+whose exact optimum must be the table at every vertex; mean payoff also
+certifies the coalition's moves read off the dual energy games against a
+maximizing player.
 
 One-player optima (all players cooperating, or the coalition minimizing
 against a fixed strategy) reduce to cycle analysis: strongly connected
@@ -63,6 +68,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import inf, lcm
 
 from .games import Game, Lasso, PayoffKind, _payoff_of_weights
@@ -302,8 +308,9 @@ class _DenseThreshold:
     `denom`, the lcm of the player's weight denominators, an int, and
     `lo[i]` and `hi[i]` are the least and greatest of them; `ints` are the
     distinct scaled weights in increasing order and `levels` the weights
-    they stand for.  A move is heavy for the scaled threshold x iff its
-    scaled weight is at least x, light otherwise.
+    they stand for.  `weight_to[i][j]` is the scaled weight of the move from
+    state i to state j, built on first use.  A move is heavy for the scaled
+    threshold x iff its scaled weight is at least x, light otherwise.
     """
 
     def __init__(self, cg: CoalitionGame, arena: _DenseGraph | None = None):
@@ -320,6 +327,10 @@ class _DenseThreshold:
         self.hi = [max(row) if row else -inf for row in self.weight]
         self.ints = sorted(set().union(*self.weight))
         self.levels = [Fraction(x, denom) for x in self.ints]
+
+    @cached_property
+    def weight_to(self):
+        return [dict(zip(row, ws)) for row, ws in zip(self.succ, self.weight)]
 
     def heavy(self, x):
         """The moves of scaled weight >= x: their target-edge lister, for
@@ -340,119 +351,75 @@ class _DenseThreshold:
         )
 
 
-def _dead(dg, within, inside):
-    """The states of `within` with no move inside the subgame."""
-    succ = dg.succ
-    return [v for v in within if not any(map(inside.__getitem__, succ[v]))]
+def _buchi(dg, player, moves, within, inside, strat):
+    """Winning set of `player`, and its membership array, for crossing
+    edges of `moves` infinitely often; both players' winning moves go into
+    `strat`.  `moves` is a pair (target-edge lister, filter of the states
+    that have such an edge), as `_DenseThreshold.heavy` gives.
 
-
-def _avoid(dg, player, moves, within, inside, dead):
-    """Membership array of the largest set inside the subgame where `player`
-    can stay forever without crossing an edge of `moves`: the complement of
-    the opponent's attractor to those edges and to `dead`, the subgame's
-    states with no move inside it.  `moves` is a pair (target-edge lister,
-    filter of the states that have such an edge), as
-    `_DenseThreshold.heavy` gives.  The attractor seeds from `dead` and
-    from the states of `within` the filter keeps, so `within` need only
-    hold the states that may be attracted."""
+    Each round peels off the subgame a trap, the states outside the
+    player's attractor to those edges, where the opponent can stay without
+    crossing one, together with the opponent's attractor to it.  The
+    opponent's moves are its attractor moves into each peeled trap and,
+    inside the trap, the least successor in it along a move that is no such
+    edge; the player's are those of the last attractor, which holds all
+    that is left.  Every state of the subgame must keep a move inside it.
+    """
     edges, can = moves
-    scan = can(within)
-    if dead:
-        scan = sorted(set(scan).union(dead))
-    keep = bytearray(inside)
-    for v in _dense_attr(dg, 1 - player, dead, inside, {}, scan, edges):
-        keep[v] = 0
-    return keep
-
-
-def _buchi(dg, player, moves, within, inside):
-    """Winning set and positional strategy of `player` for crossing edges of
-    `moves`, a pair as `_avoid` takes, infinitely often."""
-    edges, can = moves
+    owner, succ = dg.owner, dg.succ
     while within:
-        strat = {}
-        att = _dense_attr(dg, player, (), inside, strat, can(within), edges)
+        mine = {}
+        att = _dense_attr(dg, player, (), inside, mine, can(within), edges)
         if len(att) == len(within):
-            return within, inside, strat
-        reached = bytearray(len(inside))
+            strat.update(mine)
+            return within, inside
+        trap = bytearray(inside)
         for v in att:
-            reached[v] = 1
-        rest = [v for v in within if not reached[v]]
+            trap[v] = 0
+        rest = [v for v in within if trap[v]]
+        for v in rest:
+            if owner[v] != player:
+                crossing = edges(v)
+                strat[v] = min(w for w in succ[v] if trap[w] and w not in crossing)
         inside = bytearray(inside)
-        for v in _dense_attr(dg, 1 - player, rest, inside, {}):
+        for v in _dense_attr(dg, 1 - player, rest, inside, strat):
             inside[v] = 0
         within = [v for v in within if inside[v]]
-    return [], inside, {}
-
-
-def _cobuchi(dt: _DenseThreshold, x, within, inside):
-    """Winning set and strategy of the max player for eventually crossing
-    only heavy moves, those of scaled weight at least x.
-
-    Two-level fixpoint: the inner stage computes the largest set the player
-    can hold using heavy moves or one-step drops into the already-won set,
-    as the complement of the opponent's attractor to every other move;
-    drops strictly decrease the inclusion level, so only finitely many
-    light moves occur along any play following the recorded moves.  The
-    won set only grows from stage to stage, so each stage's opponent
-    attractor lies inside the previous one's and is sought only there.
-    """
-    owner, succ, weight = dt.owner, dt.succ, dt.weight
-    light_edges, has_light = dt.light(x)
-    dead = _dead(dt, within, inside)
-    inwon = bytearray(len(owner))
-    att = within  # the opponent's attractor of the last stage, in order
-    strat = {}
-
-    def edges(v):  # light moves that do not drop into the won set
-        return [w for w, c in zip(succ[v], weight[v]) if c < x and not inwon[w]]
-
-    while True:
-        iny = _avoid(dt, 1, (edges, has_light), att, inside, dead)
-        new = [v for v in att if iny[v]]
-        if not new:
-            break
-        for v in new:
-            if owner[v]:
-                good = [w for w, c in zip(succ[v], weight[v]) if c >= x and iny[w]]
-                strat[v] = min(good) if good else min(w for w in succ[v] if inwon[w])
-        att = [v for v in att if not iny[v]]
-        inwon = iny
-    won = [v for v in within if inwon[v]]
-
-    lost = _buchi(dt, 0, (light_edges, has_light), within, inside)[1]
-    if won != [v for v in within if not lost[v]]:
-        raise RuntimeError("coBuchi region must complement the Buchi dual")
-    return won, inwon, strat
+    return [], inside
 
 
 def _threshold(dt: _DenseThreshold, measure: PayoffKind, x, within, inside):
     """The max player's winning set and moves in "payoff >= x / denom".
 
-    SUP is reachability of a heavy move, INF safety against light moves,
-    LIMSUP a Buchi condition on heavy moves, LIMINF the dual coBuchi
-    condition.
+    SUP is reachability of a heavy move, INF safety against light moves and
+    LIMSUP a Buchi condition on heavy moves.  LIMINF is the coalition's
+    Buchi condition on light moves, whose complement the max player wins
+    with the moves the same solve records for it.
     """
     owner, succ, weight = dt.owner, dt.succ, dt.weight
+    strat = {}
     if measure is PayoffKind.SUP:
-        strat = {}
         win = bytearray(len(owner))
         edges, can = dt.heavy(x)
         for v in _dense_attr(dt, 1, (), inside, strat, can(within), edges):
             win[v] = 1
-        return [v for v in within if win[v]], win, strat
-    if measure is PayoffKind.INF:
-        keep = _avoid(dt, 1, dt.light(x), within, inside, _dead(dt, within, inside))
-        safe = [v for v in within if keep[v]]
-        strat = {
-            v: min(w for w, c in zip(succ[v], weight[v]) if c >= x and keep[w])
-            for v in safe
-            if owner[v]
-        }
-        return safe, keep, strat
-    if measure is PayoffKind.LIMSUP:
-        return _buchi(dt, 1, dt.heavy(x), within, inside)
-    return _cobuchi(dt, x, within, inside)
+    elif measure is PayoffKind.INF:
+        # the complement of the coalition's attractor to the light moves and
+        # to the states with no move inside the subgame
+        edges, can = dt.light(x)
+        dead = [v for v in within if not any(map(inside.__getitem__, succ[v]))]
+        win = bytearray(inside)
+        for v in _dense_attr(dt, 0, dead, inside, {}, sorted({*can(within), *dead}), edges):
+            win[v] = 0
+        for v in within:
+            if win[v] and owner[v]:
+                strat[v] = min(w for w, c in zip(succ[v], weight[v]) if c >= x and win[w])
+    elif measure is PayoffKind.LIMSUP:
+        win = _buchi(dt, 1, dt.heavy(x), within, inside, strat)[1]
+    else:
+        lost = _buchi(dt, 0, dt.light(x), within, inside, strat)[1]
+        win = bytearray(a > b for a, b in zip(inside, lost))
+    return [v for v in within if win[v]], win, {v: w for v, w in strat.items() if owner[v]}
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +439,11 @@ def zero_sum_value(
     Both run on one `_DenseThreshold`.  The extremum values come from one
     sweep over the player's distinct scaled weights: each game is solved
     inside the region of the one below it (except for SUP), and the sweep
-    stops at the first empty region.  A caller that already holds the
-    player's `_DenseThreshold` passes it as `dt`, so it is not built again."""
+    stops at the first empty region.  For LIMINF and LIMSUP, as for mean
+    payoff, the strategy must then give exactly the value at every vertex
+    against a minimizing coalition (`_certify`).  A caller that already
+    holds the player's `_DenseThreshold` passes it as `dt`, so it is not
+    built again."""
     if dt is None:
         dt = _DenseThreshold(cg)
     if measure.is_mean_payoff:
@@ -500,11 +470,12 @@ def zero_sum_value(
         if -1 in level:
             raise RuntimeError("every play reaches the minimum weight")
         values = {v: dt.levels[t] for v, t in zip(dt.verts, level)}
-    verts = dt.verts
-    strat = {verts[v]: verts[w] for v, w in moves.items()}
-    if set(strat) != set(filter(cg.is_max, cg.game.owner)):
+    if set(moves) != {i for i, mine in enumerate(dt.owner) if mine}:
         raise RuntimeError("a move at every max vertex")
-    return values, strat
+    if measure in (PayoffKind.LIMINF, PayoffKind.LIMSUP):
+        _certify(dt, moves, measure, False, [dt.ints[t] for t in level])
+    verts = dt.verts
+    return values, {verts[v]: verts[w] for v, w in moves.items()}
 
 
 def worst_case_strategy(g: Game, player: int) -> dict:
@@ -758,8 +729,7 @@ def fixed_strategy_extremes(prod, dt: _DenseThreshold) -> dict:
     the strategy player's threshold game on `prod.arena`, whose rows give
     each product edge its scaled weight.
     """
-    idx, states = dt.idx, prod.states
-    rows = [dict(zip(succ, row)) for succ, row in zip(dt.succ, dt.weight)]
+    idx, states, rows = dt.idx, prod.states, dt.weight_to
     weight = [
         [rows[idx[s[0]]][idx[states[j][0]]] for j in outs] for s, outs in zip(states, prod.table)
     ]
@@ -915,21 +885,28 @@ def _mp_certify(dt: _DenseThreshold, val: list) -> dict:
         sigma.update(_energy(dt, p, q, region, lambda j: val[j] > lam)[1])
         tau.update(_energy(dt, p, q, region, lambda j: val[j] < lam, dual=True)[1])
 
-    succ, weight = dt.succ, dt.weight
-    inside = bytearray(b"\x01") * len(val)
-    for strat, maximize in ((sigma, False), (tau, True)):
-        moves, ws = succ[:], weight[:]
-        for i, j in strat.items():
-            moves[i], ws[i] = (j,), (weight[i][succ[i].index(j)],)
-        got = _one_player(moves, ws, inside, PayoffKind.MP_INF, maximize)
-        for i, x in enumerate(val):
-            if got[i] != x:
-                side = "tau" if maximize else "sigma"
-                raise RuntimeError(
-                    f"mean-payoff certificate failed at vertex {dt.verts[i]!r}: "
-                    f"{side} gives {got[i]}, the search gave {x} (scaled weights)"
-                )
+    _certify(dt, sigma, PayoffKind.MP_INF, False, val)
+    _certify(dt, tau, PayoffKind.MP_INF, True, val)
     return sigma
+
+
+def _certify(dt: _DenseThreshold, strat: dict, measure: PayoffKind, maximize: bool, val: list):
+    """Raise RuntimeError unless `strat`, one side's positional moves by
+    state, gives exactly the scaled value `val[i]` at every state i against
+    an optimal other side: the coalition minimizing for sigma, the max
+    player maximizing (`maximize`) for tau.  With the moves fixed the game
+    is a one-player graph, solved exactly by `_one_player`."""
+    succ, weight, weight_to = dt.succ[:], dt.weight[:], dt.weight_to
+    for i, j in strat.items():
+        succ[i], weight[i] = (j,), (weight_to[i][j],)
+    got = _one_player(succ, weight, bytearray(b"\x01") * len(val), measure, maximize)
+    for i, x in enumerate(val):
+        if got[i] != x:
+            raise RuntimeError(
+                f"{measure.value} certificate failed at vertex {dt.verts[i]!r}: "
+                f"{'tau' if maximize else 'sigma'} gives {got[i]}, the table gives {x} "
+                "(scaled weights)"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -1134,7 +1111,6 @@ class _WitnessLassos:
         self._search = {PayoffKind.LIMINF: self._liminf, PayoffKind.LIMSUP: self._limsup}.get(
             _effective(measure), self._mean_payoff
         )
-        self._weight = [dict(zip(row, ws)) for row, ws in zip(dt.succ, dt.weight)]
         self._everything = bytearray(b"\x01") * len(dt.verts)
         self._rows = {}  # allowed array's bytes -> sorted successor rows in it
         self._shared = {}  # (value, allowed array's bytes) -> start-independent analysis
@@ -1142,7 +1118,7 @@ class _WitnessLassos:
     def lasso(self, start: int, value, inside: bytearray | None = None) -> Lasso:
         """Lasso from state `start` with scaled cooperative payoff `value`
         whose steps stay in the states `inside` marks (all if None)."""
-        dt, weight = self.dt, self._weight
+        dt, weight = self.dt, self.dt.weight_to
         inside = self._everything if inside is None else inside
         key = bytes(inside)
         rows = self._rows.get(key)

@@ -118,8 +118,10 @@ def threshold_region_sweep(cg: CoalitionGame, measure: PayoffKind, theta, within
     """Reference INF and LIMINF threshold regions by re-sweeping to a fixpoint.
 
     The safety and coBuchi games solved by passes over the vertices in
-    sorted order until none changes, as `solvers._threshold` and
-    `solvers._cobuchi` did before they used the attractor.
+    sorted order until none changes, as the solvers did before they used
+    the attractor.  The LIMINF moves are those of the coalition's Buchi
+    game on light edges (`_buchi`), which `solvers._threshold` solves
+    instead of the coBuchi game.
     """
     g = cg.game
     p = cg.player - 1
@@ -148,7 +150,6 @@ def threshold_region_sweep(cg: CoalitionGame, measure: PayoffKind, theta, within
     assert measure is PayoffKind.LIMINF
     is_mine, succ_map, within = cg.is_max, g.succ, set(within)
     won: set = set()
-    strat = {}
     while True:
         y = set(within)
         changed = True
@@ -167,12 +168,9 @@ def threshold_region_sweep(cg: CoalitionGame, measure: PayoffKind, theta, within
                     changed = True
         if y == won:
             break
-        for v in sorted(y - won, key=key):
-            if is_mine(v):
-                good = [u for u in sorted(succ_map[v], key=key) if u in y and (v, u) in heavy]
-                drop = [u for u in sorted(succ_map[v], key=key) if u in won]
-                strat[v] = good[0] if good else drop[0]
         won = y
+    light = {(v, u) for v in within for u in succ_map[v] if u in within} - heavy
+    strat = _buchi(lambda v: not is_mine(v), succ_map, light, within)[2]
     return Region(frozenset(won), strat)
 
 
@@ -259,17 +257,26 @@ def reference_attr(is_mine, succ_map, targets, within, target_edges=frozenset())
 
 
 def _buchi(is_reacher, succ_map, target_edges, within):
-    """Winning set and positional strategy for traversing target edges i.o."""
+    """Winning set and positional strategy for traversing target edges i.o.,
+    and the opponent's moves on the rest: inside each peeled trap the least
+    successor in it along an edge that is no target edge, then its
+    attractor moves into the trap."""
     V = set(within)
+    escape = {}
     while V:
         te = {(u, w) for (u, w) in target_edges if u in V and w in V}
         att, strat = reference_attr(is_reacher, succ_map, set(), V, te)
         rest = V - att
         if not rest:
-            return V, strat
-        esc, _ = reference_attr(lambda v: not is_reacher(v), succ_map, rest, V)
+            return V, strat, escape
+        for v in sorted(rest, key=_key):
+            if not is_reacher(v):
+                stay = [w for w in succ_map[v] if w in rest and (v, w) not in te]
+                escape[v] = min(stay, key=_key)
+        esc, moves = reference_attr(lambda v: not is_reacher(v), succ_map, rest, V)
+        escape.update(moves)
         V -= esc
-    return set(), {}
+    return set(), {}, escape
 
 
 def _avoid(is_mine, succ_map, bad_edges, within):
@@ -283,12 +290,11 @@ def _avoid(is_mine, succ_map, bad_edges, within):
 
 
 def _cobuchi(is_mine, succ_map, good_edges, within):
-    """Winning set/strategy for eventually traversing only good edges, by
-    the two-level fixpoint of `solvers._cobuchi`, with its Buchi-dual
-    cross-check."""
+    """Winning set/strategy for eventually traversing only good edges: the
+    set by the two-level fixpoint `solvers._threshold` once solved it with,
+    checked against the Buchi dual, and the moves the dual gives `mine`."""
     within = set(within)
     won: set = set()
-    strat = {}
     while True:
         forbidden = {
             (v, u) for v in within for u in succ_map[v]
@@ -297,18 +303,12 @@ def _cobuchi(is_mine, succ_map, good_edges, within):
         y = _avoid(is_mine, succ_map, forbidden, within)
         if y == won:
             break
-        for v in sorted(y - won, key=_key):
-            if is_mine(v):
-                succs = sorted(succ_map[v], key=_key)
-                good = [u for u in succs if u in y and (v, u) in good_edges]
-                drop = [u for u in succs if u in won]
-                strat[v] = good[0] if good else drop[0]
         won = y
 
     bad = {
         (u, w) for u in within for w in succ_map[u] if w in within
     } - good_edges
-    loser_win, _ = _buchi(lambda v: not is_mine(v), succ_map, bad, within)
+    loser_win, _, strat = _buchi(lambda v: not is_mine(v), succ_map, bad, within)
     assert won == within - loser_win, "coBuchi region must complement the Buchi dual"
     return won, strat
 
@@ -335,7 +335,7 @@ def reference_threshold_region(
         }
         return Region(frozenset(safe), strat)
     if measure is PayoffKind.LIMSUP:
-        win, strat = _buchi(cg.is_max, g.succ, heavy, within)
+        win, strat, _ = _buchi(cg.is_max, g.succ, heavy, within)
         return Region(frozenset(win), strat)
     win, strat = _cobuchi(cg.is_max, g.succ, heavy, within)
     return Region(frozenset(win), strat)

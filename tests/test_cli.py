@@ -543,11 +543,18 @@ _BROKEN_UNDER_O = {
         "call = lambda: solvers.cooperative_witness_lasso(g, 1, 'v1', Fraction(2))\n",
         "witness payoff 99 != 2",
     ),
-    "cobuchi-dual": (
-        "solvers._buchi = lambda *args: ([], bytearray(len(args[4])), {})\n"
-        "cg = solvers.CoalitionGame(g, 1)\n"
-        "call = lambda: solvers.zero_sum_value(cg, solvers.PayoffKind.LIMINF)\n",
-        "coBuchi region must complement the Buchi dual",
+    "limit-certificate": (
+        # every max vertex keeps a move, its first successor; player 2's
+        # v2 -> v1 lets the coalition hold both limits at 0 instead of 2
+        "real = solvers._threshold\n"
+        "def first_moves(dt, *args):\n"
+        "    win, inwin, moves = real(dt, *args)\n"
+        "    return win, inwin, {v: dt.succ[v][0] for v in moves}\n"
+        "solvers._threshold = first_moves\n"
+        "cg = solvers.CoalitionGame(g, 2)\n"
+        "limits = (solvers.PayoffKind.LIMINF, solvers.PayoffKind.LIMSUP)\n"
+        "call = lambda: [solvers.zero_sum_value(cg, m) for m in limits]\n",
+        "liminf certificate failed at vertex 'v2': sigma gives 0, the table gives 2",
     ),
     "max-moves": (
         "real = solvers._threshold\n"

@@ -789,8 +789,9 @@ def _coalition_closed(g, player, rng):
 def test_safety_and_cobuchi_regions_match_the_sweep_reference(measure):
     # raw arenas; `within` is the whole arena, the region of each lower
     # threshold as in the nested sweep of zero_sum_value, and for INF a
-    # seeded set closed under coalition moves (coBuchi needs every vertex
-    # to keep a successor inside `within`, or its Buchi cross-check fails)
+    # seeded set closed under coalition moves (LIMINF needs every vertex to
+    # keep a successor inside `within`: the Buchi game it solves gives each
+    # max vertex of a trap a move inside the trap)
     for size in (5, 9, 14):
         for seed in range(40):
             g = random_game(seed, size=size, players=2 + seed % 2, measure=measure)
