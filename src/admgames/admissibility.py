@@ -134,13 +134,12 @@ def _pursue(table: ValueTable, player: int, lassos: dict, keep, start=None) -> M
 
     What a lasso mode does depends only on the rest of its lasso, an
     ultimately periodic word, and on its class, so modes that agree on both
-    are one mode: it is keyed by the word's normal form (primitive cycle,
-    shortest prefix) and the class, and is ("lasso", a, pos) for the first
-    position `pos` of `lassos[a]` the layout reached with that key.  The
-    key is computed once per lasso position reached.  The mode graph is a
-    quotient of the one with a mode per position, so `moore_layout` gives
-    the same minimal Moore strategy, without expanding the modes it would
-    merge.
+    are one mode: it is keyed by the word's normal form (`Lasso.normal`)
+    and the class, and is ("lasso", a, pos) for the first position `pos` of
+    `lassos[a]` the layout reached with that key.  The key is computed once
+    per lasso position reached.  The mode graph is a quotient of the one
+    with a mode per position, so `moore_layout` gives the same minimal Moore
+    strategy, without expanding the modes it would merge.
     """
     arena = table.arena
     wcs = table.wcs[player]
@@ -152,14 +151,10 @@ def _pursue(table: ValueTable, player: int, lassos: dict, keep, start=None) -> M
 
     def shape(a):
         lasso, cls = lassos[a]
-        nodes, cycle = lasso.vertices(), lasso.cycle
-        n = len(cycle)
-        root = next(cycle[:p] for p in range(1, n + 1) if cycle[p:] + cycle[:p] == cycle)
-        k = len(lasso.prefix)
-        while k and nodes[k - 1] == root[-1]:  # the prefix ends a period early
-            k -= 1
-            root = root[-1:] + root[:-1]
-        shapes[a] = found = nodes, len(lasso.prefix), cls, k, root
+        normal = lasso.normal()
+        shapes[a] = found = (
+            lasso.vertices(), len(lasso.prefix), cls, len(normal.prefix), normal.cycle
+        )
         return found
 
     def mode_at(a, pos):

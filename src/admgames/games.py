@@ -185,6 +185,18 @@ class Lasso:
         c = self.cycle
         return [(c[i], c[(i + 1) % len(c)]) for i in range(len(c))]
 
+    def normal(self) -> "Lasso":
+        """The same play in normal form: the cycle primitive (no repetition
+        of a shorter word) and the prefix shortest, the cycle rotated back
+        over every prefix vertex that ends a period early."""
+        cycle = self.cycle
+        root = next(cycle[:p] for p in range(1, len(cycle) + 1) if cycle[p:] + cycle[:p] == cycle)
+        k = len(self.prefix)
+        while k and self.prefix[k - 1] == root[-1]:
+            k -= 1
+            root = root[-1:] + root[:-1]
+        return Lasso(self.prefix[:k], root)
+
     def check(self, g: Game) -> None:
         """Raise ValueError unless every step of the lasso is a game edge."""
         for (u, v) in self.prefix_edges() + self.cycle_edges():

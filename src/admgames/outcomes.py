@@ -556,7 +556,8 @@ def _project_lasso(lg: LabeledGame, lasso: Lasso) -> Lasso:
 
 def model_check_admissible(g: Game, spec: PayoffSpec) -> McVerdict:
     """Do all plays compatible with every player's admissible strategies
-    satisfy the spec?  On failure returns a concrete counterexample lasso."""
+    satisfy the spec?  On failure returns a concrete counterexample lasso,
+    in normal form (`Lasso.normal`)."""
     lg = _labelled(g, spec, "model checking under admissibility")
     arena = lg.arena
 
@@ -569,7 +570,7 @@ def model_check_admissible(g: Game, spec: PayoffSpec) -> McVerdict:
         return McVerdict(holds=True)
     # solve_parity moves at every state of r0, and player 0 owns them all
     witness = _automaton_lasso(product, r0.strategy)
-    counterexample = _project_lasso(lg, witness)
+    counterexample = _project_lasso(lg, witness).normal()
     for p in range(1, g.players + 1):
         if not eval_outcome_formula(lg, p, witness):
             raise RuntimeError(f"counterexample is no admissible outcome of player {p}")

@@ -179,7 +179,7 @@ def test_mc_json_schema(capsys):
     assert data == {
         "command": "mc",
         "holds": False,
-        "counterexample": {"prefix": ["v1", "v2", "v4"], "cycle": ["v2", "v4"]},
+        "counterexample": {"prefix": ["v1"], "cycle": ["v2", "v4"]},
     }
 
 

@@ -186,6 +186,36 @@ def test_cycle_rotation_invariance_and_measure_order():
                         assert payoff_of_lasso(m, g, player, rot) == vals[m]
 
 
+def _play(lasso, n):
+    """The first n vertices of the play a lasso stands for."""
+    word = list(lasso.prefix)
+    while len(word) < n:
+        word += lasso.cycle
+    return word[:n]
+
+
+def test_lasso_normal_form():
+    assert Lasso(("v1", "v2", "v4"), ("v2", "v4")).normal() == Lasso(("v1",), ("v2", "v4"))
+    assert Lasso(("a", "b", "a"), ("b", "a") * 3).normal() == Lasso((), ("a", "b"))
+    assert Lasso(("a",), ("a", "a")).normal() == Lasso((), ("a",))
+    rng = random.Random(3)
+    for _ in range(300):
+        prefix = tuple(rng.choice("ab") for _ in range(rng.randint(0, 4)))
+        cycle = tuple(rng.choice("abc") for _ in range(rng.randint(1, 4)))
+        normal = Lasso(prefix, cycle).normal()
+        assert normal.normal() == normal
+        assert len(normal.cycle) <= len(cycle) and len(normal.prefix) <= len(prefix)
+        # the same play, written with its cycle repeated or rotated into the
+        # prefix, has the same normal form
+        k = rng.randint(0, len(cycle))
+        for other in (
+            Lasso(prefix, cycle * 2),
+            Lasso(prefix + cycle[:k], cycle[k:] + cycle[:k]),
+        ):
+            assert _play(other, 30) == _play(normal, 30)
+            assert other.normal() == normal
+
+
 def test_comments_and_blank_lines_ignored():
     g = parse_game(fixture_text("fig1.game"))
     assert g.players == 2

@@ -304,6 +304,7 @@ def test_mc_counterexamples_reverify_on_random_games():
             continue
         ce = verdict.counterexample
         ce.check(g)
+        assert ce.normal() == ce
         lifted = lift_lasso(t.transformed, ce)
         assert all(eval_outcome_formula(lg, p, lifted) for p in (1, 2))
         assert not eval_spec_on_lasso(g, spec, ce)
