@@ -20,7 +20,8 @@ complement, with the attractor and trap moves the peeling records.
 Mean-payoff values are rationals with denominator at most the vertex count
 on the same scaled weights; they are found by a divide-and-conquer search
 over these candidates that solves energy games (Brim et al.'s progress
-measure) for "mean payoff >= lam" and its dual "<= lam".
+measure, dense, with a shortcut for lost states) for "mean payoff >= lam"
+and its dual "<= lam".
 Worst-case-optimal strategies come from the value solve itself, never from
 a second one: the threshold regions' moves for the extremum measures, the
 energy games' moves for mean payoff.  Every LIMINF, LIMSUP and mean-payoff
@@ -430,6 +431,7 @@ def zero_sum_value(
     cg: CoalitionGame,
     measure: PayoffKind,
     dt: _DenseThreshold | None = None,
+    level: list | None = None,
 ) -> tuple[dict, dict]:
     """Per-vertex value of the max player against the merged coalition, and
     one memoryless strategy of that player achieving every value at once: the
@@ -443,37 +445,45 @@ def zero_sum_value(
     payoff, the strategy must then give exactly the value at every vertex
     against a minimizing coalition (`_certify`).  A caller that already
     holds the player's `_DenseThreshold` passes it as `dt`, so it is not
-    built again."""
+    built again.  A caller that ranks the values passes a list as `level`;
+    it receives each state's level in `dt`'s numbering, an int that orders
+    states as their values do: the index of the value among the player's
+    scaled weights, or for mean payoff the scaled value over the values'
+    common denominator."""
     if dt is None:
         dt = _DenseThreshold(cg)
     if measure.is_mean_payoff:
         val = _mp_search(dt)
         moves = _mp_certify(dt, val)
         values = {v: x / dt.denom for v, x in zip(dt.verts, val)}
+        common = lcm(*{x.denominator for x in val})
+        ks = [x.numerator * (common // x.denominator) for x in val]
     else:
         n = len(dt.verts)
         within, inside = list(range(n)), bytearray(b"\x01") * n
-        level = [-1] * n
+        ks = [-1] * n
         moves = {}
         for t, x in enumerate(dt.ints):
             win, inwin, region_moves = _threshold(dt, measure, x, within, inside)
             if not win:
                 break  # regions shrink as the threshold grows
             for v in win:
-                level[v] = t
+                ks[v] = t
             moves.update(region_moves)
             # The region is a coalition trap holding every play that wins a
             # higher threshold, so the next game is solved inside it.  Not for
             # SUP: a play that wins takes a heavy edge, which may leave it.
             if measure is not PayoffKind.SUP:
                 within, inside = win, inwin
-        if -1 in level:
+        if -1 in ks:
             raise RuntimeError("every play reaches the minimum weight")
-        values = {v: dt.levels[t] for v, t in zip(dt.verts, level)}
+        values = {v: dt.levels[t] for v, t in zip(dt.verts, ks)}
     if set(moves) != {i for i, mine in enumerate(dt.owner) if mine}:
         raise RuntimeError("a move at every max vertex")
     if measure in (PayoffKind.LIMINF, PayoffKind.LIMSUP):
-        _certify(dt, moves, measure, False, [dt.ints[t] for t in level])
+        _certify(dt, moves, measure, False, [dt.ints[t] for t in ks])
+    if level is not None:
+        level[:] = ks
     verts = dt.verts
     return values, {verts[v]: verts[w] for v, w in moves.items()}
 
@@ -744,56 +754,118 @@ def fixed_strategy_extremes(prod, dt: _DenseThreshold) -> dict:
 # mean-payoff values: energy progress measures, threshold search, certificate
 
 
+_LOSS_CHECK = 4  # lifting steps per region state before the first loss check
+
+
 def _energy(dt: _DenseThreshold, p: int, q: int, region, won, dual: bool = False):
     """Least energy progress measure for "mean payoff >= p/q" on `region`.
 
     Brim, Chaloupka, Doyen, Gentilini and Raskin, "Faster algorithms for
-    mean-payoff games" (FMSD 2011): edge (i, j) carries q*w - p, and f[i] is
-    the least initial credit with which the player keeps the energy
-    non-negative, or `inf` when no finite credit does.  With `dual` the
-    coalition solves "mean payoff <= p/q": weights p - q*w, owners swapped.
-    A successor j outside `region` is a sink, won with f = 0 when `won(j)`
-    and lost (f = inf) otherwise.  A credit above Brim et al.'s bound `cap`,
-    the sum of the largest drops, is lost too, and `inf` is absorbing.
+    mean-payoff games" (FMSD 2011): edge (i, j) carries the drop q*w - p,
+    and f[i] is the least initial credit with which the player keeps the
+    energy non-negative, or `inf` when no finite credit does.  With `dual`
+    the coalition solves "mean payoff <= p/q": drops p - q*w, owners
+    swapped.  A successor j outside `region` is a sink, won with f = 0 when
+    `won(j)` and lost (f = inf) otherwise.  A credit above Brim et al.'s
+    bound `cap`, the sum of the largest drops, is lost too, and `inf` is
+    absorbing.
 
-    Returns (f, moves); `moves[i]` is the least successor attaining f[i] at
-    each winning region vertex the solving side owns.  The least measure is
-    unique, so the worklist order affects neither f nor the moves.
+    The lifting runs dense, on arrays indexed by state and one row of
+    (successor, drop) pairs per region state.  Lost states would climb to
+    `cap` in small steps, so after `_LOSS_CHECK` lifting steps per region
+    state (then twice as many, and so on) `_energy_losses` sets f = inf at
+    once where the opponent provably wins; as those states' least measure
+    is `inf`, lifting from below still reaches the same least measure.
+
+    Returns (f, moves): f indexed by state, set on the region and its sinks;
+    `moves[i]` is the least successor attaining f[i] at each winning region
+    state the solving side owns, in increasing order of i.  The least
+    measure is unique, so the worklist order affects neither f nor the moves.
     """
+    n = len(dt.verts)
     sign = -1 if dual else 1
-    inside = set(region)
-    owner, succ, weight = dt.owner, dt.succ, dt.weight
-    mine = {i: owner[i] != dual for i in inside}
-    adj = {i: [(j, sign * (q * w - p)) for j, w in zip(succ[i], weight[i])] for i in inside}
-    cap = sum(max(0, -min(d for _, d in adj[i])) for i in inside)
-    f = dict.fromkeys(inside, 0)
-    for i in inside:
-        for j, _ in adj[i]:
-            if j not in inside:
+    owner, succ, weight, pred = dt.owner, dt.succ, dt.weight, dt.pred
+    region = sorted(region)
+    inside = bytearray(n)
+    for i in region:
+        inside[i] = 1
+    mine = [o != dual for o in owner]
+    f = [0] * n
+    adj = [None] * n
+    cap = 0
+    for i in region:
+        row = adj[i] = [(j, sign * (q * w - p)) for j, w in zip(succ[i], weight[i])]
+        cap += max(0, -min(d for _, d in row))
+        for j, _ in row:
+            if not inside[j]:
                 f[j] = 0 if won(j) else inf
 
-    queue = deque(sorted(inside))
-    queued = set(inside)
+    queue = deque(region)
+    queued = bytearray(inside)
+    lifts, budget = 0, _LOSS_CHECK * len(region)
     while queue:
         i = queue.popleft()
-        queued.discard(i)
+        queued[i] = 0
         # needs below 0 count as 0 and above cap as inf; both clippings
         # commute with min and max, and f[i] >= 0 already
         needs = [f[j] - d for j, d in adj[i]]
         t = min(needs) if mine[i] else max(needs)
         if t > cap:
             t = inf
-        if t > f[i]:
-            f[i] = t
-            for k in dt.pred[i]:
-                if k in inside and k not in queued and f[k] < inf:
-                    queued.add(k)
+        if t <= f[i]:
+            continue
+        f[i] = t
+        lifted = [i]
+        lifts += 1
+        if lifts >= budget:
+            budget *= 2
+            lost = _energy_losses(region, inside, f, adj, mine)
+            for k in lost:
+                f[k] = inf
+            lifted += lost
+        for u in lifted:
+            for k in pred[u]:
+                if inside[k] and not queued[k] and f[k] < inf:
+                    queued[k] = 1
                     queue.append(k)
-    moves = {
-        i: min(j for j, d in adj[i] if max(0, f[j] - d) == f[i])
-        for i in inside if mine[i] and f[i] < inf
-    }
+    moves = {}
+    for i in region:
+        if mine[i] and f[i] < inf:
+            moves[i] = min(j for j, d in adj[i] if max(0, f[j] - d) == f[i])
     return f, moves
+
+
+def _energy_losses(region, inside, f, adj, mine) -> list:
+    """The region states with f < inf that the opponent wins by the moves
+    the measure `f` favours: at each of its states the successor of largest
+    need f[j] - d, the least on ties.
+
+    With those moves fixed, the solving side faces a one-player graph on
+    the drops of `adj`, in which lost states (f = inf, inside or out) loop
+    at -1 and won sinks at 0.  A state whose best reachable cycle mean there
+    is negative loses against the fixed moves, so against every strategy:
+    its least measure is `inf`.
+    """
+    n = len(f)
+    rows = [()] * n
+    ws = [()] * n
+    member = bytearray(n)
+    for i in region:
+        member[i] = 1
+        if f[i] == inf:
+            rows[i], ws[i] = (i,), (-1,)
+            continue
+        if mine[i]:
+            rows[i], ws[i] = [j for j, _ in adj[i]], [d for _, d in adj[i]]
+        else:
+            _, least, d = max((f[j] - d, -j, d) for j, d in adj[i])
+            rows[i], ws[i] = (-least,), (d,)
+        for j in rows[i]:
+            if not inside[j] and not member[j]:
+                member[j] = 1
+                rows[j], ws[j] = (j,), (-1 if f[j] == inf else 0,)
+    best = _one_player(rows, ws, member, PayoffKind.MP_INF, True)
+    return [i for i in region if f[i] < inf and best[i] < 0]
 
 
 def _farey(n: int) -> list:
@@ -826,6 +898,8 @@ def _mp_search(dt: _DenseThreshold) -> list:
     into values below, equal to and above lam.  A small denominator keeps
     the scaled weights, and so the lifting, small.  Every other vertex's
     range lies wholly above or below, and it is a won or a lost sink.
+    Correct energy games never leave a range empty; a vertex of an empty
+    range keeps the value None, which `_mp_certify` rejects.
     """
     n = len(dt.verts)
     lo = dt.ints[0]
@@ -843,6 +917,8 @@ def _mp_search(dt: _DenseThreshold) -> list:
     tasks = [(range(n), 0, (dt.ints[-1] - lo) * width)]
     while tasks:
         region, a, b = tasks.pop()
+        if a > b:
+            continue
         lam = _simplest(cand(a + (b - a) // 4), cand(b - (b - a) // 4))
         p, q = lam.numerator, lam.denominator
         k = (p // q - lo) * width + pos[(p % q, q)]
@@ -873,9 +949,14 @@ def _mp_certify(dt: _DenseThreshold, val: list) -> dict:
     against a maximizing player from above, both exactly by Karp's cycle
     means.  A vertex that loses its own class game gets no move and is left
     to the opponent, which only weakens that bound.  Raises RuntimeError
-    unless both bounds equal `val` everywhere; returns sigma, a worst-case
-    optimal strategy by vertex index.
+    unless every vertex has a value and both bounds equal `val` everywhere;
+    returns sigma, a worst-case optimal strategy by vertex index.
     """
+    if None in val:
+        raise RuntimeError(
+            f"mp-inf certificate failed at vertex {dt.verts[val.index(None)]!r}: "
+            "the search gives it no value"
+        )
     classes: dict = {}
     for i, lam in enumerate(val):
         classes.setdefault(lam, []).append(i)
@@ -1100,10 +1181,12 @@ class _WitnessLassos:
     under successors, so its components are those of the allowed subgraph)
     and gives every state the first of them whose source it reaches, by one
     backward breadth-first sweep per edge in order; the way back along each
-    edge is kept too.  Mean payoff keeps its search per start: which
+    edge is kept too.  Mean payoff keeps its Tarjan per start, as which
     component it settles on follows the order in which Tarjan emits the
-    start's reach set.  Every lasso's payoff under `measure` is checked
-    against its value on the scaled weights.
+    start's reach set; but each component's Karp mean and critical cycle
+    are found once per allowed set, keyed by the component's least state.
+    Every lasso's payoff under `measure` is checked against its value on
+    the scaled weights.
     """
 
     def __init__(self, dt: _DenseThreshold, measure: PayoffKind):
@@ -1113,7 +1196,10 @@ class _WitnessLassos:
         )
         self._everything = bytearray(b"\x01") * len(dt.verts)
         self._rows = {}  # allowed array's bytes -> sorted successor rows in it
-        self._shared = {}  # (value, allowed array's bytes) -> start-independent analysis
+        # (value, allowed array's bytes) -> start-independent analysis; for
+        # mean payoff (allowed array's bytes, component's least state) ->
+        # (mean, critical cycle)
+        self._shared = {}
 
     def lasso(self, start: int, value, inside: bytearray | None = None) -> Lasso:
         """Lasso from state `start` with scaled cooperative payoff `value`
@@ -1195,21 +1281,30 @@ class _WitnessLassos:
         return _shortest_path(start, entry.__eq__, rows), cycles[target]
 
     def _mean_payoff(self, start, key, inside, rows):
-        succ, weight = self.dt.succ, self.dt.weight
-        for comp in _dense_sccs(succ, sorted(explore(start, rows.__getitem__)[0]), inside):
-            comp.sort()
-            local = {u: a for a, u in enumerate(comp)}
-            internal = [
-                (local[u], local[v], c) for u in comp for v, c in zip(succ[u], weight[u])
-                if v in local and inside[v] and (len(comp) > 1 or u == v)
-            ]
-            if not internal:
-                continue
-            mean = -_karp_min_mean(range(len(comp)), [(a, b, -c) for a, b, c in internal])
+        for comp in _dense_sccs(self.dt.succ, sorted(explore(start, rows.__getitem__)[0]), inside):
+            ckey = (key[1], min(comp))
+            if ckey not in self._shared:
+                self._shared[ckey] = self._component_mean(comp, inside)
+            mean, cycle = self._shared[ckey]
             if mean == key[0]:
-                cycle = [comp[a] for a in _critical_cycle(len(comp), internal, mean)]
                 return _shortest_path(start, cycle[0].__eq__, rows), cycle
         raise RuntimeError("cooperative value must be realizable")
+
+    def _component_mean(self, comp, inside):
+        """Largest cycle mean of one strongly connected component inside an
+        allowed set, with a critical cycle, or (None, None) if it has no
+        cycle."""
+        succ, weight = self.dt.succ, self.dt.weight
+        comp = sorted(comp)
+        local = {u: a for a, u in enumerate(comp)}
+        internal = [
+            (local[u], local[v], c) for u in comp for v, c in zip(succ[u], weight[u])
+            if v in local and inside[v] and (len(comp) > 1 or u == v)
+        ]
+        if not internal:
+            return None, None
+        mean = -_karp_min_mean(range(len(comp)), [(a, b, -c) for a, b, c in internal])
+        return mean, [comp[a] for a in _critical_cycle(len(comp), internal, mean)]
 
 
 def _critical_cycle(k, edges, mu: Fraction):

@@ -108,10 +108,17 @@ def _solve_player(table: ValueTable, dense, player: int) -> None:
     arena = table.arena
     cg = CoalitionGame(arena, player)
     dt = _DenseThreshold(cg, dense)
-    pa, wcs = zero_sum_value(cg, arena.measure, dt=dt)
-    avalues = tuple(sorted(set(pa.values())))
-    rank_of = {x: r for r, x in enumerate(avalues)}
-    rank = [rank_of[pa[v]] for v in dt.verts]
+    level = []
+    pa, wcs = zero_sum_value(cg, arena.measure, dt=dt, level=level)
+    # the values are ranked by their int levels; each level's value is
+    # read off its first state
+    first = {}
+    for i, t in enumerate(level):
+        first.setdefault(t, i)
+    order = sorted(first)
+    rank_of = {t: r for r, t in enumerate(order)}
+    rank = [rank_of[t] for t in level]
+    avalues = tuple(pa[dt.verts[first[t]]] for t in order)
     lv = _AvalLevels(dt, rank, len(rank_of), arena.measure)
     pc, coop = lv.cval, lv.acval
     # the checks compare scaled values: an extremum level is an int there

@@ -8,7 +8,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import ceil, lcm
+from math import ceil, inf, lcm
 from pathlib import Path
 
 from admgames import Game, Lasso, MooreStrategy, PayoffKind, payoff_of_lasso
@@ -55,6 +55,61 @@ def scaled_weights(g: Game, player: int):
     ws = player_weights(g, player)
     denom = lcm(*(w.denominator for w in ws.values()))
     return denom, {e: w.numerator * (denom // w.denominator) for e, w in ws.items()}
+
+
+def reference_energy(dt: _DenseThreshold, p: int, q: int, region, won, dual: bool = False):
+    """Least energy progress measure for "mean payoff >= p/q" on `region`.
+
+    Reference for `solvers._energy`: the worklist solver on a `set`, `dict`s
+    and a `deque` of hashed states, with no loss shortcut.
+
+    Brim, Chaloupka, Doyen, Gentilini and Raskin, "Faster algorithms for
+    mean-payoff games" (FMSD 2011): edge (i, j) carries q*w - p, and f[i] is
+    the least initial credit with which the player keeps the energy
+    non-negative, or `inf` when no finite credit does.  With `dual` the
+    coalition solves "mean payoff <= p/q": weights p - q*w, owners swapped.
+    A successor j outside `region` is a sink, won with f = 0 when `won(j)`
+    and lost (f = inf) otherwise.  A credit above Brim et al.'s bound `cap`,
+    the sum of the largest drops, is lost too, and `inf` is absorbing.
+
+    Returns (f, moves); `moves[i]` is the least successor attaining f[i] at
+    each winning region vertex the solving side owns.  The least measure is
+    unique, so the worklist order affects neither f nor the moves.
+    """
+    sign = -1 if dual else 1
+    inside = set(region)
+    owner, succ, weight = dt.owner, dt.succ, dt.weight
+    mine = {i: owner[i] != dual for i in inside}
+    adj = {i: [(j, sign * (q * w - p)) for j, w in zip(succ[i], weight[i])] for i in inside}
+    cap = sum(max(0, -min(d for _, d in adj[i])) for i in inside)
+    f = dict.fromkeys(inside, 0)
+    for i in inside:
+        for j, _ in adj[i]:
+            if j not in inside:
+                f[j] = 0 if won(j) else inf
+
+    queue = deque(sorted(inside))
+    queued = set(inside)
+    while queue:
+        i = queue.popleft()
+        queued.discard(i)
+        # needs below 0 count as 0 and above cap as inf; both clippings
+        # commute with min and max, and f[i] >= 0 already
+        needs = [f[j] - d for j, d in adj[i]]
+        t = min(needs) if mine[i] else max(needs)
+        if t > cap:
+            t = inf
+        if t > f[i]:
+            f[i] = t
+            for k in dt.pred[i]:
+                if k in inside and k not in queued and f[k] < inf:
+                    queued.add(k)
+                    queue.append(k)
+    moves = {
+        i: min(j for j, d in adj[i] if max(0, f[j] - d) == f[i])
+        for i in inside if mine[i] and f[i] < inf
+    }
+    return f, moves
 
 
 def mp_value_iteration(cg: CoalitionGame) -> dict:

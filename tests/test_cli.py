@@ -563,6 +563,15 @@ _BROKEN_UNDER_O = {
         "call = lambda: solvers.zero_sum_value(cg, solvers.PayoffKind.LIMINF)\n",
         "a move at every max vertex",
     ),
+    "energy-loss": (
+        # the loss shortcut of the energy games runs after every lifting
+        # step and calls every region state lost
+        "solvers._LOSS_CHECK = 0\n"
+        "solvers._energy_losses = lambda region, *args: list(region)\n"
+        "cg = solvers.CoalitionGame(g, 1)\n"
+        "call = lambda: solvers.zero_sum_value(cg, g.measure)\n",
+        "mp-inf certificate failed at vertex",
+    ),
     "mc-counterexample": (
         # mc then searches for an admissible outcome that satisfies the spec
         "from admgames import outcomes\n"

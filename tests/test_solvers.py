@@ -46,6 +46,7 @@ from helpers import (
     mp_value_iteration,
     player_weights,
     reference_attr,
+    reference_energy,
     reference_one_player_values,
     reference_tarjan_sccs,
     reference_solve_parity,
@@ -350,6 +351,51 @@ def test_mp_threshold_win_set_is_the_value_upper_set():
             win = {dt.verts[i] for i in range(n) if f[i] < inf}
             assert win == {v for v in aval if aval[v] >= lam}, (cg.player, lam)
             assert {dt.verts[i] for i in moves} == {v for v in win if cg.is_max(v)}
+
+
+def test_dense_energy_matches_the_hashed_reference(monkeypatch):
+    # f and the moves of the dense solver with its loss shortcut against the
+    # hashed worklist solver, on the whole arena and on seeded subregions
+    # whose sinks are seeded won or lost, for both sides
+    real = solvers._energy_losses
+    fired = []
+
+    def counted(*args):
+        lost = real(*args)
+        fired.append(len(lost))
+        return lost
+
+    monkeypatch.setattr(solvers, "_energy_losses", counted)
+    games = list(_mean_payoff_games()) + [
+        random_game(seed, size=30 + 10 * seed, weight_range=(-5, 5),
+                    measure=(PayoffKind.MP_INF, PayoffKind.MP_SUP)[seed % 2])
+        for seed in range(4)
+    ]
+    for gi, g in enumerate(games):
+        for player in range(1, g.players + 1):
+            dt = solvers._DenseThreshold(CoalitionGame(g, player))
+            n = len(dt.verts)
+            levels = sorted(set(zero_sum_value(CoalitionGame(g, player), g.measure)[0].values()))
+            # every value, every midpoint between values, and both outsides
+            lams = levels + [(x + y) / 2 for x, y in zip(levels, levels[1:])]
+            lams += [levels[0] - F(1, 3), levels[-1] + F(1, 7)]
+            rng = random.Random(gi * 10 + player)
+            regions = [(range(n), None)]
+            for _ in range(2):
+                region = sorted(rng.sample(range(n), rng.randint(1, n)))
+                won = frozenset(rng.sample(range(n), n // 2))
+                regions.append((region, won.__contains__))
+            for lam in lams:
+                p, q = lam.numerator * dt.denom, lam.denominator
+                for region, won in regions:
+                    for dual in (False, True):
+                        want_f, want_moves = reference_energy(dt, p, q, region, won, dual)
+                        f, moves = solvers._energy(dt, p, q, region, won, dual)
+                        case = (gi, player, lam, list(region), dual)
+                        assert {i: f[i] for i in want_f} == want_f, case
+                        assert moves == want_moves, case
+    # the shortcut ran and found lost states, so it is not dead code
+    assert any(fired)
 
 
 @pytest.mark.parametrize("step", [1, -1])
@@ -908,6 +954,37 @@ def test_shared_witness_lassos_match_per_call_reference(measure):
                 want = witness_lasso_per_call(arena, player, v, value, allowed)
                 assert got == want, (seed, player, v, value, allowed)
     assert scaled_players
+
+
+@pytest.mark.parametrize("measure", [PayoffKind.MP_INF, PayoffKind.MP_SUP])
+def test_shared_mean_payoff_lassos_match_per_call_reference_at_scale(measure):
+    # larger arenas, where many starts reach the same components and share
+    # their Karp means and critical cycles, against the per-call search
+    for seed, size in ((1, 30), (2, 60), (3, 120)):
+        g = random_game(seed, size=size, weight_range=(-5, 5), players=2, measure=measure)
+        table = compute_value_table(g)
+        arena = table.arena
+        for player in (1, 2):
+            levels = table.levels[player]
+            dt = levels.dt
+            shared = solvers._WitnessLassos(dt, arena.measure)
+            cases = [(v, table.cval[(player, v)], None) for v in sorted(arena.owner)]
+            for r in range(levels.count):
+                inside = levels.member(r, False)
+                cases += [
+                    (v, table.acval[(player, v)], inside)
+                    for v, i in sorted(dt.idx.items()) if levels.rank[i] == r
+                ]
+            # the shared lassos of every case, in order, and the per-call
+            # reference on a seeded sample of them
+            got = [shared.lasso(dt.idx[v], value * dt.denom, inside) for v, value, inside in cases]
+            # fewer components were analysed than lassos built
+            assert len(shared._shared) < len(cases), (seed, player)
+            for k in sorted(random.Random(seed * 10 + player).sample(range(len(cases)), 16)):
+                v, value, inside = cases[k]
+                allowed = None if inside is None else {u for u, x in zip(dt.verts, inside) if x}
+                want = witness_lasso_per_call(arena, player, v, value, allowed)
+                assert got[k] == want, (seed, player, v, value, allowed)
 
 
 def test_karp_cycle_mean_on_integer_and_rational_weights():
