@@ -16,10 +16,17 @@ strongest level still waiting for a payoff or passed-up-alternative
 justification, with a flag for whether an exact pin is still possible).
 Model checking under admissibility, assume-admissible synthesis and its
 check are parity-automaton products over the arena, with one set-up
-(`_labelled`) and one parity-game builder (`_parity_game`).  Every
-automaton in them is explored along the arena: the outcome automata, and
-each leaf of a compiled spec, whose file automata read each arena edge as
-the game edge it was rebuilt from.
+(`_labelled`).  Model checking and the check are one-player questions:
+each explores one flat product of its automata (`_flat_product`, tuples of
+their states with no record) and decides it by one SCC peel,
+`solvers._peel`, the decomposition that also checks every parity-game
+solution.  So a `holds` verdict rests on the peel.  Synthesis is a
+two-player game: its objective is intersected with index appearance
+records into one automaton, which the one parity-game builder,
+`_parity_game`, hands to `solve_parity`.  Every automaton in them is
+explored along the arena: the outcome automata, and each leaf of a
+compiled spec, whose file automata read each arena edge as the game edge
+it was rebuilt from.
 """
 
 from __future__ import annotations
@@ -45,9 +52,15 @@ from .games import (
     parse_int,
     parse_rational,
     payoff_of_lasso,
-    run_until_repeat,
 )
-from .solvers import ParityGame, solve_parity
+from .solvers import (
+    ParityGame,
+    _peel,
+    _shortest_cycle,
+    _shortest_path,
+    explore,
+    solve_parity,
+)
 from .transform import MooreStrategy, _require_valid, moore_layout
 from .values import ValueTable, compute_value_table
 
@@ -539,11 +552,48 @@ def _parity_game(aut: ExploredAutomaton, owner_of) -> ParityGame:
     )
 
 
-def _automaton_lasso(aut: ExploredAutomaton, strategy: dict) -> Lasso:
-    """Follow a positional choice through the automaton graph into a lasso."""
-    pre, loop = run_until_repeat(aut.initial, strategy.__getitem__)
-    vertex = aut.vertex
-    return Lasso(prefix=tuple(vertex[s] for s in pre), cycle=tuple(vertex[s] for s in loop))
+def _flat_product(parts, init=(), step=None):
+    """The synchronous product of explored automata, with no record.
+
+    A product state is (*extra, the components' states), with the extra
+    part `init` at state 0.  `step(state, nexts)`, if given, yields the
+    successors of a state from the tuples `nexts` of the components'
+    successors along each arena edge; by default the extra part stays empty
+    and every edge is kept.  Returns the explored states and successor
+    table and, per component, its priority at each state.
+    """
+    tables = [a.succ for a in parts]
+    k = len(init)
+
+    def succ(state):
+        nexts = zip(*[t[q] for t, q in zip(tables, state[k:])])
+        return nexts if step is None else step(state, nexts)
+
+    states, table = explore((*init, *(a.initial for a in parts)), succ)
+    prios = [
+        [a.priority[st[c]] for st in states] for c, a in enumerate(parts, start=k)
+    ]
+    return states, table, prios
+
+
+def _lasso_through(comp, table, prios) -> tuple[int, list]:
+    """A cycle inside the component `comp`, through one state of each
+    component's top priority there: the least such state of each, visited
+    in increasing order from the least one by shortest paths inside `comp`.
+    Returns (the least one, the cycle's states from it)."""
+    inside = set(comp)
+    rows = {s: [t for t in table[s] if t in inside] for s in comp}
+    tops = set()
+    for prio in prios:
+        top = max(prio[u] for u in comp)
+        tops.add(min(u for u in comp if prio[u] == top))
+    tops = sorted(tops)
+    if len(tops) == 1:
+        return tops[0], _shortest_cycle(tops[0], rows)
+    cycle = []
+    for a, b in zip(tops, tops[1:] + tops[:1]):
+        cycle += _shortest_path(a, b.__eq__, rows)[:-1]
+    return tops[0], cycle
 
 
 def _project_lasso(lg: LabeledGame, lasso: Lasso) -> Lasso:
@@ -557,19 +607,30 @@ def _project_lasso(lg: LabeledGame, lasso: Lasso) -> Lasso:
 def model_check_admissible(g: Game, spec: PayoffSpec) -> McVerdict:
     """Do all plays compatible with every player's admissible strategies
     satisfy the spec?  On failure returns a concrete counterexample lasso,
-    in normal form (`Lasso.normal`)."""
-    lg = _labelled(g, spec, "model checking under admissibility")
-    arena = lg.arena
+    in normal form (`Lasso.normal`).
 
+    One-player emptiness: the flat product of every player's outcome
+    automaton and the negated spec has an accepting run iff `_peel` finds
+    a component of it where every condition holds.  The counterexample is
+    the shortest path from the initial state to that component's least
+    top state, then `_lasso_through` it.
+    """
+    lg = _labelled(g, spec, "model checking under admissibility")
     parts = [outcome_automaton(lg, p) for p in range(1, g.players + 1)]
     parts.append(negate(_compile_spec(lg, spec)))
-    product = intersect(arena, parts)
+    states, table, prios = _flat_product(parts)
 
-    r0, _ = solve_parity(_parity_game(product, lambda v: 0))
-    if product.initial not in r0.vertices:
+    comp = _peel(table, prios, range(len(states)))
+    if comp is None:
         return McVerdict(holds=True)
-    # solve_parity moves at every state of r0, and player 0 owns them all
-    witness = _automaton_lasso(product, r0.strategy)
+    top, loop = _lasso_through(comp, table, prios)
+
+    def vertices(path):
+        return tuple(parts[0].vertex[states[s][0]] for s in path)
+
+    witness = Lasso(
+        prefix=vertices(_shortest_path(0, top.__eq__, table)[:-1]), cycle=vertices(loop)
+    )
     counterexample = _project_lasso(lg, witness).normal()
     for p in range(1, g.players + 1):
         if not eval_outcome_formula(lg, p, witness):
@@ -606,30 +667,40 @@ def _objective_automaton(lg: LabeledGame, player: int, spec: PayoffSpec) -> Expl
 
 def verify_strategy_wins(g: Game, player: int, spec: PayoffSpec, s: MooreStrategy) -> bool:
     """Check that every play under the strategy satisfies the synthesis
-    objective, whatever the other players do, on the objective explored
-    with the strategy's memory and moves.  A strategy that is not one of
-    `player` on `g` raises `GameFormatError`, before the set-up's checks."""
+    objective, whatever the other players do.  A strategy that is not one of
+    `player` on `g` raises `GameFormatError`, before the set-up's checks.
+
+    One flat product of the strategy's memory, the player's outcome
+    automaton, the other players' and the negated spec, on the strategy's
+    moves only: the strategy loses iff `_peel` finds a run that breaks the
+    player's own condition, or one that meets every other player's and
+    breaks the spec.
+    """
     _require_valid(g, s)
     if s.player != player:
         raise GameFormatError(f"strategy of player {s.player}, not of player {player}")
     lg = _labelled(g, spec, "objective verification")
+    arena = lg.arena
     origin = lg.table.transformed.origin
-    objective = _objective_automaton(lg, player, spec)
-    vertex, priority = objective.vertex, objective.priority
+    parts = [outcome_automaton(lg, j) for j in range(1, g.players + 1)]
+    parts.insert(0, parts.pop(player - 1))
+    parts.append(negate(_compile_spec(lg, spec)))
+    vertex = parts[0].vertex
 
-    def succ(state):
-        q, mem, _ = state
-        nexts = objective.succ[q]
-        if lg.arena.owner[vertex[q]] == player:
-            target = s.move(mem, origin(vertex[q]))
-            nexts = [t for t in nexts if origin(vertex[t]) == target]
-        for t in nexts:
-            yield t, s.next_memory(mem, origin(vertex[t])), priority[t]
+    def step(state, nexts):
+        mem, v = state[0], vertex[state[1]]
+        if arena.owner[v] == player:
+            target = s.move(mem, origin(v))
+            nexts = [qs for qs in nexts if origin(vertex[qs[0]]) == target]
+        for qs in nexts:
+            yield (s.next_memory(mem, origin(vertex[qs[0]])), *qs)
 
-    init = objective.initial
-    restricted = _explored((init, s.init_mem, priority[init]), succ, lambda st: vertex[st[0]])
-    r0, _ = solve_parity(_parity_game(restricted, lambda v: 1))
-    return restricted.initial in r0.vertices
+    states, table, prios = _flat_product(parts, (s.init_mem,), step)
+    nodes = range(len(states))
+    return (
+        _peel(table, [[p + 1 for p in prios[0]]], nodes) is None
+        and _peel(table, prios[1:], nodes) is None
+    )
 
 
 def synthesize_assume_admissible(g: Game, player: int, spec: PayoffSpec) -> SynthResult:

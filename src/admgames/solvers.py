@@ -44,13 +44,15 @@ payoff re-checked on the scaled weights.
 `solve_parity` runs Zielonka's algorithm iteratively, with
 an explicit stack, on a parity game's own states 0..n-1 (successor and
 predecessor lists built once, subgames as a membership array), and checks
-every solution before it returns it.  Model checking, synthesis and
-strategy verification hand it the integer graphs that `explore` finds, in
-breadth-first order, so its ties break by exploration order; `explore` is
-the one breadth-first explorer, numbering states 0..n-1 in discovery
-order, that every construction over a reachable state space (rebuilds,
-products, automata, strategy modes) goes through.  Only coalition arenas
-are renumbered, in `_key` order, for the threshold games.
+every solution before it returns it; the check's cycle test is `_peel`,
+the SCC peel that also decides, for model checking and strategy
+verification, whether a one-player graph has a run meeting several parity
+conditions at once.  Synthesis hands the solver the integer graphs that
+`explore` finds, in breadth-first order, so its ties break by exploration
+order; `explore` is the one breadth-first explorer, numbering states
+0..n-1 in discovery order, that every construction over a reachable state
+space (rebuilds, products, automata, strategy modes) goes through.  Only
+coalition arenas are renumbered, in `_key` order, for the threshold games.
 
 INF (SUP) arenas are handled with LIMINF (LIMSUP) cycle semantics; callers
 pass prefix-independence rebuilds for those measures, on which the two
@@ -1071,9 +1073,10 @@ def _check_parity(dp: _DenseParity, regions, strategies):
     region at every state of the region the winner owns; no loser state may
     have an edge out of the region; and in the graph the strategy leaves
     inside the region, every cycle's top priority must have the winner's
-    parity.  The last is checked by SCC decomposition: a component with a
-    cycle fails if its top priority is the loser's, and otherwise is split
-    again without its top-priority states, O(d * (n + m)) in all.
+    parity.  The last is `_peel` with the single condition "the loser's
+    parity on top": a component with a cycle fails if its top priority is
+    the loser's, and otherwise is split again without its top-priority
+    states; a failure names the least state of the top priority.
     """
     n = len(dp.owner)
     owner, prio, succ = dp.owner, dp.prio, dp.succ
@@ -1115,33 +1118,56 @@ def _check_parity(dp: _DenseParity, regions, strategies):
                     f"state {v}, which it does not own in its region"
                 )
 
-    # each work item is a set of states marked in `member` while its
-    # components are found; a component with a cycle is split again without
-    # its top priority
-    member = bytearray(n)
-    work = [sorted(regions[i]) for i in (0, 1)]
+    for i in (1, 0):
+        # a cycle of the loser's top priority is an accepting one, once the
+        # priorities are shifted by one for player 0's region
+        bad = _peel(graph, [prio if i else [p + 1 for p in prio]], sorted(regions[i]))
+        if bad is not None:
+            d = max(prio[u] for u in bad)
+            at = min(u for u in bad if prio[u] == d)
+            raise RuntimeError(
+                f"parity solution check failed: player {d % 2} can close a cycle "
+                f"of top priority {d} through state {at} in player {i}'s region"
+            )
+
+
+def _peel(succ, prios, nodes):
+    """The first strongly connected component with a cycle, inside the
+    states `nodes` of a successor table, on which every parity condition
+    `prios[c]` (a priority per state) has an even maximum; None if there is
+    none, that is, iff no run of the subgraph satisfies all the conditions.
+
+    The Emerson-Lei peel (SCP 1987), as Chatterjee, Henzinger and Piterman
+    decide generalized parity (FoSSaCS 2007) on one player's graph: a
+    component with a cycle whose maximum is odd for some condition loses
+    that condition's states of that priority, the first such condition's,
+    and what is left is split again.  Work items are taken last in, first
+    out, and each item's components in `_dense_sccs` order, so the answer
+    is deterministic.  O(d * (n + m)) for d priorities in all.
+    """
+    member = bytearray(len(succ))
+    work = [nodes]
     while work:
         nodes = work.pop()
         for v in nodes:
             member[v] = 1
-        comps = _dense_sccs(graph, nodes, member)
+        comps = _dense_sccs(succ, nodes, member)
         for v in nodes:
             member[v] = 0
         for comp in comps:
             v = comp[0]
-            if len(comp) == 1 and v not in graph[v]:
+            if len(comp) == 1 and v not in succ[v]:
                 continue
-            d = max(prio[u] for u in comp)
-            if d % 2 != region_of[v]:
-                at = min(u for u in comp if prio[u] == d)
-                raise RuntimeError(
-                    f"parity solution check failed: player {d % 2} can close a cycle "
-                    f"of top priority {d} through state {at} in player "
-                    f"{region_of[v]}'s region"
-                )
-            rest = [u for u in comp if prio[u] != d]
-            if rest:
-                work.append(rest)
+            for prio in prios:
+                d = max(prio[u] for u in comp)
+                if d % 2:
+                    rest = [u for u in comp if prio[u] != d]
+                    if rest:
+                        work.append(rest)
+                    break
+            else:
+                return comp
+    return None
 
 
 def solve_parity(pg: ParityGame) -> tuple[Region, Region]:

@@ -12,6 +12,7 @@ from math import ceil, inf, lcm
 from pathlib import Path
 
 from admgames import Game, Lasso, MooreStrategy, PayoffKind, payoff_of_lasso
+from admgames.games import run_until_repeat
 from admgames.solvers import (
     CoalitionGame,
     ParityGame,
@@ -1153,3 +1154,55 @@ def weakly_dominates(g: Game, player: int, new: MooreStrategy, old_moves: dict, 
         if p_new > p_old:
             some_better = True
     return some_better
+
+
+def reference_model_check(g: Game, spec):
+    """Reference for `outcomes.model_check_admissible`: the two-player route
+    it replaced.  The players' outcome automata and the negated spec are
+    intersected with an index appearance record, the product is a parity
+    game that player 0 owns throughout, and a counterexample follows the
+    solver's positional strategy from the initial state."""
+    from admgames import outcomes
+    from admgames.automata import intersect, negate
+
+    lg = outcomes._labelled(g, spec, "model checking under admissibility")
+    parts = [outcomes.outcome_automaton(lg, p) for p in range(1, g.players + 1)]
+    parts.append(negate(outcomes._compile_spec(lg, spec)))
+    product = intersect(lg.arena, parts)
+    r0, _ = solve_parity(outcomes._parity_game(product, lambda v: 0))
+    if product.initial not in r0.vertices:
+        return outcomes.McVerdict(holds=True)
+    pre, loop = run_until_repeat(product.initial, r0.strategy.__getitem__)
+    vertex = product.vertex
+    witness = Lasso(tuple(vertex[s] for s in pre), tuple(vertex[s] for s in loop))
+    return outcomes.McVerdict(
+        holds=False, counterexample=outcomes._project_lasso(lg, witness).normal()
+    )
+
+
+def reference_verify_strategy_wins(g: Game, player: int, spec, s: MooreStrategy) -> bool:
+    """Reference for `outcomes.verify_strategy_wins`: the route it replaced.
+    The synthesis objective, built with index appearance records, is
+    explored with the strategy's memory on its moves only, and player 1,
+    owning every state, must lose the parity game from the initial state."""
+    from admgames import outcomes
+    from admgames.automata import _explored
+
+    lg = outcomes._labelled(g, spec, "objective verification")
+    origin = lg.table.transformed.origin
+    objective = outcomes._objective_automaton(lg, player, spec)
+    vertex, priority = objective.vertex, objective.priority
+
+    def succ(state):
+        q, mem, _ = state
+        nexts = objective.succ[q]
+        if lg.arena.owner[vertex[q]] == player:
+            target = s.move(mem, origin(vertex[q]))
+            nexts = [t for t in nexts if origin(vertex[t]) == target]
+        for t in nexts:
+            yield t, s.next_memory(mem, origin(vertex[t])), priority[t]
+
+    init = objective.initial
+    restricted = _explored((init, s.init_mem, priority[init]), succ, lambda st: vertex[st[0]])
+    r0, _ = solve_parity(outcomes._parity_game(restricted, lambda v: 1))
+    return restricted.initial in r0.vertices

@@ -581,6 +581,17 @@ _BROKEN_UNDER_O = {
         "call = lambda: outcomes.model_check_admissible(g, spec)\n",
         "counterexample satisfies the spec",
     ),
+    "mc-peel": (
+        # the peel then reads the negated spec's condition only, and accepts
+        # a component that breaks the outcome automata's conditions
+        "from admgames import outcomes\n"
+        "real = outcomes._peel\n"
+        "outcomes._peel = lambda succ, prios, nodes: real(succ, prios[-1:], nodes)\n"
+        "g = parse_game(Path(path).read_text().replace('mp-inf', 'liminf'))\n"
+        "spec = outcomes.parse_spec('payoff(1) >= 2')\n"
+        "call = lambda: outcomes.model_check_admissible(g, spec)\n",
+        "counterexample is no admissible outcome of player",
+    ),
 }
 
 

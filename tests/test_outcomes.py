@@ -578,3 +578,118 @@ def test_unrealizable_means_no_memoryless_strategy_wins():
             continue
         for sg in profiles(g, own_vertices(g, 1)):
             assert not verify_strategy_wins(g, 1, spec, memoryless(1, sg)), (seed, sg)
+
+
+def test_peel_decides_the_iar_product_on_seeded_automata():
+    # the flat product, peeled, is non-empty iff the intersected automaton,
+    # solved as a one-player parity game, is won at its initial state; the
+    # peel's component gives a lasso that every component accepts
+    from admgames.automata import intersect, negate
+    from admgames.outcomes import _atom_automaton, _flat_product, _lasso_through, _parity_game
+    from admgames.solvers import _peel, _shortest_path, solve_parity
+
+    rng = random.Random(26)
+    answers = set()
+    for seed in range(12):
+        for measure in REGULAR:
+            players = 2 + seed % 2
+            g = random_game(seed, size=4, players=players, measure=measure)
+            lg = label_edges(g, compute_value_table(g))
+            arena = lg.arena
+            weights = sorted({w for ws in g.weights.values() for w in ws})
+            pool = [outcome_automaton(lg, p) for p in range(1, players + 1)]
+            for _ in range(3):
+                op = rng.choice(("<", "<=", ">", ">=", "="))
+                pool.append(_atom_automaton(arena, rng.randint(1, players), op, rng.choice(weights)))
+            for _ in range(3):
+                parts = rng.sample(pool, rng.randint(2, 4))
+                parts = [negate(a) if rng.random() < 0.5 else a for a in parts]
+                states, table, prios = _flat_product(parts)
+                comp = _peel(table, prios, range(len(states)))
+                product = intersect(arena, parts)
+                r0, _ = solve_parity(_parity_game(product, lambda v: 0))
+                assert (comp is not None) == (product.initial in r0.vertices), (seed, measure)
+                assert len(states) <= len(product.priority)
+                answers.add(comp is not None)
+                if comp is None:
+                    continue
+                top, loop = _lasso_through(comp, table, prios)
+                path = _shortest_path(0, top.__eq__, table)
+                vertex = [parts[0].vertex[st[0]] for st in states]
+                lasso = Lasso(tuple(vertex[s] for s in path[:-1]), tuple(vertex[s] for s in loop))
+                assert all(accepts_lasso(a, lasso) for a in parts), (seed, measure)
+    assert answers == {False, True}
+
+
+def _mc_games():
+    for seed in range(12):
+        for players in (2, 3):
+            g = random_game(seed, size=4, players=players, measure=REGULAR[seed % 4])
+            weights = sorted({w for ws in g.weights.values() for w in ws})
+            for theta in weights[len(weights) // 2:][:2]:
+                yield g, parse_spec(f"payoff(1) >= {theta} || payoff({players}) > {theta}")
+
+
+def test_mc_and_verify_match_the_iar_reference_on_random_games():
+    from helpers import reference_model_check, reference_verify_strategy_wins
+
+    verdicts, synthesized = set(), 0
+    for g, spec in _mc_games():
+        got = model_check_admissible(g, spec)
+        assert got.holds == reference_model_check(g, spec).holds, (g.measure, spec)
+        verdicts.add(got.holds)
+        for player in range(1, g.players + 1):
+            r = synthesize_assume_admissible(g, player, spec)
+            if r.realizable:
+                synthesized += 1
+                want = reference_verify_strategy_wins(g, player, spec, r.strategy)
+                assert verify_strategy_wins(g, player, spec, r.strategy) == want
+    assert verdicts == {False, True} and synthesized > 0
+
+
+def test_losing_memoryless_profiles_lose_by_the_iar_reference_too():
+    # the profiles `test_unrealizable_means_no_memoryless_strategy_wins`
+    # enumerates for its unrealizable specs
+    from helpers import reference_verify_strategy_wins
+
+    checked = 0
+    for seed in range(6):
+        g = random_game(seed, size=4, measure=PayoffKind.LIMSUP, max_out_degree=2)
+        t = compute_value_table(g)
+        hi = max(t.cval[(1, v)] for v in t.arena.owner)
+        spec = parse_spec(f"payoff(1) = {hi}")
+        if synthesize_assume_admissible(g, 1, spec).realizable:
+            continue
+        for sg in profiles(g, own_vertices(g, 1)):
+            s = memoryless(1, sg)
+            assert verify_strategy_wins(g, 1, spec, s) == reference_verify_strategy_wins(g, 1, spec, s)
+            checked += 1
+    assert checked > 0
+
+
+def test_mc_and_verify_solve_no_parity_game(monkeypatch):
+    from admgames import outcomes
+
+    cases = []
+    for name in ("fig1_liminf.game", "fig2.game", "fig3.game"):
+        g = load_game(name)
+        for spec_name in ("geq2.spec", "geq3.spec", "true.spec"):
+            spec = parse_spec(fixture_text(spec_name))
+            strategies = [
+                (p, r.strategy)
+                for p in range(1, g.players + 1)
+                for r in [synthesize_assume_admissible(g, p, spec)]
+                if r.realizable
+            ]
+            cases.append((g, spec, model_check_admissible(g, spec), strategies))
+
+    def refuse(pg):
+        raise AssertionError("solve_parity called")
+
+    monkeypatch.setattr(outcomes, "solve_parity", refuse)
+    assert any(not want.holds for _, _, want, _ in cases)
+    assert any(strategies for *_, strategies in cases)
+    for g, spec, want, strategies in cases:
+        assert model_check_admissible(g, spec) == want
+        for p, s in strategies:
+            assert verify_strategy_wins(g, p, spec, s)
