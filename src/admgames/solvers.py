@@ -71,7 +71,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import inf, lcm
 
 from .games import Game, Lasso, PayoffKind, _payoff_of_weights
@@ -881,6 +881,14 @@ def _farey(n: int) -> list:
     return out
 
 
+@lru_cache(maxsize=16)
+def _farey_index(n: int) -> tuple:
+    """`_farey(n)` as a tuple and the position of each fraction in it,
+    built once per n; callers must not change the dict."""
+    farey = tuple(_farey(n))
+    return farey, {ab: r for r, ab in enumerate(farey)}
+
+
 def _simplest(x: Fraction, y: Fraction) -> Fraction:
     """The rational with the least denominator in [x, y]."""
     fl = x.numerator // x.denominator
@@ -905,9 +913,8 @@ def _mp_search(dt: _DenseThreshold) -> list:
     """
     n = len(dt.verts)
     lo = dt.ints[0]
-    farey = _farey(n)
+    farey, pos = _farey_index(n)
     width = len(farey) - 1
-    pos = {ab: r for r, ab in enumerate(farey)}
 
     def cand(k):
         base, r = divmod(k, width)

@@ -419,6 +419,16 @@ def test_mean_payoff_certificate_rejects_a_shifted_value(monkeypatch, step):
         zero_sum_value(CoalitionGame(g, 1), g.measure)[0]
 
 
+def test_farey_index_is_built_once_and_equals_the_fresh_sequence():
+    for n in range(1, 41):
+        farey, pos = solvers._farey_index(n)
+        fresh = solvers._farey(n)
+        assert list(farey) == fresh, n
+        assert pos == {ab: r for r, ab in enumerate(fresh)}, n
+        assert solvers._farey_index(n) == (farey, pos)
+        assert solvers._farey_index(n)[1] is pos, n
+
+
 def test_local_consistency_and_bounds():
     for measure in (PayoffKind.LIMINF, PayoffKind.LIMSUP, PayoffKind.MP_INF):
         for seed in range(15):
