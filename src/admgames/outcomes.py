@@ -576,11 +576,11 @@ def _flat_product(parts, init=(), step=None):
     return states, table, prios
 
 
-def _lasso_through(comp, table, prios) -> tuple[int, list]:
+def _lasso_through(comp, table, prios) -> list:
     """A cycle inside the component `comp`, through one state of each
     component's top priority there: the least such state of each, visited
-    in increasing order from the least one by shortest paths inside `comp`.
-    Returns (the least one, the cycle's states from it)."""
+    in increasing order from the least one by shortest paths inside `comp`,
+    as its states from the least one."""
     inside = set(comp)
     rows = {s: [t for t in table[s] if t in inside] for s in comp}
     tops = set()
@@ -589,11 +589,11 @@ def _lasso_through(comp, table, prios) -> tuple[int, list]:
         tops.add(min(u for u in comp if prio[u] == top))
     tops = sorted(tops)
     if len(tops) == 1:
-        return tops[0], _shortest_cycle(tops[0], rows)
+        return _shortest_cycle(tops[0], rows)
     cycle = []
     for a, b in zip(tops, tops[1:] + tops[:1]):
         cycle += _shortest_path(a, b.__eq__, rows)[:-1]
-    return tops[0], cycle
+    return cycle
 
 
 def _project_lasso(lg: LabeledGame, lasso: Lasso) -> Lasso:
@@ -612,8 +612,8 @@ def model_check_admissible(g: Game, spec: PayoffSpec) -> McVerdict:
     One-player emptiness: the flat product of every player's outcome
     automaton and the negated spec has an accepting run iff `_peel` finds
     a component of it where every condition holds.  The counterexample is
-    the shortest path from the initial state to that component's least
-    top state, then `_lasso_through` it.
+    the shortest path from the initial state to the start of the cycle
+    `_lasso_through` that component, then the cycle.
     """
     lg = _labelled(g, spec, "model checking under admissibility")
     parts = [outcome_automaton(lg, p) for p in range(1, g.players + 1)]
@@ -623,13 +623,13 @@ def model_check_admissible(g: Game, spec: PayoffSpec) -> McVerdict:
     comp = _peel(table, prios, range(len(states)))
     if comp is None:
         return McVerdict(holds=True)
-    top, loop = _lasso_through(comp, table, prios)
+    loop = _lasso_through(comp, table, prios)
 
     def vertices(path):
         return tuple(parts[0].vertex[states[s][0]] for s in path)
 
     witness = Lasso(
-        prefix=vertices(_shortest_path(0, top.__eq__, table)[:-1]), cycle=vertices(loop)
+        prefix=vertices(_shortest_path(0, loop[0].__eq__, table)[:-1]), cycle=vertices(loop)
     )
     counterexample = _project_lasso(lg, witness).normal()
     for p in range(1, g.players + 1):

@@ -613,8 +613,8 @@ def test_peel_decides_the_iar_product_on_seeded_automata():
                 answers.add(comp is not None)
                 if comp is None:
                     continue
-                top, loop = _lasso_through(comp, table, prios)
-                path = _shortest_path(0, top.__eq__, table)
+                loop = _lasso_through(comp, table, prios)
+                path = _shortest_path(0, loop[0].__eq__, table)
                 vertex = [parts[0].vertex[st[0]] for st in states]
                 lasso = Lasso(tuple(vertex[s] for s in path[:-1]), tuple(vertex[s] for s in loop))
                 assert all(accepts_lasso(a, lasso) for a in parts), (seed, measure)
