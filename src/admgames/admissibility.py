@@ -20,14 +20,18 @@ player leaves the pursued lasso.  Such strategies are always admissible.
 keeps the worst-case guarantee intact at every step; games need not admit
 such a strategy, so the result carries a verification flag.
 `strategy_from_outcome` follows a given lasso and plays as `construct_sco`
-once the play leaves it.  Passed no value table, each entry point builds
-one of its own player alone.
+once the play leaves it.  Which vertices have a lasso is decided up front,
+but each lasso is built the first time the layout restarts at its vertex,
+so the lassos of vertices the strategy never restarts at cost nothing.
+Passed no value table, each entry point builds one of its own player alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 
 from .games import Game
 from .solvers import _WitnessLassos, fixed_strategy_extremes
@@ -121,10 +125,11 @@ def check_strategy_admissible(
 # strategy construction
 
 
-def _pursue(table: ValueTable, player: int, lassos: dict, keep, start=None) -> MooreStrategy:
+def _pursue(table: ValueTable, player: int, lassos, cls, keep, start=None) -> MooreStrategy:
     """Lay out the strategy that pursues lassos of the rebuilt arena.
 
-    `lassos[v]` is the pair (lasso from v, its keep class).  A lasso mode
+    `lassos[v]` is the lasso from v, read the first time the layout
+    restarts at v, and `cls(v)` its keep class.  A lasso mode
     moves along the rest of a lasso.  It keeps doing so while the play
     follows the lasso and `keep(class, next vertex)` holds; otherwise it
     restarts at the vertex entered: that vertex's own lasso if it has one,
@@ -143,17 +148,16 @@ def _pursue(table: ValueTable, player: int, lassos: dict, keep, start=None) -> M
     """
     arena = table.arena
     wcs = table.wcs[player]
-    if start is not None:
-        lassos = {**lassos, None: start}  # never a restart: vertices are strings
     shapes = {}  # lasso key -> its vertices, cycle start, class and normal form
     at = {}  # (lasso key, position) -> mode
     modes = {}  # normal form and class -> mode
 
     def shape(a):
-        lasso, cls = lassos[a]
+        # the start is keyed None, never a restart: vertices are strings
+        lasso, c = start if a is None else (lassos[a], cls(a))
         normal = lasso.normal()
         shapes[a] = found = (
-            lasso.vertices(), len(lasso.prefix), cls, len(normal.prefix), normal.cycle
+            lasso.vertices(), len(lasso.prefix), c, len(normal.prefix), normal.cycle
         )
         return found
 
@@ -177,12 +181,12 @@ def _pursue(table: ValueTable, player: int, lassos: dict, keep, start=None) -> M
         if kind == "wco":
             move = (a, wcs[a]) if arena.owner[a] == player else None
             return move, [(tv2, ("wco", tv2, 0)) for tv2 in arena.successors(a)]
-        nodes, cycle_start, cls, _, _ = shapes[a]
+        nodes, cycle_start, c, _, _ = shapes[a]
         nxt = pos + 1 if pos + 1 < len(nodes) else cycle_start
         tv, ahead = nodes[pos], nodes[nxt]
         move = (tv, ahead) if arena.owner[tv] == player else None
         return move, [
-            (tv2, mode_at(a, nxt) if tv2 == ahead and keep(cls, tv2) else restart(tv2))
+            (tv2, mode_at(a, nxt) if tv2 == ahead and keep(c, tv2) else restart(tv2))
             for tv2 in arena.successors(tv)
         ]
 
@@ -190,40 +194,67 @@ def _pursue(table: ValueTable, player: int, lassos: dict, keep, start=None) -> M
     return moore_layout(table.source, player, table.transformed.origin, first, expand)
 
 
-def _sco_lassos(table: ValueTable, player: int) -> dict:
+class _OnDemand(Mapping):
+    """The lassos from a fixed set of vertices, each built by `make(v)` the
+    first time it is read."""
+
+    def __init__(self, starts, make):
+        self._starts, self._make, self._built = starts, make, {}
+
+    def __getitem__(self, v):
+        if v not in self._built:
+            if v not in self._starts:
+                raise KeyError(v)
+            self._built[v] = self._make(v)
+        return self._built[v]
+
+    def __contains__(self, v):
+        return v in self._starts
+
+    def __iter__(self):
+        return iter(self._starts)
+
+    def __len__(self):
+        return len(self._starts)
+
+
+def _sco_lassos(table: ValueTable, player: int) -> _OnDemand:
     """A cooperative-optimal lasso from every vertex where cval > aval."""
     levels = table.levels[player]
     dt = levels.dt
     witnesses = _WitnessLassos(dt, table.arena.measure)
-    return {
-        v: witnesses.lasso(i, levels.cval[i])
-        for i, v in enumerate(dt.verts)
-        if table.cval[(player, v)] > table.aval[(player, v)]
+    starts = {
+        v: i for i, v in enumerate(dt.verts) if table.cval[(player, v)] > table.aval[(player, v)]
     }
+    return _OnDemand(starts, lambda v: witnesses.lasso(starts[v], levels.cval[starts[v]]))
 
 
-def _wco_lassos(table: ValueTable, player: int) -> dict:
+def _wco_lassos(table: ValueTable, player: int) -> _OnDemand:
     """From every vertex, a lasso of payoff acval that stays inside the
     vertices of the same aval (when one exists) or of no lower aval."""
     levels = table.levels[player]
     dt, rank, acval = levels.dt, levels.rank, levels.acval
-    # the cooperative optimum inside the vertex's own level
-    flat = levels.per_level(True)
+    # the cooperative optimum inside the vertex's own level, solved on the
+    # first read
+    flat = cache(partial(levels.per_level, True))
     witnesses = _WitnessLassos(dt, table.arena.measure)
-    lassos = {}
-    for v in table.arena.owner:
+
+    def make(v):
         i = dt.idx[v]
-        lassos[v] = witnesses.lasso(i, acval[i], levels.member(rank[i], flat[i] == acval[i]))
-    return lassos
+        return witnesses.lasso(i, acval[i], levels.member(rank[i], flat()[i] == acval[i]))
+
+    return _OnDemand(table.arena.owner, make)
 
 
 def _sco_pursuit(table: ValueTable, player: int, given=None) -> MooreStrategy:
     """Pursue the sco lassos, in one class kept while the next vertex has
     one; a `given` lasso starts the play, in a class of its own that is
     always kept: leaving it is the only way off."""
-    lassos = {v: (lasso, False) for v, lasso in _sco_lassos(table, player).items()}
+    lassos = _sco_lassos(table, player)
     start = None if given is None else (given, True)
-    return _pursue(table, player, lassos, lambda kept, tv: kept or tv in lassos, start)
+    return _pursue(
+        table, player, lassos, lambda v: False, lambda kept, tv: kept or tv in lassos, start
+    )
 
 
 def construct_sco(g: Game, player: int, table: ValueTable | None = None) -> MooreStrategy:
@@ -250,8 +281,8 @@ def construct_wco_candidate(
     if table is None:
         table = _value_table(g, (player,))
     aval = {v: table.aval[(player, v)] for v in table.arena.owner}
-    lassos = {v: (lasso, aval[v]) for v, lasso in _wco_lassos(table, player).items()}
-    s = _pursue(table, player, lassos, lambda q, tv: aval[tv] == q)
+    s = _pursue(table, player, _wco_lassos(table, player), aval.__getitem__,
+                lambda q, tv: aval[tv] == q)
     _require_valid(g, s)
     prod = _product(s, table)
     extremes = fixed_strategy_extremes(prod, table.levels[player].dt)

@@ -119,21 +119,32 @@ def label_edges(g: Game, table: ValueTable) -> LabeledGame:
     if table.source is not g:
         raise ValueError("table must belong to the labelled game")
     arena = table.arena
+    aval, acval, cval = table.aval, table.acval, table.cval
     labels = {}
     for player in range(1, g.players + 1):
         per_edge = {}
+        # source -> (its one best successor or None, the labels of its
+        # other edges, the labels of the edge to that successor)
+        at = {}
         for (u, v) in arena.weights:
-            alt = None
-            if arena.owner[u] != player:
-                alts = [
-                    table.cval[(player, v2)] for v2 in arena.succ[u] if v2 != v
-                ]
-                alt = max(alts) if alts else None
-            per_edge[(u, v)] = EdgeLabels(
-                aval=table.aval[(player, u)],
-                acval=table.acval[(player, u)],
-                alt_sup=alt,
-            )
+            got = at.get(u)
+            if got is None:
+                q, ac, outs = aval[(player, u)], acval[(player, u)], arena.succ[u]
+                if arena.owner[u] == player or len(outs) == 1:
+                    got = (None, EdgeLabels(q, ac, None), None)
+                else:
+                    # the best alternative is the best cval unless the edge
+                    # leads to the one successor that attains it
+                    cv = [cval[(player, w)] for w in outs]
+                    best = max(cv)
+                    top = outs[cv.index(best)]
+                    second = max((x for w, x in zip(outs, cv) if w != top), default=None)
+                    if second == best:
+                        got = (None, EdgeLabels(q, ac, best), None)
+                    else:
+                        got = (top, EdgeLabels(q, ac, best), EdgeLabels(q, ac, second))
+                at[u] = got
+            per_edge[(u, v)] = got[2] if v == got[0] else got[1]
         labels[player] = per_edge
     return LabeledGame(table=table, labels=labels)
 

@@ -4,11 +4,13 @@ One coalition game pits a distinguished maximizing player against all other
 players merged into a single minimizer.  For INF/SUP/LIMINF/LIMSUP the
 per-vertex game value always belongs to the finite set of edge weights, so
 values are computed by sweeping threshold games (safety, reachability,
-Buchi and its co-Buchi dual) over that set, each solved inside the winning
-region of the one below it, except for SUP.  Every measure works on one
-dense integer copy of the coalition game, `_DenseThreshold`: states
-numbered in `_key` order, sharing the arena's successor and predecessor
-lists and its table of weight vectors across its players, and each edge's
+Buchi and its co-Buchi dual) over that set from its cheap end: INF and
+LIMINF upward, each game solved inside the winning region of the one below
+it, and SUP and LIMSUP downward, each solved on the states no game above
+it has won.  Every measure works on one dense integer copy of the
+coalition game, `_DenseThreshold`: states numbered in `_key` order,
+sharing the arena's successor and predecessor lists and its table of
+weight vectors across its players, and each edge's
 weight scaled to an integer by the lcm of the player's denominators, so an
 edge is heavy for a threshold iff its scaled weight is at least the scaled
 threshold.  All four threshold games rest on one attractor, `_dense_attr`,
@@ -441,9 +443,15 @@ def zero_sum_value(
     highest threshold region it lies in, which is its own value.
 
     Both run on one `_DenseThreshold`.  The extremum values come from one
-    sweep over the player's distinct scaled weights: each game is solved
-    inside the region of the one below it (except for SUP), and the sweep
-    stops at the first empty region.  For LIMINF and LIMSUP, as for mean
+    sweep over the player's distinct scaled weights, from the end where
+    the games stay small.  INF and LIMINF sweep upward: each game is solved
+    inside the region of the one below it, and the sweep stops at the first
+    empty region.  SUP and LIMSUP sweep downward: each game is solved on
+    the states not valued yet, the complement of the regions above, which
+    is a max-player trap where every state has its whole-arena value (also
+    for SUP on an arena not rebuilt), and the states it wins take its value
+    and moves; the sweep stops once every state is valued.  The moves come
+    in state order.  For LIMINF and LIMSUP, as for mean
     payoff, the strategy must then give exactly the value at every vertex
     against a minimizing coalition (`_certify`).  A caller that already
     holds the player's `_DenseThreshold` passes it as `dt`, so it is not
@@ -465,18 +473,27 @@ def zero_sum_value(
         within, inside = list(range(n)), bytearray(b"\x01") * n
         ks = [-1] * n
         moves = {}
-        for t, x in enumerate(dt.ints):
-            win, inwin, region_moves = _threshold(dt, measure, x, within, inside)
-            if not win:
-                break  # regions shrink as the threshold grows
+        down = measure in (PayoffKind.SUP, PayoffKind.LIMSUP)
+        for t in reversed(range(len(dt.ints))) if down else range(len(dt.ints)):
+            win, inwin, region_moves = _threshold(dt, measure, dt.ints[t], within, inside)
             for v in win:
                 ks[v] = t
             moves.update(region_moves)
-            # The region is a coalition trap holding every play that wins a
-            # higher threshold, so the next game is solved inside it.  Not for
-            # SUP: a play that wins takes a heavy edge, which may leave it.
-            if measure is not PayoffKind.SUP:
+            if down:
+                # The states not valued yet are the complement of the max
+                # player's regions above, a max-player trap, where every
+                # state keeps the value it has in the whole arena; those won
+                # here have this value and leave.
+                inside = bytearray(a > b for a, b in zip(inside, inwin))
+                within = [v for v in within if inside[v]]
+                if not within:
+                    break
+            elif win:
+                # The region is a coalition trap holding every play that
+                # wins a higher threshold, so the next game is solved in it.
                 within, inside = win, inwin
+            else:
+                break  # regions shrink as the threshold grows
         if -1 in ks:
             raise RuntimeError("every play reaches the minimum weight")
         values = {v: dt.levels[t] for v, t in zip(dt.verts, ks)}
@@ -487,7 +504,7 @@ def zero_sum_value(
     if level is not None:
         level[:] = ks
     verts = dt.verts
-    return values, {verts[v]: verts[w] for v, w in moves.items()}
+    return values, {verts[v]: verts[w] for v, w in sorted(moves.items())}
 
 
 def worst_case_strategy(g: Game, player: int) -> dict:

@@ -398,19 +398,23 @@ def reference_threshold_region(
 
 
 def reference_zero_sum_value(cg: CoalitionGame, measure: PayoffKind) -> tuple[dict, dict]:
-    """Reference extremum values and worst-case strategy: the nested sweep
-    of `solvers.zero_sum_value` over `reference_threshold_region`."""
+    """Reference extremum values and worst-case strategy: the sweep of
+    `solvers.zero_sum_value` over `reference_threshold_region`, upward and
+    nested for INF/LIMINF, downward on the vertices not valued yet for
+    SUP/LIMSUP; the strategy in vertex order."""
     weights = sorted({w[cg.player - 1] for w in cg.game.weights.values()})
+    down = measure in (PayoffKind.SUP, PayoffKind.LIMSUP)
     within = set(cg.game.owner)
     values, strat = {}, {}
-    for theta in weights:
+    for theta in reversed(weights) if down else weights:
         region = reference_threshold_region(cg, measure, theta, within)
         for v in region.vertices:
             values[v] = theta
         strat.update(region.strategy)
-        if measure is not PayoffKind.SUP:
-            within = region.vertices
-    return values, strat
+        within = within - region.vertices if down else region.vertices
+        if not within:
+            break
+    return values, {v: strat[v] for v in sorted(strat, key=_key)}
 
 
 @dataclass(frozen=True)

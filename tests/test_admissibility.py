@@ -15,6 +15,7 @@ from admgames import (
     construct_wco_candidate,
     parse_game,
     parse_strategy,
+    payoff_of_lasso,
     serialize_strategy,
 )
 from admgames import admissibility, transform
@@ -190,16 +191,32 @@ def test_wco_verified_implies_admissible():
 
 def test_pursuit_matches_the_per_position_reference():
     # one mode per normal form and keep class lays out the same minimal
-    # strategy as one mode per lasso position
+    # strategy as one mode per lasso position.  Every lasso of the
+    # on-demand mappings is read, and is the one a second mapping builds
+    # when read in reverse order.
     compared = 0
     for measure in PayoffKind:
         for seed in range(8):
             g = random_game(seed, size=5 + seed % 4, players=2 + seed % 2, measure=measure)
             table = compute_value_table(g)
+            arena = table.arena
             for player in range(1, g.players + 1):
-                aval = {v: table.aval[(player, v)] for v in table.arena.owner}
+                aval = {v: table.aval[(player, v)] for v in arena.owner}
                 sco = admissibility._sco_lassos(table, player)
                 wco = admissibility._wco_lassos(table, player)
+                assert set(sco) == {v for v in aval if table.cval[(player, v)] > aval[v]}
+                assert list(wco) == list(arena.owner)
+                for lassos, build, value in (
+                    (sco, admissibility._sco_lassos, table.cval),
+                    (wco, admissibility._wco_lassos, table.acval),
+                ):
+                    again = build(table, player)
+                    backward = {v: again[v] for v in reversed(list(again))}
+                    for v in lassos:
+                        assert lassos[v] == backward[v], (measure, seed, v)
+                        assert lassos[v].start == v
+                        got = payoff_of_lasso(arena.measure, arena, player, lassos[v])
+                        assert got == value[(player, v)], (measure, seed, v)
                 lasso = random_lasso(table.arena, random.Random(seed))
                 pairs = [
                     (
@@ -260,9 +277,7 @@ def test_lassos_that_share_a_suffix_expand_it_once(monkeypatch):
     expanded, per_position = [], []
     monkeypatch.setattr(admissibility, "moore_layout", _counting(expanded))
     monkeypatch.setattr(transform, "moore_layout", _counting(per_position))
-    s = admissibility._pursue(
-        table, 1, {a: (lasso, None) for a, lasso in lassos.items()}, lambda c, tv: True
-    )
+    s = admissibility._pursue(table, 1, lassos, lambda a: None, lambda c, tv: True)
     ref = reference_pursue(table, 1, lassos, lambda a, tv: True)
     assert serialize_strategy(s) == serialize_strategy(ref)
     assert len(per_position) == 8 + 1  # each lasso's four positions, e's worst case
@@ -275,8 +290,7 @@ def test_lassos_that_share_a_suffix_but_not_a_class_stay_apart():
     table = compute_value_table(_JOINING)
     lassos = _JOINING_LASSOS
     s = admissibility._pursue(
-        table, 1, {a: (lasso, a == "x") for a, lasso in lassos.items()},
-        lambda kept, tv: kept or tv != "c",
+        table, 1, lassos, lambda a: a == "x", lambda kept, tv: kept or tv != "c"
     )
     ref = reference_pursue(table, 1, lassos, lambda a, tv: a == "x" or tv != "c")
     assert serialize_strategy(s) == serialize_strategy(ref)

@@ -556,6 +556,21 @@ _BROKEN_UNDER_O = {
         "call = lambda: [solvers.zero_sum_value(cg, m) for m in limits]\n",
         "liminf certificate failed at vertex 'v2': sigma gives 0, the table gives 2",
     ),
+    "limsup-sweep": (
+        # no region leaves the top-down sweep, so the least threshold, which
+        # every state wins, overwrites a's value 2 with 0; a keeps its loop,
+        # and with `_certify` disabled the call prints no error
+        "real = solvers._threshold\n"
+        "def kept(*args):\n"
+        "    win, inwin, moves = real(*args)\n"
+        "    return win, bytearray(len(inwin)), moves\n"
+        "solvers._threshold = kept\n"
+        "g = parse_game('players 2\\nmeasure limsup\\ninit a\\nvertex a 1\\nvertex b 2\\n'\n"
+        "               'edge a a 2 0\\nedge a b 0 0\\nedge b b 0 0\\n')\n"
+        "cg = solvers.CoalitionGame(g, 1)\n"
+        "call = lambda: solvers.zero_sum_value(cg, g.measure)\n",
+        "limsup certificate failed at vertex 'a': sigma gives 2, the table gives 0",
+    ),
     "max-moves": (
         "real = solvers._threshold\n"
         "solvers._threshold = lambda *args: real(*args)[:2] + ({},)\n"

@@ -31,7 +31,7 @@ from admgames import (
 from admgames.admissibility import strategy_from_outcome
 from admgames.automata import EdgeAutomaton, automaton_to_dot
 from admgames.oracle import random_game, random_lasso
-from admgames.outcomes import _compile_spec
+from admgames.outcomes import EdgeLabels, _compile_spec
 
 from helpers import (
     fixture_text,
@@ -71,6 +71,26 @@ def test_fig1_labels():
     # edges out of player 1's own vertex never carry an alternative
     assert labs[("v1", "v2")].alt_sup is None
     assert labs[("v1", "v2")].aval == 1
+
+
+def test_label_edges_match_the_per_edge_definition():
+    # alt_sup is the best cval among the source's other successors, at the
+    # opponents' vertices only; the seeded games have ties, sources of out-
+    # degree one and (under inf/sup) rebuilt arenas
+    for measure in REGULAR:
+        for seed in range(12):
+            g = random_game(seed, size=6 + seed % 5, players=2 + seed % 2, measure=measure,
+                            max_out_degree=2 + seed % 3)
+            t = compute_value_table(g)
+            arena = t.arena
+            lg = label_edges(g, t)
+            for player in range(1, g.players + 1):
+                want = {}
+                for (u, v) in arena.weights:
+                    alts = [t.cval[(player, w)] for w in arena.succ[u] if w != v]
+                    alt = max(alts) if alts and arena.owner[u] != player else None
+                    want[(u, v)] = EdgeLabels(t.aval[(player, u)], t.acval[(player, u)], alt)
+                assert list(lg.labels[player].items()) == list(want.items()), (measure, seed)
 
 
 def test_fig2_label_levels():

@@ -748,6 +748,25 @@ def test_worst_case_strategy_achieves_values():
 @pytest.mark.parametrize(
     "measure", [PayoffKind.INF, PayoffKind.SUP, PayoffKind.LIMINF, PayoffKind.LIMSUP]
 )
+def test_sweep_strategy_achieves_the_values_on_rebuilt_arenas(measure):
+    # INF and SUP tables carry no run-time certificate: on the rebuilt
+    # arena, the sweep's memoryless strategy against a minimizing coalition
+    # must give exactly aval at every product state
+    for size in range(5, 15):
+        for seed in range(10):
+            g = random_game(seed, size=size, players=2 + seed % 2, measure=measure)
+            arena = make_prefix_independent(g).game
+            for player in range(1, g.players + 1):
+                aval, wcs = zero_sum_value(CoalitionGame(arena, player), measure)
+                prod = product_with_strategy(arena, memoryless(player, wcs))
+                ext = fixed_strategy_extremes(prod, _threshold_game(arena, player))
+                for (v, _), (lo, _) in ext.items():
+                    assert lo == aval[v], (size, seed, player, v)
+
+
+@pytest.mark.parametrize(
+    "measure", [PayoffKind.INF, PayoffKind.SUP, PayoffKind.LIMINF, PayoffKind.LIMSUP]
+)
 def test_sweep_strategy_matches_per_level_reference(measure):
     # raw arenas, as in the sweep tests below; the per-level reference
     # solves each value's threshold game again on the whole arena
