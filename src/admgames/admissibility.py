@@ -21,20 +21,20 @@ keeps the worst-case guarantee intact at every step; games need not admit
 such a strategy, so the result carries a verification flag.
 `strategy_from_outcome` follows a given lasso and plays as `construct_sco`
 once the play leaves it.  Which vertices have a lasso is decided up front,
-but each lasso is built the first time the layout restarts at its vertex,
-so the lassos of vertices the strategy never restarts at cost nothing.
+and `_pursue` takes that set with a builder of the lasso from a vertex,
+which it calls the first time the layout restarts there, so the lassos of
+vertices the strategy never restarts at cost nothing.
 Passed no value table, each entry point builds one of its own player alone.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 
 from .games import Game
-from .solvers import _WitnessLassos, fixed_strategy_extremes
+from .solvers import _shortest_path, _WitnessLassos, fixed_strategy_extremes
 from .transform import MooreStrategy, _require_valid, moore_layout, product_with_strategy
 from .values import ValueTable, _value_table
 
@@ -96,16 +96,9 @@ def check_strategy_admissible(
         if lo == hi == q == ac:
             continue
         violated = EQ_DROP if lo < q else EQ_PIN
-        # a state's parent is the first state listing it; state 0 has none
-        parent = [-1] * len(prod.states)
-        for src, outs in enumerate(prod.table):
-            for nxt in outs:
-                if nxt and parent[nxt] < 0:
-                    parent[nxt] = src
-        chain = [i]
-        while chain[-1]:
-            chain.append(parent[chain[-1]])
-        chain.reverse()
+        # states are numbered breadth first, so the search takes as each
+        # state's parent the first state that lists it
+        chain = _shortest_path(0, i.__eq__, prod.table)
         return AdmissibilityVerdict(
             admissible=False,
             player=s.player,
@@ -125,24 +118,24 @@ def check_strategy_admissible(
 # strategy construction
 
 
-def _pursue(table: ValueTable, player: int, lassos, cls, keep, start=None) -> MooreStrategy:
+def _pursue(table: ValueTable, player: int, starts, make, keep, start=None) -> MooreStrategy:
     """Lay out the strategy that pursues lassos of the rebuilt arena.
 
-    `lassos[v]` is the lasso from v, read the first time the layout
-    restarts at v, and `cls(v)` its keep class.  A lasso mode
-    moves along the rest of a lasso.  It keeps doing so while the play
-    follows the lasso and `keep(class, next vertex)` holds; otherwise it
-    restarts at the vertex entered: that vertex's own lasso if it has one,
-    else mode ("wco", v, 0), which plays `table.wcs` from then on.  The play
-    starts on `start`, a (lasso, class) pair, or by default with the
-    restart at the initial vertex.
+    `starts` holds the vertices that have a lasso, and `make(v)` gives the
+    pair (lasso from v, its keep class); it is called the first time the
+    layout restarts at v.  A lasso mode moves along the rest of a lasso.
+    It keeps doing so while the play follows the lasso and `keep(class,
+    next vertex)` holds; otherwise it restarts at the vertex entered: that
+    vertex's own lasso if it is in `starts`, else mode ("wco", v, 0), which
+    plays `table.wcs` from then on.  The play starts on `start`, a (lasso,
+    class) pair, or by default with the restart at the initial vertex.
 
     What a lasso mode does depends only on the rest of its lasso, an
     ultimately periodic word, and on its class, so modes that agree on both
     are one mode: it is keyed by the word's normal form (`Lasso.normal`)
     and the class, and is ("lasso", a, pos) for the first position `pos` of
-    `lassos[a]` the layout reached with that key.  The key is computed once
-    per lasso position reached.  The mode graph is a quotient of the one
+    the lasso from a the layout reached with that key.  The key is computed
+    once per lasso position reached.  The mode graph is a quotient of the one
     with a mode per position, so `moore_layout` gives the same minimal Moore
     strategy, without expanding the modes it would merge.
     """
@@ -154,7 +147,7 @@ def _pursue(table: ValueTable, player: int, lassos, cls, keep, start=None) -> Mo
 
     def shape(a):
         # the start is keyed None, never a restart: vertices are strings
-        lasso, c = start if a is None else (lassos[a], cls(a))
+        lasso, c = start if a is None else make(a)
         normal = lasso.normal()
         shapes[a] = found = (
             lasso.vertices(), len(lasso.prefix), c, len(normal.prefix), normal.cycle
@@ -174,7 +167,7 @@ def _pursue(table: ValueTable, player: int, lassos, cls, keep, start=None) -> Mo
         return mode
 
     def restart(tv):
-        return mode_at(tv, 0) if tv in lassos else ("wco", tv, 0)
+        return mode_at(tv, 0) if tv in starts else ("wco", tv, 0)
 
     def expand(mode):
         kind, a, pos = mode
@@ -194,44 +187,22 @@ def _pursue(table: ValueTable, player: int, lassos, cls, keep, start=None) -> Mo
     return moore_layout(table.source, player, table.transformed.origin, first, expand)
 
 
-class _OnDemand(Mapping):
-    """The lassos from a fixed set of vertices, each built by `make(v)` the
-    first time it is read."""
-
-    def __init__(self, starts, make):
-        self._starts, self._make, self._built = starts, make, {}
-
-    def __getitem__(self, v):
-        if v not in self._built:
-            if v not in self._starts:
-                raise KeyError(v)
-            self._built[v] = self._make(v)
-        return self._built[v]
-
-    def __contains__(self, v):
-        return v in self._starts
-
-    def __iter__(self):
-        return iter(self._starts)
-
-    def __len__(self):
-        return len(self._starts)
-
-
-def _sco_lassos(table: ValueTable, player: int) -> _OnDemand:
-    """A cooperative-optimal lasso from every vertex where cval > aval."""
+def _sco_lassos(table: ValueTable, player: int):
+    """The vertices where cval > aval, and the builder of a
+    cooperative-optimal lasso from each, in the one keep class False."""
     levels = table.levels[player]
     dt = levels.dt
     witnesses = _WitnessLassos(dt, table.arena.measure)
     starts = {
         v: i for i, v in enumerate(dt.verts) if table.cval[(player, v)] > table.aval[(player, v)]
     }
-    return _OnDemand(starts, lambda v: witnesses.lasso(starts[v], levels.cval[starts[v]]))
+    return starts, lambda v: (witnesses.lasso(starts[v], levels.cval[starts[v]]), False)
 
 
-def _wco_lassos(table: ValueTable, player: int) -> _OnDemand:
-    """From every vertex, a lasso of payoff acval that stays inside the
-    vertices of the same aval (when one exists) or of no lower aval."""
+def _wco_lassos(table: ValueTable, player: int):
+    """Every vertex, and the builder of a lasso from each of payoff acval
+    that stays inside the vertices of the same aval (when one exists) or of
+    no lower aval, in the keep class of its aval."""
     levels = table.levels[player]
     dt, rank, acval = levels.dt, levels.rank, levels.acval
     # the cooperative optimum inside the vertex's own level, solved on the
@@ -241,20 +212,19 @@ def _wco_lassos(table: ValueTable, player: int) -> _OnDemand:
 
     def make(v):
         i = dt.idx[v]
-        return witnesses.lasso(i, acval[i], levels.member(rank[i], flat()[i] == acval[i]))
+        lasso = witnesses.lasso(i, acval[i], levels.member(rank[i], flat()[i] == acval[i]))
+        return lasso, table.aval[(player, v)]
 
-    return _OnDemand(table.arena.owner, make)
+    return table.arena.owner, make
 
 
 def _sco_pursuit(table: ValueTable, player: int, given=None) -> MooreStrategy:
     """Pursue the sco lassos, in one class kept while the next vertex has
     one; a `given` lasso starts the play, in a class of its own that is
     always kept: leaving it is the only way off."""
-    lassos = _sco_lassos(table, player)
+    starts, make = _sco_lassos(table, player)
     start = None if given is None else (given, True)
-    return _pursue(
-        table, player, lassos, lambda v: False, lambda kept, tv: kept or tv in lassos, start
-    )
+    return _pursue(table, player, starts, make, lambda kept, tv: kept or tv in starts, start)
 
 
 def construct_sco(g: Game, player: int, table: ValueTable | None = None) -> MooreStrategy:
@@ -281,8 +251,7 @@ def construct_wco_candidate(
     if table is None:
         table = _value_table(g, (player,))
     aval = {v: table.aval[(player, v)] for v in table.arena.owner}
-    s = _pursue(table, player, _wco_lassos(table, player), aval.__getitem__,
-                lambda q, tv: aval[tv] == q)
+    s = _pursue(table, player, *_wco_lassos(table, player), lambda q, tv: aval[tv] == q)
     _require_valid(g, s)
     prod = _product(s, table)
     extremes = fixed_strategy_extremes(prod, table.levels[player].dt)

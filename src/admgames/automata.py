@@ -24,6 +24,7 @@ record the deepest grant or unanswered request reached.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from .games import Game, GameFormatError, Lasso, parse_int, run_until_repeat
 from .solvers import explore
@@ -87,7 +88,7 @@ class ExploredAutomaton:
     priority: list
     succ: list
     names: list
-    initial: int = 0
+    initial: ClassVar[int] = 0
 
     def step(self, state, edge):
         u, v = edge
@@ -202,16 +203,16 @@ def intersect(g: Game, components: list) -> ExploredAutomaton:
     )
 
 
-def _explored(init, succ, vertex_of=lambda state: state[0]) -> ExploredAutomaton:
+def _explored(init, succ) -> ExploredAutomaton:
     """Automaton on the states reachable from `init` along the arena's edges.
 
-    A state is a tuple whose last element is its priority: `succ(state)`
-    lists one successor per arena edge leaving its vertex `vertex_of(state)`,
-    in the arena's order.
+    A state is a tuple whose first element is its arena vertex and whose
+    last is its priority: `succ(state)` lists one successor per arena edge
+    leaving that vertex, in the arena's order.
     """
     names, table = explore(init, succ)
     return ExploredAutomaton(
-        vertex=[vertex_of(s) for s in names],
+        vertex=[s[0] for s in names],
         priority=[s[-1] for s in names],
         succ=table,
         names=names,

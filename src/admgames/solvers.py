@@ -79,7 +79,6 @@ from math import inf, lcm
 from .games import Game, Lasso, PayoffKind, _payoff_of_weights
 
 __all__ = [
-    "CoalitionGame",
     "ParityGame",
     "Region",
     "explore",
@@ -96,17 +95,6 @@ __all__ = [
 def _key(x):
     """Total deterministic ordering for heterogeneous state values."""
     return repr(x)
-
-
-@dataclass(frozen=True)
-class CoalitionGame:
-    """An arena viewed as max player `player` against the merged coalition."""
-
-    game: Game
-    player: int
-
-    def is_max(self, v) -> bool:
-        return self.game.owner[v] == self.player
 
 
 @dataclass(frozen=True)
@@ -299,16 +287,13 @@ class _DenseGraph:
         self.weights = [[g.weights[(v, w)] for w in g.succ[v]] for v in verts]
 
 
-dense_arena = _DenseGraph  # the name `values` builds it by
-
-
 class _DenseThreshold:
-    """A coalition game on the dense graph of its arena, owner 1 being the
-    max player.
+    """The coalition game of max player `player` on the arena's dense graph
+    `dense`, owner 1 being the max player.
 
     It shares the numbering, the successor and predecessor lists and the
-    weight table of `arena`, the arena's `dense_arena` (built here if not
-    given), and derives only the owner bits and weights of its player.
+    weight table of `dense`, and derives only the owner bits and weights of
+    its player.
     `weight[i][k]` is the player's weight of state i's k-th move times
     `denom`, the lcm of the player's weight denominators, an int, and
     `lo[i]` and `hi[i]` are the least and greatest of them; `ints` are the
@@ -318,12 +303,10 @@ class _DenseThreshold:
     threshold x iff its scaled weight is at least x, light otherwise.
     """
 
-    def __init__(self, cg: CoalitionGame, arena: _DenseGraph | None = None):
-        if arena is None:
-            arena = dense_arena(cg.game)
-        self.verts, self.idx, self.succ, self.pred = arena.verts, arena.idx, arena.succ, arena.pred
-        self.owner = [int(o == cg.player) for o in arena.owner]
-        p, table = cg.player - 1, arena.weights
+    def __init__(self, dense: _DenseGraph, player: int):
+        self.verts, self.idx, self.succ, self.pred = dense.verts, dense.idx, dense.succ, dense.pred
+        self.owner = [int(o == player) for o in dense.owner]
+        p, table = player - 1, dense.weights
         self.denom = denom = lcm(*{ws[p].denominator for row in table for ws in row})
         self.weight = [
             [ws[p].numerator * (denom // ws[p].denominator) for ws in row] for row in table
@@ -431,37 +414,28 @@ def _threshold(dt: _DenseThreshold, measure: PayoffKind, x, within, inside):
 # zero-sum values
 
 
-def zero_sum_value(
-    cg: CoalitionGame,
-    measure: PayoffKind,
-    dt: _DenseThreshold | None = None,
-    level: list | None = None,
-) -> tuple[dict, dict]:
-    """Per-vertex value of the max player against the merged coalition, and
-    one memoryless strategy of that player achieving every value at once: the
-    certificate's sigma for mean payoff, otherwise each vertex's move in the
-    highest threshold region it lies in, which is its own value.
+def zero_sum_value(dt: _DenseThreshold, measure: PayoffKind) -> tuple[dict, dict, list]:
+    """Per-vertex value of `dt`'s max player against the merged coalition,
+    one memoryless strategy of that player achieving every value at once,
+    and each state's level.  The strategy is the certificate's sigma for
+    mean payoff, otherwise each vertex's move in the highest threshold
+    region it lies in, which is its own value.  A state's level, in `dt`'s
+    numbering, is an int that orders states as their values do: the index
+    of the value among the player's scaled weights, or for mean payoff the
+    scaled value over the values' common denominator.
 
-    Both run on one `_DenseThreshold`.  The extremum values come from one
-    sweep over the player's distinct scaled weights, from the end where
-    the games stay small.  INF and LIMINF sweep upward: each game is solved
-    inside the region of the one below it, and the sweep stops at the first
-    empty region.  SUP and LIMSUP sweep downward: each game is solved on
-    the states not valued yet, the complement of the regions above, which
-    is a max-player trap where every state has its whole-arena value (also
-    for SUP on an arena not rebuilt), and the states it wins take its value
-    and moves; the sweep stops once every state is valued.  The moves come
-    in state order.  For LIMINF and LIMSUP, as for mean
-    payoff, the strategy must then give exactly the value at every vertex
-    against a minimizing coalition (`_certify`).  A caller that already
-    holds the player's `_DenseThreshold` passes it as `dt`, so it is not
-    built again.  A caller that ranks the values passes a list as `level`;
-    it receives each state's level in `dt`'s numbering, an int that orders
-    states as their values do: the index of the value among the player's
-    scaled weights, or for mean payoff the scaled value over the values'
-    common denominator."""
-    if dt is None:
-        dt = _DenseThreshold(cg)
+    The extremum values come from one sweep over the player's distinct
+    scaled weights, from the end where the games stay small.  INF and
+    LIMINF sweep upward: each game is solved inside the region of the one
+    below it, and the sweep stops at the first empty region.  SUP and
+    LIMSUP sweep downward: each game is solved on the states not valued
+    yet, the complement of the regions above, which is a max-player trap
+    where every state has its whole-arena value (also for SUP on an arena
+    not rebuilt), and the states it wins take its value and moves; the
+    sweep stops once every state is valued.  The moves come in state order.
+    For LIMINF and LIMSUP, as for mean payoff, the strategy must then give
+    exactly the value at every vertex against a minimizing coalition
+    (`_certify`)."""
     if measure.is_mean_payoff:
         val = _mp_search(dt)
         moves = _mp_certify(dt, val)
@@ -501,17 +475,15 @@ def zero_sum_value(
         raise RuntimeError("a move at every max vertex")
     if measure in (PayoffKind.LIMINF, PayoffKind.LIMSUP):
         _certify(dt, moves, measure, False, [dt.ints[t] for t in ks])
-    if level is not None:
-        level[:] = ks
     verts = dt.verts
-    return values, {verts[v]: verts[w] for v, w in sorted(moves.items())}
+    return values, {verts[v]: verts[w] for v, w in sorted(moves.items())}, ks
 
 
 def worst_case_strategy(g: Game, player: int) -> dict:
     """One memoryless strategy achieving aval(v) from every vertex at once."""
     # Kept by name for `perfbench/spans.py`, which looks it up with getattr
     # in traced runs; the package itself takes the moves from zero_sum_value.
-    return zero_sum_value(CoalitionGame(g, player), g.measure)[1]
+    return zero_sum_value(_DenseThreshold(_DenseGraph(g), player), g.measure)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +716,7 @@ def one_player_values(nodes, succ, wfun, measure: PayoffKind, maximize: bool) ->
 
 def one_player_max_value(g: Game, player: int) -> dict:
     """Cooperative optimum per vertex: all players maximize player's payoff."""
-    dt = _DenseThreshold(CoalitionGame(g, player))
+    dt = _DenseThreshold(_DenseGraph(g), player)
     values = _one_player(dt.succ, dt.weight, bytearray(b"\x01") * len(dt.verts), g.measure, True)
     return dict(zip(dt.verts, _unscaled(values, dt.denom)))
 
@@ -1400,6 +1372,6 @@ def cooperative_witness_lasso(g: Game, player: int, start, value: Fraction, allo
     the shortest canonical prefix and cycle found by breadth-first search.
     Callers that need lassos from many starts share one `_WitnessLassos`.
     """
-    dt = _DenseThreshold(CoalitionGame(g, player))
+    dt = _DenseThreshold(_DenseGraph(g), player)
     inside = None if allowed is None else bytearray(v in allowed for v in dt.verts)
     return _WitnessLassos(dt, g.measure).lasso(dt.idx[start], value * dt.denom, inside)

@@ -23,23 +23,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .games import Game, check_history
-from .solvers import (
-    CoalitionGame,
-    _DenseThreshold,
-    _one_player,
-    _unscaled,
-    dense_arena,
-    zero_sum_value,
-)
+from .solvers import _DenseGraph, _DenseThreshold, _one_player, _unscaled, zero_sum_value
 from .transform import TransformedGame, make_prefix_independent
 
 __all__ = ["ValueTable", "compute_value_table", "value_at_history"]
 
 
 class _AvalLevels:
-    """One player's coalition game on the dense arena, `dt`, with each
-    state's `rank` among the player's distinct aval values, so that the
-    cooperative optima of the aval levels are one-player solves on
+    """One player's coalition game on the arena's dense graph, `dt`, with
+    each state's `rank` among the player's distinct aval values, so that
+    the cooperative optima of the aval levels are one-player solves on
     membership arrays that compare ranks as ints.  `cval` and `acval` hold
     every state's scaled cooperative optimum on the whole arena and on the
     states of aval rank at least its own."""
@@ -102,14 +95,12 @@ class ValueTable:
         return self.aval[key], self.cval[key], self.acval[key]
 
 
-def _solve_player(table: ValueTable, dense, player: int) -> None:
-    """Solve `player` on the table's arena, whose `dense_arena` is `dense`,
+def _solve_player(table: ValueTable, dense: _DenseGraph, player: int) -> None:
+    """Solve `player` on the table's arena, whose dense graph is `dense`,
     and write the player's entries into the table's mappings."""
     arena = table.arena
-    cg = CoalitionGame(arena, player)
-    dt = _DenseThreshold(cg, dense)
-    level = []
-    pa, wcs = zero_sum_value(cg, arena.measure, dt=dt, level=level)
+    dt = _DenseThreshold(dense, player)
+    pa, wcs, level = zero_sum_value(dt, arena.measure)
     # the values are ranked by their int levels; each level's value is
     # read off its first state
     first = {}
@@ -149,7 +140,7 @@ def _value_table(g: Game, players) -> ValueTable:
     tg = make_prefix_independent(g)
     table = ValueTable(g, tg, {}, {}, {}, {}, {}, {})
     # the players' coalition games share one dense graph of the arena
-    dense = dense_arena(tg.game)
+    dense = _DenseGraph(tg.game)
     for player in players:
         _solve_player(table, dense, player)
     return table

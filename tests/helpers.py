@@ -14,9 +14,9 @@ from pathlib import Path
 from admgames import Game, Lasso, MooreStrategy, PayoffKind, payoff_of_lasso
 from admgames.games import run_until_repeat
 from admgames.solvers import (
-    CoalitionGame,
     ParityGame,
     Region,
+    _DenseGraph,
     _DenseThreshold,
     _effective,
     _key,
@@ -48,6 +48,11 @@ def load_strategy(name: str):
 def player_weights(g: Game, player: int) -> dict:
     """Each edge's weight for `player`, keyed by edge."""
     return {e: w[player - 1] for e, w in g.weights.items()}
+
+
+def dense_threshold(g: Game, player: int) -> _DenseThreshold:
+    """The coalition game of max player `player` on `g`'s dense graph."""
+    return _DenseThreshold(_DenseGraph(g), player)
 
 
 def scaled_weights(g: Game, player: int):
@@ -113,7 +118,7 @@ def reference_energy(dt: _DenseThreshold, p: int, q: int, region, won, dual: boo
     return f, moves
 
 
-def mp_value_iteration(cg: CoalitionGame) -> dict:
+def mp_value_iteration(g: Game, player: int) -> dict:
     """Reference mean-payoff game values by bounded-horizon value iteration.
 
     Zwick & Paterson (1996): on integer weights bounded by W, after
@@ -121,17 +126,16 @@ def mp_value_iteration(cg: CoalitionGame) -> dict:
     game value, which pins down the unique rational with denominator at
     most n.  About n^3 W m steps in all, so keep n small.
     """
-    g = cg.game
     verts = sorted(g.owner)
     n = len(verts)
-    denom = lcm(*(w[cg.player - 1].denominator for w in g.weights.values()))
-    intw = {e: int(w[cg.player - 1] * denom) for e, w in g.weights.items()}
+    denom = lcm(*(w[player - 1].denominator for w in g.weights.values()))
+    intw = {e: int(w[player - 1] * denom) for e, w in g.weights.items()}
     wmax = max(1, max(abs(w) for w in intw.values()))
     steps = 4 * n * n * max(1, n - 1) * wmax + 1
 
     idx = {v: i for i, v in enumerate(verts)}
     edges = [[(idx[u2], intw[(v, u2)]) for u2 in g.succ[v]] for v in verts]
-    maxer = [cg.is_max(v) for v in verts]
+    maxer = [g.owner[v] == player for v in verts]
     nu = [0] * n
     for _ in range(steps):
         nxt = [0] * n
@@ -150,7 +154,9 @@ def mp_value_iteration(cg: CoalitionGame) -> dict:
     return out
 
 
-def dense_threshold_region(cg: CoalitionGame, measure: PayoffKind, theta, within=None) -> Region:
+def dense_threshold_region(
+    g: Game, player: int, measure: PayoffKind, theta, within=None
+) -> Region:
     """The max player's region and moves in "payoff >= theta" on the subgame
     `within` (default: the whole arena), by `solvers._threshold` on the
     player's `_DenseThreshold`, translated from state numbers to vertices.
@@ -158,9 +164,9 @@ def dense_threshold_region(cg: CoalitionGame, measure: PayoffKind, theta, within
     Exact only if no coalition edge leaves `within` and every winning play
     of the whole arena stays inside it.
     """
-    dt = _DenseThreshold(cg)
+    dt = dense_threshold(g, player)
     inside = bytearray(len(dt.verts))
-    for v in cg.game.owner if within is None else within:
+    for v in g.owner if within is None else within:
         inside[dt.idx[v]] = 1
     states = [i for i, x in enumerate(inside) if x]
     win, _, strat = _threshold(dt, measure, ceil(theta * dt.denom), states, inside)
@@ -170,7 +176,9 @@ def dense_threshold_region(cg: CoalitionGame, measure: PayoffKind, theta, within
     )
 
 
-def threshold_region_sweep(cg: CoalitionGame, measure: PayoffKind, theta, within) -> Region:
+def threshold_region_sweep(
+    g: Game, player: int, measure: PayoffKind, theta, within
+) -> Region:
     """Reference INF and LIMINF threshold regions by re-sweeping to a fixpoint.
 
     The safety and coBuchi games solved by passes over the vertices in
@@ -179,8 +187,7 @@ def threshold_region_sweep(cg: CoalitionGame, measure: PayoffKind, theta, within
     game on light edges (`_buchi`), which `solvers._threshold` solves
     instead of the coBuchi game.
     """
-    g = cg.game
-    p = cg.player - 1
+    p = player - 1
     key = repr
     heavy = {(v, w) for v in within for w in g.succ[v] if g.weights[(v, w)][p] >= theta}
     if measure is PayoffKind.INF:
@@ -189,7 +196,7 @@ def threshold_region_sweep(cg: CoalitionGame, measure: PayoffKind, theta, within
         while changed:
             changed = False
             for v in sorted(safe, key=key):
-                if cg.is_max(v):
+                if g.owner[v] == player:
                     ok = any(w in safe and (v, w) in heavy for w in g.succ[v])
                 else:
                     ok = all(w in safe and (v, w) in heavy for w in g.succ[v])
@@ -199,12 +206,12 @@ def threshold_region_sweep(cg: CoalitionGame, measure: PayoffKind, theta, within
         strat = {
             v: min((w for w in g.succ[v] if w in safe and (v, w) in heavy), key=key)
             for v in sorted(safe, key=key)
-            if cg.is_max(v)
+            if g.owner[v] == player
         }
         return Region(frozenset(safe), strat)
 
     assert measure is PayoffKind.LIMINF
-    is_mine, succ_map, within = cg.is_max, g.succ, set(within)
+    is_mine, succ_map, within = lambda v: g.owner[v] == player, g.succ, set(within)
     won: set = set()
     while True:
         y = set(within)
@@ -237,10 +244,9 @@ def worst_case_strategy_per_level(g: Game, player: int, aval: dict) -> dict:
     the value sweep: each vertex takes the move of the whole-arena threshold
     game at its own value.
     """
-    cg = CoalitionGame(g, player)
     per_level = {}
     for lam in sorted(set(aval.values())):
-        region = dense_threshold_region(cg, g.measure, lam)
+        region = dense_threshold_region(g, player, g.measure, lam)
         per_level[lam] = (region.vertices, region.strategy)
 
     out = {}
@@ -370,44 +376,44 @@ def _cobuchi(is_mine, succ_map, good_edges, within):
 
 
 def reference_threshold_region(
-    cg: CoalitionGame, measure: PayoffKind, theta, within
+    g: Game, player: int, measure: PayoffKind, theta, within
 ) -> Region:
     """Reference threshold region on the subgame `within`, on hashed states
     and `Fraction` weights: each threshold builds its heavy edge set anew."""
-    g = cg.game
-    p = cg.player - 1
+    p = player - 1
+    is_max = lambda v: g.owner[v] == player
     heavy = {(v, w) for v in within for w in g.succ[v] if g.weights[(v, w)][p] >= theta}
 
     if measure is PayoffKind.SUP:
-        att, strat = reference_attr(cg.is_max, g.succ, set(), within, heavy)
+        att, strat = reference_attr(is_max, g.succ, set(), within, heavy)
         return Region(frozenset(att), strat)
     if measure is PayoffKind.INF:
         light = {(v, w) for v in within for w in g.succ[v] if (v, w) not in heavy}
-        safe = _avoid(cg.is_max, g.succ, light, within)
+        safe = _avoid(is_max, g.succ, light, within)
         strat = {
             v: min((w for w in g.succ[v] if w in safe and (v, w) in heavy), key=_key)
             for v in sorted(safe, key=_key)
-            if cg.is_max(v)
+            if is_max(v)
         }
         return Region(frozenset(safe), strat)
     if measure is PayoffKind.LIMSUP:
-        win, strat, _ = _buchi(cg.is_max, g.succ, heavy, within)
+        win, strat, _ = _buchi(is_max, g.succ, heavy, within)
         return Region(frozenset(win), strat)
-    win, strat = _cobuchi(cg.is_max, g.succ, heavy, within)
+    win, strat = _cobuchi(is_max, g.succ, heavy, within)
     return Region(frozenset(win), strat)
 
 
-def reference_zero_sum_value(cg: CoalitionGame, measure: PayoffKind) -> tuple[dict, dict]:
+def reference_zero_sum_value(g: Game, player: int, measure: PayoffKind) -> tuple[dict, dict]:
     """Reference extremum values and worst-case strategy: the sweep of
     `solvers.zero_sum_value` over `reference_threshold_region`, upward and
     nested for INF/LIMINF, downward on the vertices not valued yet for
     SUP/LIMSUP; the strategy in vertex order."""
-    weights = sorted({w[cg.player - 1] for w in cg.game.weights.values()})
+    weights = sorted({w[player - 1] for w in g.weights.values()})
     down = measure in (PayoffKind.SUP, PayoffKind.LIMSUP)
-    within = set(cg.game.owner)
+    within = set(g.owner)
     values, strat = {}, {}
     for theta in reversed(weights) if down else weights:
-        region = reference_threshold_region(cg, measure, theta, within)
+        region = reference_threshold_region(g, player, measure, theta, within)
         for v in region.vertices:
             values[v] = theta
         strat.update(region.strategy)
@@ -1198,15 +1204,15 @@ def reference_verify_strategy_wins(g: Game, player: int, spec, s: MooreStrategy)
     vertex, priority = objective.vertex, objective.priority
 
     def succ(state):
-        q, mem, _ = state
+        v, q, mem, _ = state
         nexts = objective.succ[q]
-        if lg.arena.owner[vertex[q]] == player:
-            target = s.move(mem, origin(vertex[q]))
+        if lg.arena.owner[v] == player:
+            target = s.move(mem, origin(v))
             nexts = [t for t in nexts if origin(vertex[t]) == target]
         for t in nexts:
-            yield t, s.next_memory(mem, origin(vertex[t])), priority[t]
+            yield vertex[t], t, s.next_memory(mem, origin(vertex[t])), priority[t]
 
     init = objective.initial
-    restricted = _explored((init, s.init_mem, priority[init]), succ, lambda st: vertex[st[0]])
+    restricted = _explored((vertex[init], init, s.init_mem, priority[init]), succ)
     r0, _ = solve_parity(outcomes._parity_game(restricted, lambda v: 1))
     return restricted.initial in r0.vertices

@@ -23,7 +23,6 @@ from admgames import (
     verify_strategy_wins,
 )
 from admgames.oracle import brute_value_table, random_game, random_lasso
-from admgames.solvers import CoalitionGame
 
 from helpers import (
     dense_threshold_region,
@@ -220,10 +219,9 @@ def test_criterion_9_structural_invariants():
                 for lo, hi in zip(flags, flags[1:]):
                     assert lo or not hi  # downward closed in the level
             if not g.measure.is_mean_payoff:
-                cg = CoalitionGame(arena, player)
                 prev = None
                 for theta in sorted({w[player - 1] for w in arena.weights.values()}):
-                    region = dense_threshold_region(cg, arena.measure, theta).vertices
+                    region = dense_threshold_region(arena, player, arena.measure, theta).vertices
                     if prev is not None:
                         assert region <= prev
                     prev = region

@@ -14,6 +14,7 @@ from admgames import (
     construct_sco,
     construct_wco_candidate,
     parse_game,
+    product_with_strategy,
     parse_strategy,
     payoff_of_lasso,
     serialize_strategy,
@@ -23,6 +24,7 @@ from admgames.admissibility import strategy_from_outcome
 from admgames.oracle import random_game, random_lasso
 
 from helpers import (
+    bfs_path,
     load_game,
     load_strategy,
     memoryless,
@@ -55,6 +57,62 @@ def test_fig2_rejection_with_exact_witness():
     assert (v.strat_max, v.aval, v.strat_min) == (4, 5, 3)
     assert v.strat_max <= v.aval and v.strat_min < v.aval
     assert v.witness == ("s1",)
+
+
+def _random_moore(g, player: int, rng: random.Random) -> MooreStrategy:
+    """A seeded Moore strategy of memory 1-3 that moves and updates anywhere."""
+    k = rng.randint(1, 3)
+    return MooreStrategy(
+        player=player,
+        memory=k,
+        init_mem=rng.randrange(k),
+        update={(m, v): rng.randrange(k) for m in range(k) for v in sorted(g.owner)},
+        moves={
+            (m, v): rng.choice(g.succ[v])
+            for m in range(k) for v in sorted(g.owner) if g.owner[v] == player
+        },
+    )
+
+
+def test_rejection_witness_is_a_shortest_history_to_the_violation():
+    # the witness is a history of g from its initial vertex, consistent
+    # with the strategy, that ends at the reported vertex and memory; on
+    # prefix-independent measures the product is over g itself, and the
+    # witness is a shortest path there
+    rejected = checked = 0
+    for measure in PayoffKind:
+        for seed in range(16):
+            g = random_game(seed, size=4 + seed % 4, measure=measure)
+            table = compute_value_table(g)
+            rng = random.Random(seed)
+            for player in (1, 2):
+                for _ in range(3):
+                    s = _random_moore(g, player, rng)
+                    verdict = check_strategy_admissible(g, s, table)
+                    if verdict.admissible:
+                        continue
+                    rejected += 1
+                    w = verdict.witness
+                    case = (measure, seed, player, s)
+                    assert w[0] == g.init, case
+                    m = s.init_mem
+                    for v, v2 in zip(w, w[1:]):
+                        assert v2 in g.succ[v], case
+                        if g.owner[v] == player:
+                            assert v2 == s.move(m, v), case
+                        m = s.next_memory(m, v2)
+                    assert (w[-1], m) == (verdict.vertex, verdict.memory), case
+                    if measure.prefix_independent:
+                        prod = product_with_strategy(g, s)
+                        index = {st: i for i, st in enumerate(prod.states)}
+                        path = bfs_path(
+                            prod.states[0],
+                            (verdict.vertex, verdict.memory).__eq__,
+                            lambda st: [prod.states[j] for j in prod.table[index[st]]],
+                        )
+                        assert len(w) == len(path), case
+                        checked += 1
+    assert rejected > 150 and checked > 100, (rejected, checked)
 
 
 def test_fig2_accepted_strategies():
@@ -191,9 +249,9 @@ def test_wco_verified_implies_admissible():
 
 def test_pursuit_matches_the_per_position_reference():
     # one mode per normal form and keep class lays out the same minimal
-    # strategy as one mode per lasso position.  Every lasso of the
-    # on-demand mappings is read, and is the one a second mapping builds
-    # when read in reverse order.
+    # strategy as one mode per lasso position.  Every start's lasso is
+    # built, and is the one a second builder gives when called in reverse
+    # order; its keep class is False for sco and the start's aval for wco.
     compared = 0
     for measure in PayoffKind:
         for seed in range(8):
@@ -202,18 +260,23 @@ def test_pursuit_matches_the_per_position_reference():
             arena = table.arena
             for player in range(1, g.players + 1):
                 aval = {v: table.aval[(player, v)] for v in arena.owner}
-                sco = admissibility._sco_lassos(table, player)
-                wco = admissibility._wco_lassos(table, player)
-                assert set(sco) == {v for v in aval if table.cval[(player, v)] > aval[v]}
-                assert list(wco) == list(arena.owner)
-                for lassos, build, value in (
-                    (sco, admissibility._sco_lassos, table.cval),
-                    (wco, admissibility._wco_lassos, table.acval),
+                sco_starts, sco_make = admissibility._sco_lassos(table, player)
+                wco_starts, wco_make = admissibility._wco_lassos(table, player)
+                assert set(sco_starts) == {v for v in aval if table.cval[(player, v)] > aval[v]}
+                assert list(wco_starts) == list(arena.owner)
+                sco, wco = {}, {}
+                for lassos, starts, make, cls, build, value in (
+                    (sco, sco_starts, sco_make, lambda v: False,
+                     admissibility._sco_lassos, table.cval),
+                    (wco, wco_starts, wco_make, aval.__getitem__,
+                     admissibility._wco_lassos, table.acval),
                 ):
-                    again = build(table, player)
-                    backward = {v: again[v] for v in reversed(list(again))}
-                    for v in lassos:
-                        assert lassos[v] == backward[v], (measure, seed, v)
+                    again_starts, again_make = build(table, player)
+                    backward = {v: again_make(v) for v in reversed(list(again_starts))}
+                    for v in starts:
+                        lassos[v], c = make(v)
+                        assert (lassos[v], c) == backward[v], (measure, seed, v)
+                        assert c == cls(v), (measure, seed, v)
                         assert lassos[v].start == v
                         got = payoff_of_lasso(arena.measure, arena, player, lassos[v])
                         assert got == value[(player, v)], (measure, seed, v)
@@ -277,7 +340,7 @@ def test_lassos_that_share_a_suffix_expand_it_once(monkeypatch):
     expanded, per_position = [], []
     monkeypatch.setattr(admissibility, "moore_layout", _counting(expanded))
     monkeypatch.setattr(transform, "moore_layout", _counting(per_position))
-    s = admissibility._pursue(table, 1, lassos, lambda a: None, lambda c, tv: True)
+    s = admissibility._pursue(table, 1, lassos, lambda a: (lassos[a], None), lambda c, tv: True)
     ref = reference_pursue(table, 1, lassos, lambda a, tv: True)
     assert serialize_strategy(s) == serialize_strategy(ref)
     assert len(per_position) == 8 + 1  # each lasso's four positions, e's worst case
@@ -290,7 +353,7 @@ def test_lassos_that_share_a_suffix_but_not_a_class_stay_apart():
     table = compute_value_table(_JOINING)
     lassos = _JOINING_LASSOS
     s = admissibility._pursue(
-        table, 1, lassos, lambda a: a == "x", lambda kept, tv: kept or tv != "c"
+        table, 1, lassos, lambda a: (lassos[a], a == "x"), lambda kept, tv: kept or tv != "c"
     )
     ref = reference_pursue(table, 1, lassos, lambda a, tv: a == "x" or tv != "c")
     assert serialize_strategy(s) == serialize_strategy(ref)

@@ -518,8 +518,8 @@ def test_two_runs_in_one_process_match_fresh_processes(capsys):
 _AVAL_PLUS_100 = (
     "real = values.zero_sum_value\n"
     "def raised(*args, **kwargs):\n"
-    "    aval, moves = real(*args, **kwargs)\n"
-    "    return {v: x + 100 for v, x in aval.items()}, moves\n"
+    "    aval, moves, level = real(*args, **kwargs)\n"
+    "    return {v: x + 100 for v, x in aval.items()}, moves, level\n"
     "values.zero_sum_value = raised\n"
 )
 _BROKEN_UNDER_O = {
@@ -551,9 +551,9 @@ _BROKEN_UNDER_O = {
         "    win, inwin, moves = real(dt, *args)\n"
         "    return win, inwin, {v: dt.succ[v][0] for v in moves}\n"
         "solvers._threshold = first_moves\n"
-        "cg = solvers.CoalitionGame(g, 2)\n"
+        "dt = solvers._DenseThreshold(solvers._DenseGraph(g), 2)\n"
         "limits = (solvers.PayoffKind.LIMINF, solvers.PayoffKind.LIMSUP)\n"
-        "call = lambda: [solvers.zero_sum_value(cg, m) for m in limits]\n",
+        "call = lambda: [solvers.zero_sum_value(dt, m) for m in limits]\n",
         "liminf certificate failed at vertex 'v2': sigma gives 0, the table gives 2",
     ),
     "limsup-sweep": (
@@ -567,15 +567,15 @@ _BROKEN_UNDER_O = {
         "solvers._threshold = kept\n"
         "g = parse_game('players 2\\nmeasure limsup\\ninit a\\nvertex a 1\\nvertex b 2\\n'\n"
         "               'edge a a 2 0\\nedge a b 0 0\\nedge b b 0 0\\n')\n"
-        "cg = solvers.CoalitionGame(g, 1)\n"
-        "call = lambda: solvers.zero_sum_value(cg, g.measure)\n",
+        "dt = solvers._DenseThreshold(solvers._DenseGraph(g), 1)\n"
+        "call = lambda: solvers.zero_sum_value(dt, g.measure)\n",
         "limsup certificate failed at vertex 'a': sigma gives 2, the table gives 0",
     ),
     "max-moves": (
         "real = solvers._threshold\n"
         "solvers._threshold = lambda *args: real(*args)[:2] + ({},)\n"
-        "cg = solvers.CoalitionGame(g, 1)\n"
-        "call = lambda: solvers.zero_sum_value(cg, solvers.PayoffKind.LIMINF)\n",
+        "dt = solvers._DenseThreshold(solvers._DenseGraph(g), 1)\n"
+        "call = lambda: solvers.zero_sum_value(dt, solvers.PayoffKind.LIMINF)\n",
         "a move at every max vertex",
     ),
     "energy-loss": (
@@ -583,8 +583,8 @@ _BROKEN_UNDER_O = {
         # step and calls every region state lost
         "solvers._LOSS_CHECK = 0\n"
         "solvers._energy_losses = lambda region, *args: list(region)\n"
-        "cg = solvers.CoalitionGame(g, 1)\n"
-        "call = lambda: solvers.zero_sum_value(cg, g.measure)\n",
+        "dt = solvers._DenseThreshold(solvers._DenseGraph(g), 1)\n"
+        "call = lambda: solvers.zero_sum_value(dt, g.measure)\n",
         "mp-inf certificate failed at vertex",
     ),
     "mc-counterexample": (

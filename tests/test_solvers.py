@@ -22,10 +22,8 @@ from admgames import (
 from admgames import solvers
 from admgames.oracle import brute_cooperative, brute_zero_sum, random_game
 from admgames.solvers import (
-    CoalitionGame,
     ParityGame,
     cooperative_witness_lasso,
-    dense_arena,
     explore,
     fixed_strategy_extremes,
     one_player_max_value,
@@ -39,6 +37,7 @@ from admgames.values import compute_value_table
 
 from helpers import (
     NamedParityGame,
+    dense_threshold,
     dense_threshold_region,
     load_game,
     load_strategy,
@@ -92,7 +91,7 @@ def test_explore_raises_at_the_first_bad_state_breadth_first():
 def _coalition(g, player):
     """The player's `_DenseThreshold`, owner 1 being the player, and the
     membership array of its whole arena."""
-    dt = solvers._DenseThreshold(CoalitionGame(g, player))
+    dt = dense_threshold(g, player)
     return dt, bytearray(b"\x01") * len(dt.verts)
 
 
@@ -239,10 +238,9 @@ def test_attractor_matches_the_hashed_reference():
 
 def test_threshold_fig1_liminf():
     g = load_game("fig1_liminf.game")
-    cg = CoalitionGame(g, 1)
-    assert dense_threshold_region(cg, g.measure, F(1)).vertices == frozenset(g.owner)
-    assert dense_threshold_region(cg, g.measure, F(2)).vertices == frozenset()
-    assert dense_threshold_region(cg, g.measure, F(-5)).vertices == frozenset(g.owner)
+    assert dense_threshold_region(g, 1, g.measure, F(1)).vertices == frozenset(g.owner)
+    assert dense_threshold_region(g, 1, g.measure, F(2)).vertices == frozenset()
+    assert dense_threshold_region(g, 1, g.measure, F(-5)).vertices == frozenset(g.owner)
 
 
 def test_threshold_monotone_regions():
@@ -254,11 +252,10 @@ def test_threshold_monotone_regions():
             PayoffKind.LIMSUP,
         ):
             g = random_game(seed, size=5, measure=measure)
-            cg = CoalitionGame(g, 1)
             thetas = sorted({w[0] for w in g.weights.values()})
             prev = None
             for theta in thetas:
-                region = dense_threshold_region(cg, measure, theta).vertices
+                region = dense_threshold_region(g, 1, measure, theta).vertices
                 if prev is not None:
                     assert region <= prev
                 prev = region
@@ -266,9 +263,9 @@ def test_threshold_monotone_regions():
 
 def test_zero_sum_fig1_mean_payoff():
     g = load_game("fig1.game")
-    v1 = zero_sum_value(CoalitionGame(g, 1), g.measure)[0]
+    v1 = zero_sum_value(dense_threshold(g, 1), g.measure)[0]
     assert all(v1[v] == 1 for v in g.owner)
-    v2 = zero_sum_value(CoalitionGame(g, 2), g.measure)[0]
+    v2 = zero_sum_value(dense_threshold(g, 2), g.measure)[0]
     assert v2 == {"v1": 0, "v2": 2, "v3": 0, "v4": 2}
 
 
@@ -277,8 +274,30 @@ def test_zero_sum_single_loop_every_measure():
         g = parse_game(
             f"players 1\nmeasure {measure.token}\ninit a\nvertex a 1\nedge a a 5/3\n"
         )
-        vals = zero_sum_value(CoalitionGame(g, 1), measure)[0]
+        vals = zero_sum_value(dense_threshold(g, 1), measure)[0]
         assert vals["a"] == F(5, 3)
+
+
+def test_zero_sum_levels_order_states_as_their_values():
+    # on rebuilt arenas of all six measures, every player, a third with
+    # halved weights so that mean-payoff values have mixed denominators
+    tables = 0
+    for measure in PayoffKind:
+        for seed in range(8):
+            g = random_game(seed, size=4 + seed % 5, players=2 + seed % 2, measure=measure)
+            if seed % 3 == 1:
+                g = replace(g, weights={e: tuple(x / 2 for x in w) for e, w in g.weights.items()})
+            arena = make_prefix_independent(g).game
+            for player in range(1, g.players + 1):
+                dt = dense_threshold(arena, player)
+                values, _, level = zero_sum_value(dt, measure)
+                vals = [values[v] for v in dt.verts]
+                assert len(level) == len(vals) and all(type(t) is int for t in level)
+                for i, (a, x) in enumerate(zip(level, vals)):
+                    for b, y in zip(level[i:], vals[i:]):
+                        assert (a < b) == (x < y) and (b < a) == (y < x), (measure, seed)
+                tables += 1
+    assert tables > 100
 
 
 def test_zero_sum_mean_payoff_rational_weights():
@@ -291,7 +310,7 @@ def test_zero_sum_mean_payoff_rational_weights():
         "edge c c 2/3 0\nedge c a -1 0\n"
     )
     g = parse_game(text)
-    vals = zero_sum_value(CoalitionGame(g, 1), g.measure)[0]
+    vals = zero_sum_value(dense_threshold(g, 1), g.measure)[0]
     assert vals == brute_zero_sum(g, 1)
     assert vals["c"] == F(2, 3)
 
@@ -314,30 +333,22 @@ def _mean_payoff_games():
 
 @cache
 def _mean_payoff_tables():
-    """(coalition game, reference values) for every player of those games."""
+    """(game, player, reference values) for every player of those games."""
     return [
-        (cg, mp_value_iteration(cg))
+        (g, p, mp_value_iteration(g, p))
         for g in _mean_payoff_games()
-        for cg in (CoalitionGame(g, p) for p in range(1, g.players + 1))
+        for p in range(1, g.players + 1)
     ]
 
 
 def test_zero_sum_mean_payoff_matches_value_iteration():
-    # also on the arena's dense graph, which compute_value_table shares
-    # between the players: the same values and the same strategy
-    for cg, aval in _mean_payoff_tables():
-        values, strat = zero_sum_value(cg, cg.game.measure)
-        assert values == aval
-        shared = zero_sum_value(
-            cg, cg.game.measure, dt=solvers._DenseThreshold(cg, dense_arena(cg.game))
-        )
-        assert shared[0] == values
-        assert list(shared[1].items()) == list(strat.items())
+    for g, player, aval in _mean_payoff_tables():
+        assert zero_sum_value(dense_threshold(g, player), g.measure)[0] == aval
 
 
 def test_mp_threshold_win_set_is_the_value_upper_set():
-    for cg, aval in _mean_payoff_tables():
-        dt = solvers._DenseThreshold(cg)
+    for g, player, aval in _mean_payoff_tables():
+        dt = dense_threshold(g, player)
         n = len(dt.verts)
         levels = sorted(set(aval.values()))
         # every value, every midpoint between values, and both outsides
@@ -349,8 +360,8 @@ def test_mp_threshold_win_set_is_the_value_upper_set():
                 dt, lam.numerator * dt.denom, lam.denominator, range(n), None
             )
             win = {dt.verts[i] for i in range(n) if f[i] < inf}
-            assert win == {v for v in aval if aval[v] >= lam}, (cg.player, lam)
-            assert {dt.verts[i] for i in moves} == {v for v in win if cg.is_max(v)}
+            assert win == {v for v in aval if aval[v] >= lam}, (player, lam)
+            assert {dt.verts[i] for i in moves} == {v for v in win if g.owner[v] == player}
 
 
 def test_dense_energy_matches_the_hashed_reference(monkeypatch):
@@ -373,9 +384,9 @@ def test_dense_energy_matches_the_hashed_reference(monkeypatch):
     ]
     for gi, g in enumerate(games):
         for player in range(1, g.players + 1):
-            dt = solvers._DenseThreshold(CoalitionGame(g, player))
+            dt = dense_threshold(g, player)
             n = len(dt.verts)
-            levels = sorted(set(zero_sum_value(CoalitionGame(g, player), g.measure)[0].values()))
+            levels = sorted(set(zero_sum_value(dense_threshold(g, player), g.measure)[0].values()))
             # every value, every midpoint between values, and both outsides
             lams = levels + [(x + y) / 2 for x, y in zip(levels, levels[1:])]
             lams += [levels[0] - F(1, 3), levels[-1] + F(1, 7)]
@@ -416,7 +427,7 @@ def test_mean_payoff_certificate_rejects_a_shifted_value(monkeypatch, step):
 
     monkeypatch.setattr(solvers, "_mp_search", shifted)
     with pytest.raises(RuntimeError, match="certificate failed at vertex 'n3'"):
-        zero_sum_value(CoalitionGame(g, 1), g.measure)[0]
+        zero_sum_value(dense_threshold(g, 1), g.measure)[0]
 
 
 def test_farey_index_is_built_once_and_equals_the_fresh_sequence():
@@ -434,12 +445,11 @@ def test_local_consistency_and_bounds():
         for seed in range(15):
             g = random_game(seed, size=5, measure=measure)
             for player in (1, 2):
-                cg = CoalitionGame(g, player)
-                aval = zero_sum_value(cg, measure)[0]
+                aval = zero_sum_value(dense_threshold(g, player), measure)[0]
                 cval = one_player_max_value(g, player)
                 for v in g.owner:
                     succ_vals = [aval[u] for u in g.successors(v)]
-                    want = max(succ_vals) if cg.is_max(v) else min(succ_vals)
+                    want = max(succ_vals) if g.owner[v] == player else min(succ_vals)
                     assert aval[v] == want, (measure, seed, player, v)
                     assert aval[v] <= cval[v]
                     assert cval[v] == max(cval[u] for u in g.successors(v))
@@ -706,7 +716,7 @@ def test_parity_check_rejects_an_odd_cycle_under_an_even_top():
 
 def _threshold_game(g, player):
     """The player's threshold game, whose rows `fixed_strategy_extremes` reads."""
-    return solvers._DenseThreshold(CoalitionGame(g, player))
+    return dense_threshold(g, player)
 
 
 def test_extremes_fig2_and_fig3():
@@ -736,7 +746,7 @@ def test_worst_case_strategy_achieves_values():
             if not measure.prefix_independent:
                 continue
             for player in (1, 2):
-                aval = zero_sum_value(CoalitionGame(g, player), measure)[0]
+                aval = zero_sum_value(dense_threshold(g, player), measure)[0]
                 wco = worst_case_strategy(g, player)
                 s = memoryless(player, wco)
                 prod = product_with_strategy(g, s)
@@ -757,7 +767,7 @@ def test_sweep_strategy_achieves_the_values_on_rebuilt_arenas(measure):
             g = random_game(seed, size=size, players=2 + seed % 2, measure=measure)
             arena = make_prefix_independent(g).game
             for player in range(1, g.players + 1):
-                aval, wcs = zero_sum_value(CoalitionGame(arena, player), measure)
+                aval, wcs, _ = zero_sum_value(dense_threshold(arena, player), measure)
                 prod = product_with_strategy(arena, memoryless(player, wcs))
                 ext = fixed_strategy_extremes(prod, _threshold_game(arena, player))
                 for (v, _), (lo, _) in ext.items():
@@ -774,7 +784,7 @@ def test_sweep_strategy_matches_per_level_reference(measure):
         for seed in range(40):
             g = random_game(seed, size=size, players=2 + seed % 2, measure=measure)
             for player in range(1, g.players + 1):
-                aval, strat = zero_sum_value(CoalitionGame(g, player), measure)
+                aval, strat, _ = zero_sum_value(dense_threshold(g, player), measure)
                 assert strat == worst_case_strategy_per_level(g, player, aval), (
                     size, seed, player,
                 )
@@ -784,7 +794,7 @@ def test_mean_payoff_sigma_achieves_the_values():
     # a game where sigma, read off the value-class energy games, differs
     # from the moves of the whole-arena energy game at each value
     g = random_game(32, size=14, weight_range=(-5, 5), players=3, measure=PayoffKind.MP_INF)
-    aval, sigma = zero_sum_value(CoalitionGame(g, 3), g.measure)
+    aval, sigma, _ = zero_sum_value(dense_threshold(g, 3), g.measure)
     prod = product_with_strategy(g, memoryless(3, sigma))
     ext = fixed_strategy_extremes(prod, _threshold_game(g, 3))
     for (v, _), (lo, _) in ext.items():
@@ -815,16 +825,16 @@ def test_zero_sum_below_one_player():
         for seed in range(10):
             g = random_game(seed, size=5, measure=measure)
             for player in (1, 2):
-                aval = zero_sum_value(CoalitionGame(g, player), measure)[0]
+                aval = zero_sum_value(dense_threshold(g, player), measure)[0]
                 cval = one_player_max_value(g, player)
                 assert all(aval[v] <= cval[v] for v in g.owner)
 
 
-def _whole_arena_sweep(cg: CoalitionGame, measure: PayoffKind) -> dict:
+def _whole_arena_sweep(g, player: int, measure: PayoffKind) -> dict:
     """Values by solving every threshold game on the whole arena."""
     vals = {}
-    for theta in sorted({w[cg.player - 1] for w in cg.game.weights.values()}):
-        for v in dense_threshold_region(cg, measure, theta).vertices:
+    for theta in sorted({w[player - 1] for w in g.weights.values()}):
+        for v in dense_threshold_region(g, player, measure, theta).vertices:
             vals[v] = theta
     return vals
 
@@ -839,10 +849,8 @@ def test_nested_threshold_sweep_matches_whole_arena_sweep(measure):
         for seed in range(40):
             g = random_game(seed, size=size, players=2 + seed % 2, measure=measure)
             for player in range(1, g.players + 1):
-                cg = CoalitionGame(g, player)
-                assert zero_sum_value(cg, measure)[0] == _whole_arena_sweep(cg, measure), (
-                    size, seed, player,
-                )
+                got = zero_sum_value(dense_threshold(g, player), measure)[0]
+                assert got == _whole_arena_sweep(g, player, measure), (size, seed, player)
 
 
 def _coalition_closed(g, player, rng):
@@ -872,13 +880,12 @@ def test_safety_and_cobuchi_regions_match_the_sweep_reference(measure):
             g = random_game(seed, size=size, players=2 + seed % 2, measure=measure)
             rng = random.Random(seed)
             for player in range(1, g.players + 1):
-                cg = CoalitionGame(g, player)
                 nested = set(g.owner)
                 others = [_coalition_closed(g, player, rng)] if measure is PayoffKind.INF else []
                 for theta in sorted({w[player - 1] for w in g.weights.values()}):
                     for within in [set(g.owner), *others, nested]:  # nested last
-                        want = threshold_region_sweep(cg, measure, theta, within)
-                        got = dense_threshold_region(cg, measure, theta, within)
+                        want = threshold_region_sweep(g, player, measure, theta, within)
+                        got = dense_threshold_region(g, player, measure, theta, within)
                         assert got == want, (size, seed, player, theta, within)
                     nested = want.vertices
 
@@ -905,16 +912,17 @@ def test_dense_threshold_sweep_matches_the_reference_sweep():
             fractional += any(x.denominator > 1 for w in weights.values() for x in w)
         arena = make_prefix_independent(g).game
         for player in range(1, g.players + 1):
-            cg = CoalitionGame(arena, player)
-            values, strat = zero_sum_value(cg, g.measure)
-            ref_values, ref_strat = reference_zero_sum_value(cg, g.measure)
+            values, strat, _ = zero_sum_value(dense_threshold(arena, player), g.measure)
+            ref_values, ref_strat = reference_zero_sum_value(arena, player, g.measure)
             assert values == ref_values, (seed, player)
             assert list(strat.items()) == list(ref_strat.items()), (seed, player)
             ws = sorted({w[player - 1] for w in arena.weights.values()})
             between = [(ws[0] + ws[1]) / 2] if len(ws) > 1 else []
             for theta in [ws[0] - F(1, 3), *between, ws[-1] + F(1, 7)]:
-                got = dense_threshold_region(cg, g.measure, theta)
-                want = reference_threshold_region(cg, g.measure, theta, set(arena.owner))
+                got = dense_threshold_region(arena, player, g.measure, theta)
+                want = reference_threshold_region(
+                    arena, player, g.measure, theta, set(arena.owner)
+                )
                 assert got == want, (seed, player, theta)
     assert fractional > 300
 
@@ -1081,7 +1089,7 @@ def test_dense_one_player_values_match_the_reference(measure):
         if seed % 2:
             g = _rational(g, rng)
         for player in (1, 2):
-            dt = solvers._DenseThreshold(CoalitionGame(g, player))
+            dt = dense_threshold(g, player)
             w = player_weights(g, player)
             n = len(dt.verts)
             members = [set(), set(dt.verts), {dt.verts[rng.randrange(n)]}]
@@ -1196,19 +1204,16 @@ def _scaled_route(g, player, verts):
 
 def test_dense_threshold_weights_match_the_scaled_weights():
     # the rebuilt inf/sup arenas and prefix-independent games, integer and
-    # rational weights, on a shared dense arena and on one built alone; on
-    # the shared one, the weights come from its table alone
+    # rational weights, on a shared dense arena and on one built alone
     texts = [*seeded_game_texts(), *seeded_game_texts(
         (PayoffKind.LIMINF, PayoffKind.LIMSUP, PayoffKind.MP_INF, PayoffKind.MP_SUP)
     )]
     for text in texts:
         arena = make_prefix_independent(parse_game(text)).game
-        dense = dense_arena(arena)
+        dense = solvers._DenseGraph(arena)
         for player in range(1, arena.players + 1):
-            cg = CoalitionGame(arena, player)
             want = _scaled_route(arena, player, dense.verts)
-            blind = CoalitionGame(replace(arena, weights=None), player)
-            for dt in (solvers._DenseThreshold(blind, dense), solvers._DenseThreshold(cg)):
+            for dt in (solvers._DenseThreshold(dense, player), dense_threshold(arena, player)):
                 got = {key: getattr(dt, key) for key in want}
                 assert got == want, (text, player)
                 assert all(type(x) is int for row in dt.weight for x in row)

@@ -116,8 +116,8 @@ def test_value_sandwich_check_raises(monkeypatch):
     real = values.zero_sum_value
 
     def raised(*args, **kwargs):
-        aval, moves = real(*args, **kwargs)
-        return {v: x + 100 for v, x in aval.items()}, moves
+        aval, moves, level = real(*args, **kwargs)
+        return {v: x + 100 for v, x in aval.items()}, moves, level
 
     monkeypatch.setattr(values, "zero_sum_value", raised)
     with pytest.raises(RuntimeError, match="value sandwich violated at player 1, vertex v1"):
@@ -132,15 +132,16 @@ def test_level_cycle_check_raises(monkeypatch):
 
 
 def _count_solves(monkeypatch) -> list:
-    """The coalition player of every `zero_sum_value` call from here on."""
+    """The coalition player of every `values._DenseThreshold` built from
+    here on, one per `zero_sum_value` call."""
     solved = []
-    real = values.zero_sum_value
+    real = values._DenseThreshold
 
-    def counted(cg, *args, **kwargs):
-        solved.append(cg.player)
-        return real(cg, *args, **kwargs)
+    def counted(dense, player):
+        solved.append(player)
+        return real(dense, player)
 
-    monkeypatch.setattr(values, "zero_sum_value", counted)
+    monkeypatch.setattr(values, "_DenseThreshold", counted)
     return solved
 
 
