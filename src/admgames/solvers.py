@@ -23,7 +23,9 @@ Mean-payoff values are rationals with denominator at most the vertex count
 on the same scaled weights; they are found by a divide-and-conquer search
 over these candidates that solves energy games (Brim et al.'s progress
 measure, dense, with a shortcut for lost states) for "mean payoff >= lam"
-and its dual "<= lam".
+and its dual "<= lam".  Each split's lam is a cycle mean of the moves the
+games of the split before it found, when one lies in range, and otherwise
+the least-denominator candidate in the middle of the range.
 Worst-case-optimal strategies come from the value solve itself, never from
 a second one: the threshold regions' moves for the extremum measures, the
 energy games' moves for mean payoff.  Every LIMINF, LIMSUP and mean-payoff
@@ -886,19 +888,55 @@ def _simplest(x: Fraction, y: Fraction) -> Fraction:
     return fl + 1 / _simplest(1 / (y - fl), 1 / (x - fl))
 
 
+def _mp_outcomes(dt: _DenseThreshold, states, moves, val, maximize: bool):
+    """Scaled payoff of each of `states` with the positional `moves` fixed
+    against an optimal other side, as in `_certify`, or None when a move
+    leaves `states` for a state with no value yet.  A state outside is a
+    sink that loops at its value, so each payoff is a cycle mean on the
+    scaled weights of length at most n: a candidate of `_mp_search`."""
+    n = len(dt.verts)
+    succ, weight, weight_to = dt.succ, dt.weight, dt.weight_to
+    rows, ws, member = [()] * n, [()] * n, bytearray(n)
+    for i in states:
+        member[i] = 1
+        j = moves.get(i)
+        rows[i], ws[i] = (succ[i], weight[i]) if j is None else ((j,), (weight_to[i][j],))
+    for i in states:
+        for j in rows[i]:
+            if not member[j]:
+                if val[j] is None:
+                    return None
+                member[j] = 1
+                rows[j], ws[j] = (j,), (val[j],)
+    got = _one_player(rows, ws, member, PayoffKind.MP_INF, maximize)
+    return [got[i] for i in states]
+
+
 def _mp_search(dt: _DenseThreshold) -> list:
     """Value of every vertex on the scaled weights, by divide and conquer.
 
     The candidates are the rationals with denominator at most n between the
     least and the largest weight, in increasing order.  A vertex range of
-    candidates is split at lam, the candidate with the least denominator in
-    the middle half of the range: the energy game "mean payoff >= lam" and
-    its dual "<= lam", both solved on the range's vertices only, sort them
-    into values below, equal to and above lam.  A small denominator keeps
-    the scaled weights, and so the lifting, small.  Every other vertex's
-    range lies wholly above or below, and it is a won or a lost sink.
-    Correct energy games never leave a range empty; a vertex of an empty
-    range keeps the value None, which `_mp_certify` rejects.
+    candidates is split at a candidate lam: the energy game "mean payoff >=
+    lam" and its dual "<= lam", both solved on the range's vertices only,
+    sort them into values below, equal to and above lam.  Every other
+    vertex's range lies wholly above or below, and it is a won or a lost
+    sink.  lam is the range's guess when it has one in range, else the
+    candidate with the least denominator in the middle half of the range,
+    whose small denominator keeps the lifting small.  The guesses come from
+    the moves the energy games just found (strategy evaluation, as in
+    Bjorklund and Vorobyov, DAM 2007), by `_mp_outcomes`: on the vertices
+    above lam the player's moves against a minimizing coalition give the
+    upper range's guess, the least payoff above lam, and on those below
+    the coalition's moves against a maximizing player the lower range's,
+    the greatest payoff below it.  The first range guesses the median
+    payoff of each player vertex's first heaviest move.  A guess that
+    values no vertex leaves its children to the midpoint rule, so the
+    search is at most twice as deep as with that rule alone.  The upper
+    range is searched first, so a range's sinks above it always have their
+    values.  Guesses only choose thresholds, never values.  Correct energy
+    games never leave a range empty; a vertex of an empty range keeps the
+    value None, which `_mp_certify` rejects.
     """
     n = len(dt.verts)
     lo = dt.ints[0]
@@ -912,28 +950,35 @@ def _mp_search(dt: _DenseThreshold) -> list:
 
     low = [0] * n  # least candidate index still possible at each vertex
     val = [None] * n
-    tasks = [(range(n), 0, (dt.ints[-1] - lo) * width)]
+    first = {i: dt.succ[i][dt.weight[i].index(dt.hi[i])] for i in range(n) if dt.owner[i]}
+    got = sorted(_mp_outcomes(dt, range(n), first, val, False) or ())
+    tasks = [(range(n), 0, (dt.ints[-1] - lo) * width, got[len(got) // 2] if got else None)]
     while tasks:
-        region, a, b = tasks.pop()
+        region, a, b, guess = tasks.pop()
         if a > b:
             continue
-        lam = _simplest(cand(a + (b - a) // 4), cand(b - (b - a) // 4))
+        guided = guess is not None and cand(a) <= guess <= cand(b)
+        lam = guess if guided else _simplest(cand(a + (b - a) // 4), cand(b - (b - a) // 4))
         p, q = lam.numerator, lam.denominator
         k = (p // q - lo) * width + pos[(p % q, q)]
-        above, _ = _energy(dt, p, q, region, lambda j: low[j] > b)
-        below, _ = _energy(dt, p, q, region, lambda j: low[j] < a, dual=True)
+        above, sigma = _energy(dt, p, q, region, lambda j: low[j] > b)
+        below, tau = _energy(dt, p, q, region, lambda j: low[j] < a, dual=True)
         up = [i for i in region if below[i] == inf]
         down = [i for i in region if above[i] == inf]
-        for i in region:
-            if above[i] < inf and below[i] < inf:
-                val[i] = lam
-                low[i] = k
+        equal = [i for i in region if above[i] < inf and below[i] < inf]
+        for i in equal:
+            val[i] = lam
+            low[i] = k
         for i in up:
             low[i] = k + 1
+        # a guess that valued nothing leaves the children to the midpoint
+        ahead = equal or not guided
         if down:
-            tasks.append((down, a, k - 1))
+            got = ahead and _mp_outcomes(dt, down, tau, val, True)
+            tasks.append((down, a, k - 1, max((x for x in got or () if x < lam), default=None)))
         if up:
-            tasks.append((up, k + 1, b))
+            got = ahead and _mp_outcomes(dt, up, sigma, val, False)
+            tasks.append((up, k + 1, b, min((x for x in got or () if x > lam), default=None)))
     return val
 
 

@@ -11,7 +11,7 @@ from itertools import product as iproduct
 from math import ceil, inf, lcm
 from pathlib import Path
 
-from admgames import Game, Lasso, MooreStrategy, PayoffKind, payoff_of_lasso
+from admgames import Game, Lasso, MooreStrategy, PayoffKind, payoff_of_lasso, solvers
 from admgames.games import run_until_repeat
 from admgames.solvers import (
     ParityGame,
@@ -116,6 +116,60 @@ def reference_energy(dt: _DenseThreshold, p: int, q: int, region, won, dual: boo
         for i in inside if mine[i] and f[i] < inf
     }
     return f, moves
+
+
+def reference_mp_search(dt: _DenseThreshold) -> list:
+    """Value of every vertex on the scaled weights, by divide and conquer.
+
+    Reference for `solvers._mp_search`: every range splits at the midpoint
+    rule, with no guesses from the energy games' moves.
+
+    The candidates are the rationals with denominator at most n between the
+    least and the largest weight, in increasing order.  A vertex range of
+    candidates is split at lam, the candidate with the least denominator in
+    the middle half of the range: the energy game "mean payoff >= lam" and
+    its dual "<= lam", both solved on the range's vertices only, sort them
+    into values below, equal to and above lam.  A small denominator keeps
+    the scaled weights, and so the lifting, small.  Every other vertex's
+    range lies wholly above or below, and it is a won or a lost sink.
+    Correct energy games never leave a range empty; a vertex of an empty
+    range keeps the value None, which `_mp_certify` rejects.
+    """
+    n = len(dt.verts)
+    lo = dt.ints[0]
+    farey, pos = solvers._farey_index(n)
+    width = len(farey) - 1
+
+    def cand(k):
+        base, r = divmod(k, width)
+        a, b = farey[r]
+        return Fraction((lo + base) * b + a, b)
+
+    low = [0] * n  # least candidate index still possible at each vertex
+    val = [None] * n
+    tasks = [(range(n), 0, (dt.ints[-1] - lo) * width)]
+    while tasks:
+        region, a, b = tasks.pop()
+        if a > b:
+            continue
+        lam = solvers._simplest(cand(a + (b - a) // 4), cand(b - (b - a) // 4))
+        p, q = lam.numerator, lam.denominator
+        k = (p // q - lo) * width + pos[(p % q, q)]
+        above, _ = solvers._energy(dt, p, q, region, lambda j: low[j] > b)
+        below, _ = solvers._energy(dt, p, q, region, lambda j: low[j] < a, dual=True)
+        up = [i for i in region if below[i] == inf]
+        down = [i for i in region if above[i] == inf]
+        for i in region:
+            if above[i] < inf and below[i] < inf:
+                val[i] = lam
+                low[i] = k
+        for i in up:
+            low[i] = k + 1
+        if down:
+            tasks.append((down, a, k - 1))
+        if up:
+            tasks.append((up, k + 1, b))
+    return val
 
 
 def mp_value_iteration(g: Game, player: int) -> dict:

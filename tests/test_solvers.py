@@ -1,12 +1,14 @@
 """Value engines: attractors, threshold games, zero-sum and one-player values,
 parity solving, fixed-strategy extremes."""
 
+import importlib.util
 import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from math import inf
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +48,7 @@ from helpers import (
     player_weights,
     reference_attr,
     reference_energy,
+    reference_mp_search,
     reference_one_player_values,
     reference_tarjan_sccs,
     reference_solve_parity,
@@ -61,6 +64,8 @@ from helpers import (
 )
 
 F = Fraction
+
+CASES = Path(__file__).resolve().parents[1] / "perfbench" / "cases.py"
 
 
 # a diamond a -> {c, b} -> d with a self-loop at c, then d -> e -> a
@@ -407,6 +412,106 @@ def test_dense_energy_matches_the_hashed_reference(monkeypatch):
                         assert moves == want_moves, case
     # the shortcut ran and found lost states, so it is not dead code
     assert any(fired)
+
+
+def _larger_mean_payoff_games():
+    """40 seeded mp-inf/mp-sup games, n 12-60, 2-3 players, a third of them
+    with every weight divided by a seeded 1..4."""
+    rng = random.Random(30)
+    for seed in range(40):
+        g = random_game(100 + seed, size=rng.randint(12, 60), weight_range=(-5, 5),
+                        players=rng.randint(2, 3),
+                        measure=(PayoffKind.MP_INF, PayoffKind.MP_SUP)[seed % 2])
+        yield _rational(g, rng) if seed % 3 == 0 else g
+
+
+def _mp_solves():
+    """Every player's coalition game of the small and the larger games."""
+    for g in [*_mean_payoff_games(), *_larger_mean_payoff_games()]:
+        for player in range(1, g.players + 1):
+            yield g, player
+
+
+def test_guided_mp_search_matches_the_farey_reference(monkeypatch):
+    # values, sigma and levels with the guided search and with the search
+    # that splits every range at the midpoint rule
+    want = [zero_sum_value(dense_threshold(g, p), g.measure) for g, p in _mp_solves()]
+    monkeypatch.setattr(solvers, "_mp_search", reference_mp_search)
+    got = [zero_sum_value(dense_threshold(g, p), g.measure) for g, p in _mp_solves()]
+    assert len(got) > 100
+    for case, (a, b) in enumerate(zip(got, want)):
+        assert a == b, case
+
+
+def test_mp_search_values_do_not_depend_on_the_guesses(monkeypatch):
+    # guesses only choose thresholds: seeded random candidates, or none at
+    # all, leave every value, move and level as the midpoint rule finds them
+    rng = random.Random(31)
+
+    def random_outcomes(dt, states, moves, val, maximize):
+        if rng.random() < 0.25:
+            return None
+        n, lo, hi = len(dt.verts), dt.ints[0], dt.ints[-1]
+        out = []
+        for _ in states:
+            q = rng.randint(1, n)
+            out.append(F(rng.randint(lo * q, hi * q), q))
+        return out
+
+    monkeypatch.setattr(solvers, "_mp_outcomes", random_outcomes)
+    for case, (g, p) in enumerate(_mp_solves()):
+        dt = dense_threshold(g, p)
+        assert solvers._mp_search(dt) == reference_mp_search(dt), case
+
+
+def _mp_values_games():
+    """The games of the `mp-values` benchmark batches at seeds 0-3."""
+    spec = importlib.util.spec_from_file_location("perfbench_cases", CASES)
+    cases = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    spec.loader.exec_module(cases)
+    for seed in range(4):
+        batch = cases.make_batch("mp-values", seed)
+        for name in batch.games.values():
+            yield parse_game(batch.files[name])
+
+
+def test_guided_mp_search_solves_fewer_energy_games(monkeypatch):
+    # a count, not a timing: the guesses must keep cutting the energy games
+    # the search solves, at most 60% of the midpoint rule's on these batches
+    real, calls = solvers._energy, []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_energy", counted)
+    counts = {}
+    for search in (solvers._mp_search, reference_mp_search):
+        calls.clear()
+        for g in _mp_values_games():
+            for player in range(1, g.players + 1):
+                search(dense_threshold(g, player))
+        counts[search] = len(calls)
+    guided, reference = counts.values()
+    assert reference > 0 and guided <= 0.6 * reference, (guided, reference)
+
+
+def test_simplest_is_the_least_denominator_rational_in_range():
+    # brute force: the least denominator q with a multiple of 1/q in [x, y],
+    # and its least such numerator; x itself bounds q by its denominator
+    rng = random.Random(32)
+    pairs = [(F(-3), F(-3)), (F(2), F(5, 2)), (F(-7, 3), F(-7, 3)), (F(-1, 2), F(1, 2))]
+    for _ in range(400):
+        x = F(rng.randint(-40, 40), rng.randint(1, 12))
+        y = x + rng.choice([0, F(rng.randint(0, 30), rng.randint(1, 12))])
+        pairs.append((x, y))
+    for x, y in pairs:
+        want = next(
+            F(-(-x.numerator * q // x.denominator), q)
+            for q in range(1, x.denominator + 1)
+            if F(-(-x.numerator * q // x.denominator), q) <= y
+        )
+        assert solvers._simplest(x, y) == want, (x, y)
 
 
 @pytest.mark.parametrize("step", [1, -1])
